@@ -198,25 +198,41 @@ _FIT_DEFAULTS = {
 }
 
 
+def _numbers(value, size: int) -> bool:
+    """value is a JSON list of size numbers."""
+    return (isinstance(value, list) and len(value) == size
+            and all(isinstance(v, (int, float)) for v in value))
+
+
+_WINDOW_SIZES = {"stage1": 2, "stage2": 2, "stage3": 2, "safe": 4}
+
+
 def _qc_config_from(merged: dict, T: float) -> QcConfig:
     windows = _json_flag(merged.get("windows"), "windows")
     if windows is None:
         return default_qc_config(T)
-    try:
-        return QcConfig(
-            stage1_window=tuple(windows["stage1"]),
-            stage2_window=tuple(windows["stage2"]),
-            stage3_points=tuple(windows["stage3"]),
-            safe_points=tuple(windows["safe"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"windows object is missing key {exc}") from None
+    if not isinstance(windows, dict):
+        raise ValueError(f"--windows must be a JSON object with keys {list(_WINDOW_SIZES)}")
+    for key, size in _WINDOW_SIZES.items():
+        if key not in windows:
+            raise ValueError(f"--windows object is missing key {key!r}")
+        if not _numbers(windows[key], size):
+            raise ValueError(f"--windows {key} must be a list of {size} numbers, "
+                             f"got {windows[key]!r}")
+    return QcConfig(
+        stage1_window=tuple(windows["stage1"]),
+        stage2_window=tuple(windows["stage2"]),
+        stage3_points=tuple(windows["stage3"]),
+        safe_points=tuple(windows["safe"]),
+    )
 
 
 def _ga_config_from(merged: dict, T: float) -> GaConfig:
     bounds = _json_flag(merged.get("bounds"), "bounds")
     if bounds is None:
         bounds = default_bounds(merged["family"], T)
+    elif not (isinstance(bounds, list) and all(_numbers(b, 2) for b in bounds)):
+        raise ValueError(f"--bounds must be a JSON list of [lo, hi] number pairs, got {bounds!r}")
     kwargs = {"bounds": tuple(tuple(b) for b in bounds), "seed": int(merged["seed"])}
     if merged.get("generations") is not None:
         kwargs["generations"] = int(merged["generations"])

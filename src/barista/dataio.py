@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping
@@ -48,7 +50,10 @@ _FORMATS = ("auto", "relative", "timestamped")
 
 
 class IngestError(ValueError):
-    """A data problem, carrying the 1-based physical line number when known."""
+    """A data problem, carrying the 1-based CSV record number when known.
+
+    Records are counted as csv reads them, comment and blank lines included.
+    """
 
     def __init__(self, message: str, line: int | None = None) -> None:
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -87,8 +92,111 @@ def _float_field(row: Mapping[str, str], col: str, line: int) -> float:
     return val
 
 
-def _parse(spec: IngestSpec) -> tuple[list[float], list[str], int]:
-    """(times, auction ids, clamped-row count), times not yet sorted."""
+def _layout(header: list[str], fmt: str) -> tuple[str, ...]:
+    """The columns a header must supply; raises when it cannot supply them."""
+    if fmt == "auto":
+        if set(_RELATIVE_COLS) <= set(header):
+            fmt = "relative"
+        elif set(_TIMESTAMPED_COLS) <= set(header):
+            fmt = "timestamped"
+        else:
+            raise IngestError(
+                f"header {header} matches neither {_RELATIVE_COLS} nor {_TIMESTAMPED_COLS}")
+    needed = _RELATIVE_COLS if fmt == "relative" else _TIMESTAMPED_COLS
+    missing = set(needed) - set(header)
+    if missing:
+        raise IngestError(f"{fmt} layout is missing columns {sorted(missing)}")
+    return needed
+
+
+def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
+    """(times, auction ids, clamped-row count), times not yet sorted.
+
+    A file with any problem is read again row by row, which raises the
+    first problem with its line.
+    """
+    return _parse_columns(spec) or _parse_rows(spec)
+
+
+def _parse_columns(spec: IngestSpec) -> tuple[np.ndarray, list[str], int] | None:
+    """_parse with each column converted in one pass; None on any problem.
+
+    The problem is then reported by _parse_rows, which knows its line.
+    """
+    cols = _read_columns(spec)
+    if cols is None:
+        return None
+    ids = list(map(str.strip, cols[0]))
+    try:
+        values = [np.fromiter(map(float, col), float, len(col)) for col in cols[1:]]
+    except ValueError:
+        return None
+    if not all(ids) or not all(np.isfinite(v).all() for v in values):
+        return None
+    if len(values) == 1:
+        times = values[0]
+    else:
+        stamps, starts = values
+        # one distinct (auction, start) pair per auction, or some start changed
+        if len(set(zip(ids, starts.tolist()))) != len(set(ids)):
+            return None
+        # finite values can still differ by more than the largest float; the
+        # difference is then inf, as in Python, and out of range
+        with np.errstate(over="ignore"):
+            times = stamps - starts
+    low = times < 0.0
+    high = times >= spec.horizon
+    clamped = int(np.count_nonzero(low | high))
+    if clamped:
+        if spec.clamp_policy == "reject":
+            return None
+        times[low] = 0.0
+        times[high] = np.nextafter(spec.horizon, 0.0)
+    return times, ids, clamped
+
+
+def _read_columns(spec: IngestSpec) -> tuple[list[str], ...] | None:
+    """Raw fields of the needed columns, auction_id first.
+
+    None when the header is absent or unusable or a data row has the wrong
+    number of fields.
+    """
+    with Path(spec.path).open(newline="") as fh:
+        rows = csv.reader(fh)
+        for raw in rows:
+            if raw and not raw[0].lstrip().startswith("#"):
+                header = [h.strip().lower() for h in raw]
+                break
+        else:
+            return None
+        try:
+            needed = _layout(header, spec.fmt)
+        except IngestError:
+            return None
+        # a repeated header name means its last column, as in _parse_rows
+        index = {name: i for i, name in enumerate(header)}
+        pick = operator.itemgetter(*(index[name] for name in needed))
+        width = len(header)
+        fields: list[str] = []
+        extend = fields.extend
+        for raw in rows:
+            # only a row whose first field holds '#' can be a comment
+            if len(raw) != width or "#" in raw[0]:
+                if not raw or raw[0].lstrip().startswith("#"):
+                    continue
+                if len(raw) != width:
+                    return None
+            extend(pick(raw))
+    k = len(needed)
+    return tuple(fields[i::k] for i in range(k))
+
+
+def _parse_rows(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
+    """_parse one row at a time, to report the problem _parse_columns found.
+
+    Raises the first problem in this order: a wrong field count anywhere,
+    then header and layout errors, then the first bad row in file order.
+    """
     path = Path(spec.path)
     with path.open(newline="") as fh:
         line = 0
@@ -109,20 +217,7 @@ def _parse(spec: IngestSpec) -> tuple[list[float], list[str], int]:
             records.append((line, dict(zip(header, raw))))
     if header is None:
         raise IngestError(f"no header row found in {path}")
-
-    fmt = spec.fmt
-    if fmt == "auto":
-        if set(_RELATIVE_COLS) <= set(header):
-            fmt = "relative"
-        elif set(_TIMESTAMPED_COLS) <= set(header):
-            fmt = "timestamped"
-        else:
-            raise IngestError(
-                f"header {header} matches neither {_RELATIVE_COLS} nor {_TIMESTAMPED_COLS}")
-    needed = _RELATIVE_COLS if fmt == "relative" else _TIMESTAMPED_COLS
-    missing = set(needed) - set(header)
-    if missing:
-        raise IngestError(f"{fmt} layout is missing columns {sorted(missing)}")
+    relative = _layout(header, spec.fmt) == _RELATIVE_COLS
 
     times: list[float] = []
     ids: list[str] = []
@@ -133,7 +228,7 @@ def _parse(spec: IngestSpec) -> tuple[list[float], list[str], int]:
         auction = row["auction_id"].strip()
         if not auction:
             raise IngestError("empty auction_id", line)
-        if fmt == "relative":
+        if relative:
             t = _float_field(row, "bid_time", line)
         else:
             stamp = _float_field(row, "bid_timestamp", line)
@@ -151,39 +246,39 @@ def _parse(spec: IngestSpec) -> tuple[list[float], list[str], int]:
             clamped += 1
         times.append(t)
         ids.append(auction)
-    return times, ids, clamped
+    return np.asarray(times, dtype=float), ids, clamped
 
 
 def ingest(spec: IngestSpec) -> BidSample:
     """Pooled sample of every bid in the file, tagged by auction id."""
     times, ids, _ = _parse(spec)
-    if not times:
+    if not ids:
         raise IngestError(f"no bid rows in {spec.path}")
-    order = np.argsort(np.asarray(times, dtype=float), kind="stable")
+    order = np.argsort(times, kind="stable")
     return BidSample(
-        times=np.asarray(times, dtype=float)[order],
+        times=times[order],
         T=spec.horizon,
-        sources=tuple(ids[i] for i in order),
+        sources=tuple(np.array(ids, dtype=object)[order]),
     )
 
 
 def ingest_summary(spec: IngestSpec) -> dict:
     """What ingest would load, without building the sample."""
     times, ids, clamped = _parse(spec)
-    per_auction: dict[str, int] = {}
-    for a in ids:
-        per_auction[a] = per_auction.get(a, 0) + 1
+    per_auction = Counter(ids)
     return {
         "path": str(spec.path),
         "horizon": spec.horizon,
         "unit": spec.unit,
         "clamp_policy": spec.clamp_policy,
-        "n_bids": len(times),
+        "n_bids": len(ids),
         "n_auctions": len(per_auction),
         "n_clamped": clamped,
         "per_auction_counts": dict(sorted(per_auction.items())),
-        "first_bid": min(times) if times else None,
-        "last_bid": max(times) if times else None,
+        # argmin/argmax take the first of tied values, as min/max do, so the
+        # sign of a zero is the one seen first
+        "first_bid": float(times[times.argmin()]) if ids else None,
+        "last_bid": float(times[times.argmax()]) if ids else None,
     }
 
 

@@ -298,6 +298,21 @@ class TestErrors:
         assert rc == 1
         assert "JSON" in err["error"]["message"]
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--bounds", "5"], "--bounds"),
+        (["--bounds", "[[1, 2, 3]]"], "--bounds"),
+        (["--method", "quick-crude", "--windows", "[1]"], "--windows"),
+        (["--method", "quick-crude", "--windows",
+          '{"stage1": 5, "stage2": [1, 2], "stage3": [1, 2], "safe": [1, 2, 3, 4]}'],
+         "--windows"),
+    ])
+    def test_malformed_json_shape_names_flag(self, tmp_path, capsys, flags, flag):
+        data = simulate(tmp_path, n=30, seed=0)
+        rc, err = run_json(["fit", "--input", data, "--horizon", "7", *flags], capsys)
+        assert rc == 1
+        assert err["error"]["type"] == "ValueError"
+        assert flag in err["error"]["message"]
+
     def test_estimation_failure_carries_stage(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("auction_id,bid_time\nx,1.0\n")
