@@ -11,18 +11,17 @@ Subcommands:
 Reports are JSON objects carrying "schema": "barista/1", written to --output
 or stdout.  --no-timestamp drops the generated_at field so identical runs are
 byte-identical.  A --config file is a flat JSON object supplying any of the
-subcommand's settings; explicit flags win over the file.  Failures print a
-JSON error object to stdout and exit 1.
+subcommand's settings, each of the JSON type its flag takes; explicit flags
+win over the file.  Failures print a JSON error object to stdout and exit 1.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .dataio import MINUTES_PER_UNIT, IngestSpec, ingest, ingest_summary, write_sample
@@ -42,7 +41,7 @@ from .estimate import (
 )
 from .process import BaristaParams, OneStage, ThreeStage, TwoStage, mean_count
 from .sample import BidSample
-from .selection import select_model
+from .selection import _default_configs, select_model
 from .simulate import sample_fixed_n, sample_poisson_count
 
 SCHEMA = "barista/1"
@@ -67,6 +66,23 @@ def _report(payload: dict, command: str, merged: dict) -> None:
     _echo(json.dumps(obj, indent=2, sort_keys=True) + "\n", merged.get("output"))
 
 
+# JSON types a --config value may take: those of the flag that sets it (a
+# float flag takes any number; --windows, --grid and --bounds take JSON text
+# or the object or list it holds).  null keeps the default, as an absent
+# flag does.
+_SETTING_TYPES = {
+    **dict.fromkeys(("seed", "n", "bootstrap", "generations"), (int,)),
+    **dict.fromkeys(("horizon", "c", "alpha", "alpha1", "alpha2", "alpha3", "d1", "d2",
+                     "alpha_level"), (int, float)),
+    **dict.fromkeys(("input", "unit", "clamp_policy", "method", "family", "output",
+                     "qq_out"), (str,)),
+    **dict.fromkeys(("windows", "grid", "bounds"), (str, dict, list)),
+    "no_timestamp": (bool,),
+}
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+               list: "a list", bool: "true or false"}
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags."""
     merged = dict(defaults)
@@ -78,7 +94,15 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        merged.update(cfg)
+        for key, val in cfg.items():
+            if val is None:
+                continue
+            kinds = _SETTING_TYPES[key]
+            if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
+                names = " or ".join(_JSON_NAMES[k] for k in kinds)
+                raise ValueError(f"config key {key!r} must be {names}, "
+                                 f"got {json.dumps(val)}")
+            merged[key] = val
     for key, val in vars(args).items():
         if key in defaults and val is not None:
             merged[key] = val
@@ -293,11 +317,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
     sample = _ingest_sample(merged)
     configs = None
     if merged.get("generations") is not None:
-        seeds = np.random.SeedSequence(int(merged["seed"])).generate_state(3)
         configs = {
-            tag: GaConfig(bounds=default_bounds(tag, sample.T),
-                          generations=int(merged["generations"]), seed=int(s))
-            for tag, s in zip(("one-stage", "two-stage", "three-stage"), seeds)
+            tag: replace(cfg, generations=int(merged["generations"]))
+            for tag, cfg in _default_configs(sample, int(merged["seed"])).items()
         }
     result = select_model(
         sample,

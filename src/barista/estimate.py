@@ -17,7 +17,6 @@ finite differences in the test suite.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -280,7 +279,9 @@ class _CondLoglik:
 
     The per-event terms only enter through the branch counts (n1, n3) and the
     branch sums of log(1 - x/T); caching the sorted cumulative sums makes
-    repeated evaluation at different parameters (grid, GA) cheap.
+    repeated evaluation at different parameters (grid, GA) cheap.  values()
+    takes whole parameter columns, so a GA generation, a block of grid points
+    or a set of refinement candidates is scored as one array in one call.
     """
 
     def __init__(self, sample: BidSample) -> None:
@@ -479,18 +480,21 @@ class FitResult:
         return vals
 
 
-def _genes_to_vector(tag: str, genes: Sequence[float]) -> tuple[float, float, float, float, float]:
-    """(alpha1, alpha2, alpha3, d1, d2) for a family's free-gene vector."""
-    if tag == "one-stage":
-        (a,) = genes
-        return a, a, a, 0.0, 0.0
-    if tag == "two-stage":
-        a2, a3, d2 = genes
-        return a2, a2, a3, 0.0, d2
-    if tag == "three-stage":
-        a1, a2, a3, d1, d2 = genes
-        return a1, a2, a3, d1, d2
-    raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILY_TAGS}")
+# Each family's embedding in (alpha1, alpha2, alpha3, d1, d2): the column of a
+# gene block, padded with one trailing zero column, that fills each slot.
+_GENE_MAP = {
+    "one-stage": np.array([0, 0, 0, 1, 1]),
+    "two-stage": np.array([0, 0, 1, 3, 2]),
+    "three-stage": np.array([0, 1, 2, 3, 4]),
+}
+
+
+def _gene_vectors(tag: str, genes) -> np.ndarray:
+    """(k, 5) rows of (alpha1, alpha2, alpha3, d1, d2) for a (k, m) gene block."""
+    block = np.asarray(genes, dtype=float)
+    padded = np.zeros((block.shape[0], block.shape[1] + 1))
+    padded[:, :-1] = block
+    return padded[:, _GENE_MAP[tag]]
 
 
 def _family_names(tag: str) -> tuple[str, ...]:
@@ -511,8 +515,8 @@ def _build_family(tag: str, genes: Sequence[float], c: float, T: float) -> Model
 
 def _finish_fit(tag: str, genes: Sequence[float], ll: float, method: str,
                 sample: BidSample, history: tuple[float, ...] | None = None) -> FitResult:
-    vec = _genes_to_vector(tag, genes)
-    shape = BaristaParams(*vec, 1.0, sample.T)
+    vec = _gene_vectors(tag, [genes])[0]
+    shape = BaristaParams(*vec.tolist(), 1.0, sample.T)
     c_hat = estimate_c(shape, sample.n)
     return FitResult(
         family=_build_family(tag, genes, c_hat, sample.T),
@@ -527,13 +531,17 @@ def _finish_fit(tag: str, genes: Sequence[float], ll: float, method: str,
 # grid search
 # ---------------------------------------------------------------------------
 
+# grid points scored per likelihood call; bounds the memory of a large grid
+_GRID_BLOCK = 4096
+
+
 def grid_search(sample: BidSample, family: str, grid: Mapping[str, Iterable[float]]) -> FitResult:
     """Best conditional log-likelihood over a cartesian parameter grid.
 
     grid maps each free parameter of the family to its candidate values; the
     scan runs in lexicographic order over the family's parameter order and
     ties keep the first point found.  Grid points that violate the parameter
-    constraints are skipped.
+    constraints are skipped.  Points are scored _GRID_BLOCK at a time.
     """
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="grid_search")
@@ -545,12 +553,17 @@ def grid_search(sample: BidSample, family: str, grid: Mapping[str, Iterable[floa
     if any(ax.size == 0 for ax in axes):
         raise ValueError("every grid axis needs at least one value")
     cache = _CondLoglik(sample)
+    shape = tuple(ax.size for ax in axes)
+    total = math.prod(shape)
     best_ll = -np.inf
     best_genes: tuple[float, ...] | None = None
-    for genes in itertools.product(*axes):
-        ll = cache.value(*_genes_to_vector(family, genes))
-        if ll > best_ll:
-            best_ll, best_genes = ll, genes
+    for start in range(0, total, _GRID_BLOCK):
+        flat = np.arange(start, min(start + _GRID_BLOCK, total))
+        genes = np.column_stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape))])
+        ll = cache.values(*_gene_vectors(family, genes).T)
+        j = int(np.argmax(ll))
+        if ll[j] > best_ll:
+            best_ll, best_genes = float(ll[j]), tuple(genes[j])
     if best_genes is None or not np.isfinite(best_ll):
         raise EstimationError("no feasible grid point", stage="grid_search")
     return _finish_fit(family, best_genes, best_ll, "grid", sample)
@@ -622,7 +635,9 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
     U(0,1) weight (each pair yields the blend and its mirror), add Gaussian
     mutation clipped to the bounds, then truncate elite + offspring back to
     population_size by fitness.  The elite always survives, so the best-so-far
-    fitness (recorded in FitResult.history) never decreases.
+    fitness (recorded in FitResult.history) never decreases.  Each generation's
+    offspring are mapped to full parameter rows through the family's gene map
+    and scored as one array by a single likelihood call.
     """
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="ga_fit")
@@ -639,8 +654,7 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
     cache = _CondLoglik(sample)
 
     def fitness(block: np.ndarray) -> np.ndarray:
-        vecs = np.array([_genes_to_vector(family, g) for g in block])
-        return cache.values(*vecs.T)
+        return cache.values(*_gene_vectors(family, block).T)
 
     rng = np.random.default_rng(cfg.seed)
     pop = rng.uniform(lo, hi, size=(cfg.population_size, lo.size))

@@ -158,9 +158,6 @@ class ThreeStage:
 
 ModelFamily = OneStage | TwoStage | ThreeStage
 
-# Free shape-parameter counts drive the likelihood-ratio degrees of freedom.
-N_FREE = {"one-stage": 1, "two-stage": 3, "three-stage": 5}
-
 
 # ---------------------------------------------------------------------------
 # internal pieces

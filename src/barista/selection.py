@@ -26,7 +26,7 @@ from .estimate import (
     GaConfig,
     _CondLoglik,
     _finish_fit,
-    _genes_to_vector,
+    _gene_vectors,
     default_bounds,
     ga_fit,
 )
@@ -107,10 +107,7 @@ def _refine_around(sample: BidSample, tag: str, genes: tuple[float, ...]) -> Fit
     Keeps the genome itself in the grid, so the result is never worse than
     the starting point.
     """
-    cache = _CondLoglik(sample)
     factors = (0.9, 1.0, 1.1)
-    best_ll = -np.inf
-    best: tuple[float, ...] | None = None
     # perturb one coordinate at a time; full product over 5 genes would be 243
     # points of mostly redundant work
     candidates = [genes]
@@ -121,12 +118,9 @@ def _refine_around(sample: BidSample, tag: str, genes: tuple[float, ...]) -> Fit
             g = list(genes)
             g[i] = g[i] * f if g[i] != 0.0 else (f - 1.0) * 1e-3 * sample.T
             candidates.append(tuple(g))
-    for g in candidates:
-        ll = cache.value(*_genes_to_vector(tag, g))
-        if ll > best_ll:
-            best_ll, best = ll, g
-    assert best is not None
-    return _finish_fit(tag, best, best_ll, "ga", sample)
+    ll = _CondLoglik(sample).values(*_gene_vectors(tag, candidates).T)
+    best = int(np.argmax(ll))  # first maximum, as ties keep the earlier candidate
+    return _finish_fit(tag, candidates[best], float(ll[best]), "ga", sample)
 
 
 def _fit_with_floor(sample: BidSample, tag: str, cfg: GaConfig, smaller: FitResult) -> FitResult:

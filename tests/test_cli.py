@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from barista import __version__
+from barista import GaConfig, IngestSpec, __version__, default_bounds, ingest, select_model
 from barista.cli import main
 
 P_STAR_CONFIG = {
@@ -131,6 +131,16 @@ class TestFit:
         assert set(rep["params"]) == {"alpha1", "alpha2", "alpha3", "d1", "d2", "c"}
         assert np.isfinite(rep["loglik"])
 
+    def test_null_config_value_keeps_default(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=300, seed=2)
+        cfg = tmp_path / "nulls.json"
+        cfg.write_text(json.dumps({"seed": None, "unit": None, "bounds": None}))
+        argv = ["fit", "--input", data, "--horizon", "7", "--generations", "10",
+                "--no-timestamp"]
+        rc, plain = run_json(argv, capsys)
+        assert rc == 0
+        assert run_json([*argv, "--config", str(cfg)], capsys) == (0, plain)
+
     def test_closed_form_one_stage(self, tmp_path, capsys):
         data = simulate(tmp_path, n=800, seed=4)
         rc, rep = run_json(
@@ -212,6 +222,24 @@ class TestSelect:
              "--alpha-level", "0.2", "--no-timestamp"], capsys)
         assert rc == 0
         assert rep["alpha_level"] == 0.2
+
+    def test_generations_flag_matches_library(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=900, seed=11)
+        rc, rep = run_json(
+            ["select", "--input", data, "--horizon", "7", "--generations", "30",
+             "--seed", "4", "--no-timestamp"], capsys)
+        assert rc == 0
+        sample = ingest(IngestSpec(path=data, horizon=7.0))
+        seeds = np.random.SeedSequence(4).generate_state(3)
+        configs = {tag: GaConfig(bounds=default_bounds(tag, 7.0), generations=30, seed=int(s))
+                   for tag, s in zip(("one-stage", "two-stage", "three-stage"), seeds)}
+        res = select_model(sample, configs=configs, seed=4)
+        assert rep["chosen"] == res.chosen.tag
+        assert set(rep["fits"]) == set(res.fits)
+        for tag, fit in res.fits.items():
+            assert rep["fits"][tag]["loglik"] == fit.loglik
+            assert rep["fits"][tag]["c_hat"] == fit.c_hat
+            assert rep["fits"][tag]["params"] == fit.params
 
 
 class TestDiagnose:
@@ -312,6 +340,30 @@ class TestErrors:
         assert rc == 1
         assert err["error"]["type"] == "ValueError"
         assert flag in err["error"]["message"]
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("fit", {"horizon": 7.0, "seed": [1]}, "seed"),
+        ("fit", {"horizon": 7.0, "seed": 1.5}, "seed"),
+        ("fit", {"horizon": 7.0, "generations": True}, "generations"),
+        ("fit", {"horizon": 7.0, "bounds": 5}, "bounds"),
+        ("fit", {"horizon": 7.0, "method": 3}, "method"),
+        ("ingest-check", {"horizon": [7]}, "horizon"),
+        ("ingest-check", {"horizon": "7"}, "horizon"),
+        ("ingest-check", {"horizon": 7.0, "no_timestamp": 1}, "no_timestamp"),
+        ("select", {"horizon": 7.0, "alpha_level": {"x": 1}}, "alpha_level"),
+        ("simulate", {"horizon": 7.0, "n": 5, "alpha1": "3"}, "alpha1"),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg)]
+        if command != "simulate":
+            argv += ["--input", simulate(tmp_path, n=30, seed=0)]
+        rc, err = run_json(argv, capsys)
+        assert rc == 1
+        assert err["schema"] == "barista/1"
+        assert err["error"]["type"] == "ValueError"
+        assert repr(key) in err["error"]["message"]
 
     def test_estimation_failure_carries_stage(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"

@@ -1,0 +1,220 @@
+"""The array-scored GA, grid search and refinement against per-genome references.
+
+ga_fit, grid_search and the selection refinement map a whole block of genomes
+to (alpha1, alpha2, alpha3, d1, d2) rows in one indexing step and score them
+with one likelihood call.  The references below are frozen copies of the
+earlier code, which embedded one genome at a time in Python.  Only the
+gathering differs, so every result must be bit-identical.
+"""
+import itertools
+
+import numpy as np
+import pytest
+
+from barista import (
+    BaristaParams,
+    EstimationError,
+    GaConfig,
+    OneStage,
+    ThreeStage,
+    TwoStage,
+    default_bounds,
+    estimate_c,
+    ga_fit,
+    grid_search,
+    sample_fixed_n,
+)
+from barista.estimate import _GRID_BLOCK, _CondLoglik
+from barista.selection import _refine_around
+from conftest import P_STAR
+
+T = P_STAR.T
+NAMES = {"one-stage": ("alpha",), "two-stage": ("alpha2", "alpha3", "d2"),
+         "three-stage": ("alpha1", "alpha2", "alpha3", "d1", "d2")}
+# d1 close to T - d2: about nine in ten uniform draws break d1 < T - d2, so
+# -inf ties reach the elite and the stable sort decides their order
+CROWDED_BOX = ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (T - 0.0012, T - 0.0003), (0.0, T / 700.0))
+
+
+@pytest.fixture(scope="module")
+def data():
+    """The criterion-2 sample."""
+    return sample_fixed_n(P_STAR, 5000, seed=23)
+
+
+@pytest.fixture(scope="module")
+def uniform():
+    """One-stage data with alpha = 1, where alpha2 == alpha3 == 1 ties across d2."""
+    return sample_fixed_n(OneStage(1.0, 1.0, T).as_barista(), 2000, seed=5)
+
+
+def _genes_to_vector(tag, genes):
+    if tag == "one-stage":
+        (a,) = genes
+        return a, a, a, 0.0, 0.0
+    if tag == "two-stage":
+        a2, a3, d2 = genes
+        return a2, a2, a3, 0.0, d2
+    a1, a2, a3, d1, d2 = genes
+    return a1, a2, a3, d1, d2
+
+
+def _finish(tag, genes, ll, sample):
+    vec = _genes_to_vector(tag, genes)
+    c_hat = estimate_c(BaristaParams(*vec, 1.0, sample.T), sample.n)
+    if tag == "one-stage":
+        family = OneStage(genes[0], c_hat, sample.T)
+    elif tag == "two-stage":
+        family = TwoStage(genes[0], genes[1], genes[2], c_hat, sample.T)
+    else:
+        family = ThreeStage(BaristaParams(*genes, c_hat, sample.T))
+    return family, ll, c_hat
+
+
+def reference_ga(sample, family, cfg):
+    """(family, loglik, c_hat, history) of the per-genome GA."""
+    lo = np.array([b[0] for b in cfg.bounds])
+    hi = np.array([b[1] for b in cfg.bounds])
+    scale = (hi - lo) / 20.0
+    cache = _CondLoglik(sample)
+
+    def fitness(block):
+        vecs = np.array([_genes_to_vector(family, g) for g in block])
+        return cache.values(*vecs.T)
+
+    rng = np.random.default_rng(cfg.seed)
+    pop = rng.uniform(lo, hi, size=(cfg.population_size, lo.size))
+    fit = fitness(pop)
+    order = np.argsort(-fit, kind="stable")
+    pop, fit = pop[order], fit[order]
+    history = [float(fit[0])]
+    n_elite = max(1, int(cfg.population_size * cfg.elite_fraction))
+    for _ in range(cfg.generations):
+        elite, elite_fit = pop[:n_elite], fit[:n_elite]
+        ia = rng.integers(0, n_elite, size=cfg.offspring_pairs)
+        ib = rng.integers(0, n_elite, size=cfg.offspring_pairs)
+        u = rng.random((cfg.offspring_pairs, lo.size))
+        kids = np.vstack([
+            u * elite[ia] + (1.0 - u) * elite[ib],
+            (1.0 - u) * elite[ia] + u * elite[ib],
+        ])
+        kids += rng.normal(0.0, 1.0, size=kids.shape) * scale
+        np.clip(kids, lo, hi, out=kids)
+        pool_genes = np.vstack([elite, kids])
+        pool_fit = np.concatenate([elite_fit, fitness(kids)])
+        order = np.argsort(-pool_fit, kind="stable")[: cfg.population_size]
+        pop, fit = pool_genes[order], pool_fit[order]
+        history.append(float(fit[0]))
+    return (*_finish(family, tuple(pop[0]), float(fit[0]), sample), tuple(history))
+
+
+def reference_grid(sample, family, grid):
+    """(family, loglik, c_hat) of the point-by-point grid scan, or None."""
+    cache = _CondLoglik(sample)
+    axes = [np.asarray(list(grid[name]), dtype=float) for name in NAMES[family]]
+    best_ll, best_genes = -np.inf, None
+    for genes in itertools.product(*axes):
+        ll = cache.value(*_genes_to_vector(family, genes))
+        if ll > best_ll:
+            best_ll, best_genes = ll, genes
+    if best_genes is None:
+        return None
+    return _finish(family, best_genes, best_ll, sample)
+
+
+def bits(x) -> bytes:
+    """Exact float identity, telling -0.0 from 0.0."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_same(fit, ref):
+    family, ll, c_hat = ref[:3]
+    assert fit.family == family
+    assert bits(list(fit.family.free_values().values())) == bits(list(family.free_values().values()))
+    assert bits(fit.loglik) == bits(ll)
+    assert bits(fit.c_hat) == bits(c_hat)
+
+
+CASES = [
+    ("one-stage", default_bounds("one-stage", T)),
+    ("two-stage", default_bounds("two-stage", T)),
+    ("three-stage", default_bounds("three-stage", T)),
+    ("three-stage", CROWDED_BOX),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family, bounds", CASES)
+def test_ga_matches_per_genome_reference(data, family, bounds, seed):
+    cfg = GaConfig(bounds=bounds, generations=50, seed=seed)
+    fit = ga_fit(data, family, cfg)
+    ref = reference_ga(data, family, cfg)
+    assert_same(fit, ref)
+    assert bits(fit.history) == bits(ref[3])
+
+
+def test_crowded_box_is_mostly_infeasible(data):
+    lo, hi = np.array(CROWDED_BOX).T
+    genes = np.random.default_rng(0).uniform(lo, hi, size=(2000, 5))
+    ll = _CondLoglik(data).values(*genes.T)
+    assert 0.8 < np.mean(np.isneginf(ll)) < 0.98
+
+
+@pytest.mark.parametrize("sample, family, genes", [
+    ("data", "two-stage", (0.4, 0.4, 0.0)),
+    ("data", "three-stage", (0.4, 0.4, 1.0, T / 4.0, 5.0 / 1440.0)),
+    ("data", "three-stage", (2.9, 0.41, 0.98, 2.45, 0.0035)),
+    # the genome ties exactly with both d2 perturbations and must win
+    ("uniform", "two-stage", (1.0, 1.0, 0.01)),
+])
+def test_refinement_matches_per_candidate_reference(request, sample, family, genes):
+    sample = request.getfixturevalue(sample)
+    fit = _refine_around(sample, family, genes)
+    candidates = [genes]
+    for i in range(len(genes)):
+        for f in (0.9, 1.1):
+            g = list(genes)
+            g[i] = g[i] * f if g[i] != 0.0 else (f - 1.0) * 1e-3 * T
+            candidates.append(tuple(g))
+    cache = _CondLoglik(sample)
+    best_ll, best = -np.inf, None
+    for g in candidates:
+        ll = cache.value(*_genes_to_vector(family, g))
+        if ll > best_ll:
+            best_ll, best = ll, g
+    assert_same(fit, _finish(family, best, best_ll, sample))
+
+
+class TestGridRules:
+    def test_duplicated_values_keep_the_first_point(self, data):
+        # alpha2 == alpha3 == 1 makes every d2 tie exactly; only the sign of
+        # zero shows which duplicate won
+        for d2, sign in (([0.0, -0.0], 1.0), ([-0.0, 0.0], -1.0)):
+            grid = {"alpha2": [1.0, 1.0], "alpha3": [1.0], "d2": d2}
+            fit = grid_search(data, "two-stage", grid)
+            assert np.copysign(1.0, fit.params["d2"]) == sign
+            assert_same(fit, reference_grid(data, "two-stage", grid))
+
+    def test_first_maximum_across_blocks(self, uniform):
+        # the alpha2 = 0.5 points, which fill the first block, lose; every
+        # alpha2 = 1 point ties, from inside the second block on
+        d2 = np.linspace(0.0, 0.01, _GRID_BLOCK + 7)
+        grid = {"alpha2": [0.5, 1.0], "alpha3": [1.0], "d2": d2}
+        fit = grid_search(uniform, "two-stage", grid)
+        assert fit.params["alpha2"] == 1.0 and fit.params["d2"] == 0.0
+        assert_same(fit, reference_grid(uniform, "two-stage", grid))
+
+    def test_matches_reference_on_a_multi_block_grid(self, data):
+        grid = {"alpha1": [2.5, 3.0, 3.5], "alpha2": [0.35, 0.4, 0.45],
+                "alpha3": [0.8, 1.0, 1.2], "d1": np.linspace(2.0, 3.0, 11),
+                "d2": np.linspace(0.0, 0.01, 21)}
+        fit = grid_search(data, "three-stage", grid)
+        assert_same(fit, reference_grid(data, "three-stage", grid))
+
+    def test_all_infeasible_raises(self, data):
+        grid = {"alpha1": [1.0], "alpha2": [1.0], "alpha3": [1.0],
+                "d1": np.linspace(5.0, 6.9, _GRID_BLOCK + 1), "d2": [2.5]}
+        assert reference_grid(data, "three-stage", grid) is None
+        with pytest.raises(EstimationError, match="no feasible grid point") as exc:
+            grid_search(data, "three-stage", grid)
+        assert exc.value.stage == "grid_search"
