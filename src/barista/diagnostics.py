@@ -94,9 +94,13 @@ def ks_one_sample(sample: BidSample, p: BaristaParams) -> KsResult:
         raise ValueError(f"sample horizon {sample.T} != parameter horizon {p.T}")
     n = sample.n
     f = cdf(p, sample.times)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
+    # steps[j] = j/n, bit-equal to the integer j over n
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n
+    diff = np.subtract(steps[1:], f)
+    d_plus = np.max(diff)
+    np.subtract(f, steps[:-1], out=diff)
+    d_minus = np.max(diff)
     d = float(max(d_plus, d_minus, 0.0))
     return KsResult(d, kolmogorov_sf(math.sqrt(n) * d), float(n))
 

@@ -17,6 +17,7 @@ finite differences in the test suite.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -83,11 +84,6 @@ def ecdf(sample: BidSample, t):
     counts = np.searchsorted(sample.times, np.atleast_1d(arr), side="right")
     out = counts / sample.n
     return float(out[0]) if scalar else out
-
-
-def _cdf_accessor(sample: BidSample) -> Callable[[float], float]:
-    times, n = sample.times, sample.n
-    return lambda t: float(np.searchsorted(times, t, side="right")) / n
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +244,7 @@ def qc_fit(sample: BidSample, cfg: QcConfig) -> "FitResult":
     for name in ("stage1_window", "stage2_window", "stage3_points", "safe_points"):
         if max(getattr(cfg, name)) >= T:
             raise ValueError(f"{name} must lie inside [0, T), horizon is {T}")
-    F = _cdf_accessor(sample)
+    F = functools.partial(ecdf, sample)
     lo, hi = cfg.stage1_window
     a1 = qc_alpha(F, T, T - lo, T - hi)
     lo, hi = cfg.stage2_window
@@ -288,8 +284,14 @@ class _CondLoglik:
         self.T = float(sample.T)
         self.n = sample.n
         self.times = sample.times
-        logrem = np.log1p(-self.times / self.T)
-        self.prefix = np.concatenate([[0.0], np.cumsum(logrem)])
+        # prefix[k] = sum of log(1 - t/T) over the first k times
+        self.prefix = np.empty(self.n + 1)
+        self.prefix[0] = 0.0
+        tail = self.prefix[1:]
+        np.negative(self.times, out=tail)
+        tail /= self.T
+        np.log1p(tail, out=tail)
+        np.cumsum(tail, out=tail)
 
     def values(self, a1, a2, a3, d1, d2) -> np.ndarray:
         """Vectorized conditional log-likelihood; -inf where invalid."""
@@ -716,7 +718,9 @@ def bootstrap_se(
     for child in children:
         rng = np.random.default_rng(child)
         idx = rng.integers(0, sample.n, size=sample.n)
-        boot = BidSample(times=np.sort(sample.times[idx]), T=sample.T)
+        t = sample.times[idx]
+        t.sort()
+        boot = BidSample(times=t, T=sample.T)
         try:
             draws.append(fitter(boot).params)
         except (EstimationError, ValueError):

@@ -263,7 +263,11 @@ def mean_count(p: BaristaParams, s):
 
 
 def cdf(p: BaristaParams, s):
-    """Distribution function of a single event time, F(s) = m(s) / m(T)."""
+    """Distribution function of a single event time, F(s) = m(s) / m(T).
+
+    The remaining time 1 - s/T is computed once into the output buffer; each
+    branch gathers its part once and applies its closed form in place.
+    """
     arr, scalar = _as_array(s, 0.0, p.T, "s")
     C = normalization_constant(p)
     q1, q2 = _ratios(p)
@@ -271,17 +275,31 @@ def cdf(p: BaristaParams, s):
     CT = C * p.T
     F_at_d1 = (CT / a1) * q1 ** (a2 - a1) * (1.0 - q1 ** a1)
 
-    rem = 1.0 - arr / p.T
     m1, m2, m3 = _stage_masks(p, arr)
-    out = np.empty_like(arr, dtype=float)
-    out[m1] = (CT / a1) * q1 ** (a2 - a1) * (1.0 - rem[m1] ** a1)
-    out[m2] = F_at_d1 + (CT / a2) * (q1 ** a2 - rem[m2] ** a2)
+    # a fresh buffer: arr may be the caller's array
+    out = arr / p.T
+    np.subtract(1.0, out, out=out)
+    x = out[m1]
+    x **= a1
+    np.subtract(1.0, x, out=x)
+    x *= (CT / a1) * q1 ** (a2 - a1)
+    out[m1] = x
+    x = out[m2]
+    x **= a2
+    np.subtract(q1 ** a2, x, out=x)
+    x *= CT / a2
+    x += F_at_d1
+    out[m2] = x
     if np.any(m3):
-        r = rem[m3] / q2
-        out[m3] = 1.0 - (CT / a3) * q2 ** a2 * r ** a3
+        x = out[m3]
+        x /= q2
+        x **= a3
+        x *= (CT / a3) * q2 ** a2
+        np.subtract(1.0, x, out=x)
+        out[m3] = x
     # F(T) = 1 exactly; the branch algebra can drift by an ulp
     out[arr == p.T] = 1.0
-    return _ret(np.clip(out, 0.0, 1.0), scalar)
+    return _ret(np.clip(out, 0.0, 1.0, out=out), scalar)
 
 
 def pdf(p: BaristaParams, s):
@@ -290,11 +308,22 @@ def pdf(p: BaristaParams, s):
     return _ret(normalization_constant(p) * _branch_power(p, arr), scalar)
 
 
+def _times_from_inner(x: np.ndarray, a: float, T: float) -> None:
+    """x <- T (1 - max(x, 0)^(1/a)) in place: the tail every branch shares."""
+    np.maximum(x, 0.0, out=x)
+    x **= 1.0 / a
+    np.subtract(1.0, x, out=x)
+    x *= T
+
+
 def inverse_cdf(p: BaristaParams, u):
     """Quantile function F^{-1}(u) for u in [0, 1], by branch-wise inversion.
 
     The branch is chosen by comparing u with F(d1) and F(T - d2); each branch
-    of F is a shifted power and inverts in closed form.
+    of F is a shifted power and inverts in closed form, applied in place to
+    the branch's gathered uniforms.  Evaluation is element by element, so
+    sorting u first (as the samplers do, which makes each branch mask one
+    contiguous run) permutes the result and changes no value.
     """
     arr, scalar = _as_array(u, 0.0, 1.0, "u")
     C = normalization_constant(p)
@@ -309,15 +338,27 @@ def inverse_cdf(p: BaristaParams, u):
     m3 = arr > F2
     m2 = ~(m1 | m3)
     if np.any(m1):
-        inner = 1.0 - arr[m1] * (a1 / CT) * q1 ** (a1 - a2)
-        out[m1] = p.T * (1.0 - np.maximum(inner, 0.0) ** (1.0 / a1))
+        x = arr[m1]
+        x *= a1 / CT
+        x *= q1 ** (a1 - a2)
+        np.subtract(1.0, x, out=x)
+        _times_from_inner(x, a1, p.T)
+        out[m1] = x
     if np.any(m2):
-        inner = q1 ** a2 - (a2 / CT) * (arr[m2] - F1)
-        out[m2] = p.T * (1.0 - np.maximum(inner, 0.0) ** (1.0 / a2))
+        x = arr[m2]
+        x -= F1
+        x *= a2 / CT
+        np.subtract(q1 ** a2, x, out=x)
+        _times_from_inner(x, a2, p.T)
+        out[m2] = x
     if np.any(m3):
-        inner = (1.0 - arr[m3]) * (a3 / CT) * q2 ** (a3 - a2)
-        out[m3] = p.T * (1.0 - np.maximum(inner, 0.0) ** (1.0 / a3))
-    return _ret(np.clip(out, 0.0, p.T), scalar)
+        x = arr[m3]
+        np.subtract(1.0, x, out=x)
+        x *= a3 / CT
+        x *= q2 ** (a3 - a2)
+        _times_from_inner(x, a3, p.T)
+        out[m3] = x
+    return _ret(np.clip(out, 0.0, p.T, out=out), scalar)
 
 
 def restrict(p: BaristaParams, beta: float) -> BaristaParams:

@@ -34,7 +34,7 @@ class BidSample:
                 raise ValueError("times must be finite")
             if np.any(t < 0) or np.any(t >= self.T):
                 raise ValueError("times must lie in [0, T)")
-            if np.any(np.diff(t) < 0):
+            if np.any(t[1:] < t[:-1]):
                 raise ValueError("times must be sorted nondecreasing")
         if self.sources is not None:
             object.__setattr__(self, "sources", tuple(str(s) for s in self.sources))

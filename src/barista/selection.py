@@ -80,7 +80,7 @@ def lr_statistic(loglik_small: float, loglik_big: float) -> float:
 
 def lr_test(loglik_small: float, loglik_big: float, df: int = 2) -> LrTest:
     raw = -2.0 * (loglik_small - loglik_big)
-    stat = max(0.0, raw)
+    stat = lr_statistic(loglik_small, loglik_big)
     return LrTest(
         statistic=stat,
         p_value=chi2_sf_2df(stat),

@@ -35,24 +35,40 @@ __all__ = [
 _MAX_ATTEMPTS = 1_000_000
 
 
+def _iid_times(p: BaristaParams, rng: np.random.Generator, n: int) -> BidSample:
+    """n sorted iid event times by inverting sorted uniforms.
+
+    inverse_cdf is elementwise, so this equals np.sort(inverse_cdf(p, u)) for
+    the same draw u; sorted uniforms make each branch mask one contiguous run.
+    Rounding where two branches meet can leave the output out of order, so it
+    is sorted again only when a neighbouring pair says so.
+    """
+    u = rng.random(n)
+    u.sort()
+    times = inverse_cdf(p, u) if n else np.empty(0)
+    if np.any(times[1:] < times[:-1]):
+        times.sort()
+    # u = 1 cannot occur (rng.random is in [0, 1)), but a u within rounding
+    # of 1 can still map to T, which BidSample rejects
+    return BidSample(times=times, T=p.T)
+
+
 def sample_fixed_n(p: BaristaParams, n: int, seed: int) -> BidSample:
-    """n event times conditioned on the count, i.e. iid draws from the CDF."""
+    """n event times conditioned on the count, i.e. iid draws from the CDF.
+
+    The uniforms are drawn in one call, sorted and inverted; the sample is
+    bit-identical to np.sort(inverse_cdf(p, u)) of the unsorted draw u.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    times = np.sort(inverse_cdf(p, u)) if n else np.empty(0)
-    # u = 1 cannot occur (rng.random is in [0, 1)), so times stay below T
-    return BidSample(times=np.atleast_1d(times), T=p.T)
+    return _iid_times(p, np.random.default_rng(seed), n)
 
 
 def sample_poisson_count(p: BaristaParams, seed: int) -> BidSample:
     """One realization of the process: Poisson(m(T)) count, then iid times."""
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(mean_count(p, p.T)))
-    u = rng.random(n)
-    times = np.sort(inverse_cdf(p, u)) if n else np.empty(0)
-    return BidSample(times=np.atleast_1d(times), T=p.T)
+    return _iid_times(p, rng, n)
 
 
 def _geometric_uniform(rng: np.random.Generator, a: float, b: float, alpha: float, size: int) -> np.ndarray:

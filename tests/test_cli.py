@@ -377,11 +377,18 @@ class TestErrors:
 
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import barista
+
+        # the child does not inherit pytest's sys.path; point it at the
+        # package under test, ahead of anything already on PYTHONPATH
+        src = os.path.dirname(os.path.dirname(os.path.abspath(barista.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         res = subprocess.run(
             [sys.executable, "-m", "barista", "--version"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert res.returncode == 0
         assert __version__ in res.stdout

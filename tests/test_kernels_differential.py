@@ -1,0 +1,372 @@
+"""The O(n) kernels of the sample -> fit -> KS loop against frozen references.
+
+cdf and inverse_cdf apply each branch's closed form in place to a gathered
+copy, the samplers invert sorted uniforms, ks_one_sample reuses one buffer,
+the likelihood prefix is written straight into its array and the bootstrap
+sorts its draw in place.  The references below are frozen copies of the
+earlier code, which built a fresh temporary for every operation and inverted
+the uniforms as drawn.  The float operations and their order are unchanged,
+so every result must be bit-identical.
+"""
+import numpy as np
+import pytest
+
+from barista import (
+    BaristaParams,
+    BidSample,
+    FitResult,
+    OneStage,
+    bootstrap_se,
+    cdf,
+    inverse_cdf,
+    ks_one_sample,
+    mean_count,
+    mle_nhpp1,
+    sample_fixed_n,
+    sample_poisson_count,
+)
+from barista.diagnostics import kolmogorov_sf
+from barista.estimate import _CondLoglik
+from barista.process import normalization_constant
+from barista.simulate import _iid_times
+from conftest import P_STAR
+
+# exponents where numpy's power takes its square, sqrt and reciprocal paths
+SPECIAL_ALPHAS = (0.5, 1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# frozen references
+# ---------------------------------------------------------------------------
+
+def ref_as_array(s, lo, hi, what):
+    arr = np.asarray(s, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if arr.size and (np.any(arr < lo) or np.any(arr > hi) or not np.all(np.isfinite(arr))):
+        raise ValueError(f"{what} must lie in [{lo}, {hi}]")
+    return arr, scalar
+
+
+def ref_ret(out, scalar):
+    return float(out[0]) if scalar else out
+
+
+def ref_stage_masks(p, s):
+    if p.d2 > 0:
+        m3 = s >= p.T - p.d2
+    else:
+        m3 = np.zeros(s.shape, dtype=bool)
+    m1 = s < p.d1
+    m2 = ~(m1 | m3)
+    return m1, m2, m3
+
+
+def ref_cdf(p, s):
+    arr, scalar = ref_as_array(s, 0.0, p.T, "s")
+    C = normalization_constant(p)
+    q1, q2 = 1.0 - p.d1 / p.T, p.d2 / p.T
+    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
+    CT = C * p.T
+    F_at_d1 = (CT / a1) * q1 ** (a2 - a1) * (1.0 - q1 ** a1)
+
+    rem = 1.0 - arr / p.T
+    m1, m2, m3 = ref_stage_masks(p, arr)
+    out = np.empty_like(arr, dtype=float)
+    out[m1] = (CT / a1) * q1 ** (a2 - a1) * (1.0 - rem[m1] ** a1)
+    out[m2] = F_at_d1 + (CT / a2) * (q1 ** a2 - rem[m2] ** a2)
+    if np.any(m3):
+        r = rem[m3] / q2
+        out[m3] = 1.0 - (CT / a3) * q2 ** a2 * r ** a3
+    out[arr == p.T] = 1.0
+    return ref_ret(np.clip(out, 0.0, 1.0), scalar)
+
+
+def ref_inverse_cdf(p, u):
+    arr, scalar = ref_as_array(u, 0.0, 1.0, "u")
+    C = normalization_constant(p)
+    q1, q2 = 1.0 - p.d1 / p.T, p.d2 / p.T
+    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
+    CT = C * p.T
+    F1 = ref_cdf(p, p.d1) if p.d1 > 0 else 0.0
+    F2 = ref_cdf(p, p.T - p.d2) if p.d2 > 0 else 1.0
+
+    out = np.empty_like(arr, dtype=float)
+    m1 = arr <= F1
+    m3 = arr > F2
+    m2 = ~(m1 | m3)
+    if np.any(m1):
+        inner = 1.0 - arr[m1] * (a1 / CT) * q1 ** (a1 - a2)
+        out[m1] = p.T * (1.0 - np.maximum(inner, 0.0) ** (1.0 / a1))
+    if np.any(m2):
+        inner = q1 ** a2 - (a2 / CT) * (arr[m2] - F1)
+        out[m2] = p.T * (1.0 - np.maximum(inner, 0.0) ** (1.0 / a2))
+    if np.any(m3):
+        inner = (1.0 - arr[m3]) * (a3 / CT) * q2 ** (a3 - a2)
+        out[m3] = p.T * (1.0 - np.maximum(inner, 0.0) ** (1.0 / a3))
+    return ref_ret(np.clip(out, 0.0, p.T), scalar)
+
+
+def ref_sample_fixed_n(p, n, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    times = np.sort(ref_inverse_cdf(p, u)) if n else np.empty(0)
+    return np.atleast_1d(times)
+
+
+def ref_sample_poisson_count(p, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(mean_count(p, p.T)))
+    u = rng.random(n)
+    times = np.sort(ref_inverse_cdf(p, u)) if n else np.empty(0)
+    return np.atleast_1d(times)
+
+
+def ref_ks_one_sample(sample, p):
+    n = sample.n
+    f = ref_cdf(p, sample.times)
+    i = np.arange(1, n + 1)
+    d_plus = np.max(i / n - f)
+    d_minus = np.max(f - (i - 1) / n)
+    d = float(max(d_plus, d_minus, 0.0))
+    return d, kolmogorov_sf(np.sqrt(n) * d)
+
+
+def ref_prefix(times, T):
+    logrem = np.log1p(-times / T)
+    return np.concatenate([[0.0], np.cumsum(logrem)])
+
+
+def ref_resamples(sample, n_replicates, seed):
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(n_replicates):
+        rng = np.random.default_rng(child)
+        idx = rng.integers(0, sample.n, size=sample.n)
+        out.append(np.sort(sample.times[idx]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+def random_vectors(count, seed):
+    """Parameter vectors from all three families, with degenerate changepoints."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        T = float(rng.choice([1.0, 7.0, float(rng.uniform(0.3, 20.0))]))
+        a1, a2, a3 = (float(v) for v in rng.uniform(0.1, 8.0, size=3))
+        if rng.random() < 0.3:
+            a1, a2, a3 = (float(rng.choice(SPECIAL_ALPHAS)) for _ in range(3))
+        family = k % 3
+        if family == 0:
+            out.append(BaristaParams(a1, a1, a1, 0.0, 0.0, 1.0, T))
+            continue
+        d2 = 0.0 if rng.random() < 0.25 else float(rng.choice(
+            [rng.uniform(0.0, 0.4), 1e-4, 1e-9])) * T
+        if family == 1:
+            out.append(BaristaParams(a2, a2, a3, 0.0, d2, 1.0, T))
+            continue
+        d1 = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 0.55)) * T
+        out.append(BaristaParams(a1, a2, a3, d1, d2, 1.0, T))
+    return out
+
+
+VECTORS = random_vectors(300, seed=11) + [P_STAR]
+
+
+def times_for(p, rng, size):
+    """Unsorted times in [0, T] with the endpoints and changepoints mixed in."""
+    marks = [0.0, p.T, p.d1, p.T - p.d2, np.nextafter(p.T, 0.0),
+             np.nextafter(p.d1, 0.0), np.nextafter(p.d1, p.T), np.nextafter(p.T - p.d2, 0.0)]
+    s = np.concatenate([rng.uniform(0.0, p.T, size), p.T * (1.0 - rng.random(size) ** 8), marks])
+    return np.clip(s, 0.0, p.T)[rng.permutation(s.size)]
+
+
+def uniforms_for(p, rng, size):
+    """Unsorted u in [0, 1] with 0, 1 and the branch boundaries mixed in."""
+    F1 = ref_cdf(p, p.d1)
+    F2 = ref_cdf(p, p.T - p.d2)
+    marks = [0.0, 1.0, F1, F2, np.nextafter(F1, 1.0), np.nextafter(F2, 1.0),
+             np.nextafter(F2, 0.0), np.nextafter(1.0, 0.0)]
+    u = np.concatenate([rng.random(size), 1.0 - rng.random(size) ** 12, marks])
+    return np.clip(u, 0.0, 1.0)[rng.permutation(u.size)]
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def frozen(arr):
+    """A read-only copy, so a write into the caller's array raises."""
+    out = np.array(arr, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cdf and inverse_cdf
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_cdf_bit_equal(chunk):
+    rng = np.random.default_rng(100 + chunk)
+    for p in VECTORS[chunk::4]:
+        s = times_for(p, rng, int(rng.integers(1, 300)))
+        kept = s.copy()
+        assert_bits(cdf(p, s), ref_cdf(p, s))
+        assert_bits(s, kept)
+        assert_bits(cdf(p, frozen(s)), ref_cdf(p, s))
+        s_sorted = np.sort(s)
+        assert_bits(cdf(p, s_sorted), ref_cdf(p, s_sorted))
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_inverse_cdf_bit_equal(chunk):
+    rng = np.random.default_rng(200 + chunk)
+    for p in VECTORS[chunk::4]:
+        u = uniforms_for(p, rng, int(rng.integers(1, 300)))
+        kept = u.copy()
+        assert_bits(inverse_cdf(p, u), ref_inverse_cdf(p, u))
+        assert_bits(u, kept)
+        assert_bits(inverse_cdf(p, frozen(u)), ref_inverse_cdf(p, u))
+        u_sorted = np.sort(u)
+        assert_bits(inverse_cdf(p, u_sorted), ref_inverse_cdf(p, u_sorted))
+
+
+@pytest.mark.parametrize("p", VECTORS[:12] + [P_STAR], ids=str)
+def test_scalars_empty_and_lists(p):
+    for s in (0.0, p.T, p.d1, p.T - p.d2, 0.37 * p.T, 1):
+        if s <= p.T:
+            got, want = cdf(p, s), ref_cdf(p, s)
+            assert isinstance(got, float) and got.hex() == want.hex()
+    for u in (0.0, 1.0, 0.5, 1, np.float64(0.25)):
+        got, want = inverse_cdf(p, u), ref_inverse_cdf(p, u)
+        assert isinstance(got, float) and got.hex() == want.hex()
+    assert_bits(cdf(p, np.empty(0)), ref_cdf(p, np.empty(0)))
+    assert_bits(inverse_cdf(p, np.empty(0)), ref_inverse_cdf(p, np.empty(0)))
+    assert_bits(cdf(p, [0.0, p.T / 2]), ref_cdf(p, [0.0, p.T / 2]))
+    assert_bits(inverse_cdf(p, [0.9, 0.1]), ref_inverse_cdf(p, [0.9, 0.1]))
+    # a strided view of a larger array, left as it was
+    base = np.linspace(0.0, p.T, 41)
+    kept = base.copy()
+    assert_bits(cdf(p, base[::3]), ref_cdf(p, kept[::3]))
+    assert_bits(inverse_cdf(p, base[::3] / p.T), ref_inverse_cdf(p, kept[::3] / p.T))
+    assert_bits(base, kept)
+
+
+# ---------------------------------------------------------------------------
+# samplers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 5000])
+def test_sample_fixed_n_bit_equal(n):
+    for k, p in enumerate(VECTORS[:60] + [P_STAR]):
+        got = sample_fixed_n(p, n, seed=k)
+        assert_bits(got.times, ref_sample_fixed_n(p, n, k))
+        assert got.T == p.T
+
+
+def test_sample_fixed_n_bit_equal_at_100k():
+    assert_bits(sample_fixed_n(P_STAR, 100_000, seed=421).times,
+                ref_sample_fixed_n(P_STAR, 100_000, 421))
+
+
+class _Draws:
+    """Stands in for a generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def test_sampler_resorts_where_branches_meet():
+    # uniforms a few ulps around F(d1) and F(T - d2): rounding in the two
+    # branch formulas can put a later uniform's time before an earlier one's.
+    # Boundaries near 1 are left out, where a time can round up to T.
+    resorted = 0
+    for p in random_vectors(600, seed=5):
+        u = []
+        for F in (ref_cdf(p, p.d1), ref_cdf(p, p.T - p.d2)):
+            x = np.nextafter(F, 0.0)
+            for _ in range(8 if F < 0.999 else 0):
+                u.append(x)
+                x = np.nextafter(x, 1.0)
+        u = np.clip(np.array(u), 0.0, 1.0)
+        u = u[np.random.default_rng(0).permutation(u.size)]
+        unsorted = ref_inverse_cdf(p, np.sort(u))
+        resorted += bool(np.any(unsorted[1:] < unsorted[:-1]))
+        got = _iid_times(p, _Draws(u), u.size)
+        assert_bits(got.times, np.sort(ref_inverse_cdf(p, u)))
+    assert resorted > 0
+
+
+def test_sample_poisson_count_bit_equal():
+    for k, p in enumerate(VECTORS[:60] + [P_STAR]):
+        # counts from 0 up to a few thousand
+        q = p.with_c(float(np.random.default_rng(k).choice([1e-3, 0.5, 30.0, 400.0])))
+        assert_bits(sample_poisson_count(q, seed=k).times, ref_sample_poisson_count(q, k))
+
+
+# ---------------------------------------------------------------------------
+# KS, likelihood prefix, bootstrap resample
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 250, 20_000])
+def test_ks_one_sample_bit_equal(n):
+    for k, p in enumerate(VECTORS[:20] + [P_STAR]):
+        sample = sample_fixed_n(p, n, seed=k)
+        kept = sample.times.copy()
+        got = ks_one_sample(sample, p)
+        d, pv = ref_ks_one_sample(sample, p)
+        assert got.d_statistic.hex() == d.hex() and got.p_value.hex() == pv.hex()
+        assert got.n_effective == float(n)
+        assert_bits(sample.times, kept)
+        # against parameters the sample was not drawn from
+        other = VECTORS[k + 20]
+        other = BaristaParams(other.alpha1, other.alpha2, other.alpha3,
+                              other.d1 * p.T / other.T, other.d2 * p.T / other.T, 1.0, p.T)
+        got = ks_one_sample(sample, other)
+        d, pv = ref_ks_one_sample(sample, other)
+        assert got.d_statistic.hex() == d.hex() and got.p_value.hex() == pv.hex()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000, 100_000])
+def test_likelihood_prefix_bit_equal(n):
+    times = sample_fixed_n(P_STAR, n, seed=n).times
+    if n:
+        times[0] = 0.0
+    kept = times.copy()
+    cache = _CondLoglik(BidSample(times=frozen(times), T=P_STAR.T))
+    assert_bits(cache.prefix, ref_prefix(kept, P_STAR.T))
+    assert_bits(times, kept)
+
+
+def _recording_fitter(seen):
+    def fit(boot):
+        seen.append(boot.times.copy())
+        alpha, c = mle_nhpp1(boot)
+        return FitResult(OneStage(alpha, c, boot.T), 0.0, "closed-form", c)
+    return fit
+
+
+@pytest.mark.parametrize("n", [1, 2, 500])
+def test_bootstrap_resample_bit_equal(n):
+    sample = BidSample(times=frozen(sample_fixed_n(P_STAR, n, seed=3).times), T=P_STAR.T)
+    kept = sample.times.copy()
+    seen = []
+    got = bootstrap_se(sample, _recording_fitter(seen), 25, seed=8, max_failure_fraction=1.0)
+    want = ref_resamples(sample, 25, 8)
+    assert len(seen) == len(want)
+    for a, b in zip(seen, want):
+        assert_bits(a, b)
+    assert_bits(sample.times, kept)
+    fits = [_recording_fitter([])(BidSample(times=t, T=P_STAR.T)).params for t in want]
+    ref_se = {k: float(np.std([f[k] for f in fits], ddof=1)) for k in fits[0]}
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in ref_se.items()}
