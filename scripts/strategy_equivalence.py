@@ -21,13 +21,8 @@ from barista import (
     qq_points,
     reverse_time_ecdf,
     simulate_bidder_strategy,
+    write_qq,
 )
-
-
-def write_qq(path: Path, qq) -> None:
-    lines = ["reference_quantile,observed_quantile"]
-    lines += [f"{float(r)!r},{float(o)!r}" for r, o in qq.pairs]
-    path.write_text("\n".join(lines) + "\n")
 
 
 def main() -> None:
@@ -50,7 +45,7 @@ def main() -> None:
     ks = ks_one_sample(bids, law)
     print(f"retry strategy with sniping phase: n={bids.n}, "
           f"KS D={ks.d_statistic:.4f}, p={ks.p_value:.3f}")
-    write_qq(out / "two_stage_qq.csv", qq_points(bids, law))
+    write_qq(qq_points(bids, law), out / "two_stage_qq.csv")
 
     tail = reverse_time_ecdf(bids, window=T / 100)
     np.savetxt(out / "reverse_time_tail.csv", tail.times,
@@ -66,7 +61,7 @@ def main() -> None:
     ks0 = ks_one_sample(bids0, law0)
     print(f"retry strategy, no sniping phase: n={bids0.n}, "
           f"KS D={ks0.d_statistic:.4f}, p={ks0.p_value:.3f}")
-    write_qq(out / "one_stage_qq.csv", qq_points(bids0, law0))
+    write_qq(qq_points(bids0, law0), out / "one_stage_qq.csv")
 
     print(f"diagnostics written under {out}/")
 

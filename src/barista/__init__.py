@@ -17,6 +17,7 @@ from .dataio import (
     ingest,
     ingest_summary,
     read_metadata,
+    write_qq,
     write_sample,
 )
 from .diagnostics import (
@@ -96,5 +97,5 @@ __all__ = [
     "KsResult", "QqData", "kolmogorov_sf", "ks_one_sample", "ks_two_sample",
     "qq_points", "reverse_time_ecdf", "self_similarity_ratio",
     "MINUTES_PER_UNIT", "IngestError", "IngestSpec", "ingest",
-    "ingest_summary", "write_sample", "read_metadata",
+    "ingest_summary", "write_sample", "write_qq", "read_metadata",
 ]

@@ -24,7 +24,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .dataio import MINUTES_PER_UNIT, IngestSpec, ingest, ingest_summary, write_sample
+from .dataio import (
+    MINUTES_PER_UNIT,
+    IngestSpec,
+    ingest,
+    ingest_summary,
+    write_qq,
+    write_sample,
+)
 from .diagnostics import ks_one_sample, qq_points
 from .estimate import (
     FitResult,
@@ -375,10 +382,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     ks = ks_one_sample(sample, fitted)
     qq = qq_points(sample, fitted)
     if merged.get("qq_out"):
-        lines = ["reference_quantile,observed_quantile"]
-        # plain-float repr keeps full precision without numpy scalar noise
-        lines += [f"{float(r)!r},{float(o)!r}" for r, o in qq.pairs]
-        Path(merged["qq_out"]).write_text("\n".join(lines) + "\n")
+        write_qq(qq, merged["qq_out"])
     payload = _params_block(fit, merged["unit"])
     payload.update({
         "method": fit.method,

@@ -15,16 +15,20 @@ stopping.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .sample import BidSample
+
+if TYPE_CHECKING:
+    from .diagnostics import QqData
 
 __all__ = [
     "MINUTES_PER_UNIT",
@@ -33,6 +37,7 @@ __all__ = [
     "ingest",
     "ingest_summary",
     "write_sample",
+    "write_qq",
     "read_metadata",
 ]
 
@@ -47,6 +52,8 @@ _RELATIVE_COLS = ("auction_id", "bid_time")
 _TIMESTAMPED_COLS = ("auction_id", "bid_timestamp", "auction_start")
 _POLICIES = ("reject", "clamp-epsilon")
 _FORMATS = ("auto", "relative", "timestamped")
+# rows formatted per write by _write_rows
+_BLOCK_ROWS = 65536
 
 
 class IngestError(ValueError):
@@ -287,7 +294,8 @@ def write_sample(sample: BidSample, dest: IO[str] | str | Path,
     """Emit a sample as a relative-layout CSV that ingest() reads back.
 
     Metadata goes into leading '# key=value' lines; times are written with
-    repr precision so the round trip is exact.
+    repr precision so the round trip is exact.  Auction labels are quoted as
+    csv.writer quotes them; an untagged sample is labelled "sim".
     """
     if isinstance(dest, (str, Path)):
         with Path(dest).open("w") as fh:
@@ -295,11 +303,59 @@ def write_sample(sample: BidSample, dest: IO[str] | str | Path,
         return
     for key, value in (metadata or {}).items():
         dest.write(f"# {key}={value}\n")
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(_RELATIVE_COLS)
-    sources = sample.sources or ("sim",) * sample.n
-    for t, a in zip(sample.times, sources):
-        writer.writerow([a, repr(float(t))])
+    dest.write(",".join(_RELATIVE_COLS) + "\n")
+    if not sample.sources:
+        _write_rows(dest, "sim,%r\n", sample.times)
+        return
+    quoted = _csv_quoted(set(sample.sources))
+    _write_rows(dest, "%s,%r\n", list(map(quoted.__getitem__, sample.sources)),
+                sample.times)
+
+
+def write_qq(qq: QqData, dest: IO[str] | str | Path) -> None:
+    """Emit QQ pairs as a 'reference_quantile,observed_quantile' CSV.
+
+    One row per pair, both values with repr precision, so float() reads
+    every value back exactly.
+    """
+    if isinstance(dest, (str, Path)):
+        with Path(dest).open("w") as fh:
+            write_qq(qq, fh)
+        return
+    dest.write("reference_quantile,observed_quantile\n")
+    _write_rows(dest, "%r,%r\n", qq.reference, qq.observed)
+
+
+def _csv_quoted(labels: set[str]) -> dict[str, str]:
+    """Each label as a field of a csv.writer row, quoted where it needs it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    quoted = {}
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        # a second, empty field keeps an empty label unquoted, as in a row
+        writer.writerow((label, ""))
+        quoted[label] = buf.getvalue()[:-2]
+    return quoted
+
+
+def _write_rows(dest: IO[str], template: str, *columns) -> None:
+    """Write one template line per row, formatting _BLOCK_ROWS rows at a time.
+
+    Columns are lists or float arrays of equal length; an array block goes
+    through .tolist(), so %r formats a Python float as repr() does.  Each
+    block is one % operation on the template repeated once per row; blocks
+    keep the formatted text, not the whole output, in memory.
+    """
+    width = len(columns)
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        parts = [col[start:start + _BLOCK_ROWS] for col in columns]
+        k = len(parts[0])
+        values = [None] * (k * width)
+        for j, part in enumerate(parts):
+            values[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        dest.write(template * k % tuple(values))
 
 
 def read_metadata(path: str | Path) -> dict[str, str]:

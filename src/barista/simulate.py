@@ -41,15 +41,16 @@ def _iid_times(p: BaristaParams, rng: np.random.Generator, n: int) -> BidSample:
     inverse_cdf is elementwise, so this equals np.sort(inverse_cdf(p, u)) for
     the same draw u; sorted uniforms make each branch mask one contiguous run.
     Rounding where two branches meet can leave the output out of order, so it
-    is sorted again only when a neighbouring pair says so.
+    is sorted again only when a neighbouring pair says so.  A uniform within
+    rounding of 1 can map to exactly T; such times, a sorted tail, move to
+    the largest float below T, as ingest's clamp-epsilon does.
     """
     u = rng.random(n)
     u.sort()
     times = inverse_cdf(p, u) if n else np.empty(0)
     if np.any(times[1:] < times[:-1]):
         times.sort()
-    # u = 1 cannot occur (rng.random is in [0, 1)), but a u within rounding
-    # of 1 can still map to T, which BidSample rejects
+    times[np.searchsorted(times, p.T):] = np.nextafter(p.T, 0.0)
     return BidSample(times=times, T=p.T)
 
 
@@ -57,7 +58,8 @@ def sample_fixed_n(p: BaristaParams, n: int, seed: int) -> BidSample:
     """n event times conditioned on the count, i.e. iid draws from the CDF.
 
     The uniforms are drawn in one call, sorted and inverted; the sample is
-    bit-identical to np.sort(inverse_cdf(p, u)) of the unsorted draw u.
+    bit-identical to np.sort(inverse_cdf(p, u)) of the unsorted draw u,
+    except that a time equal to T becomes the largest float below T.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import barista
 from barista import BaristaParams
 
 # the simulation-study parameter point used throughout: a sharp early rush,
@@ -28,3 +31,15 @@ def random_params(rng: np.random.Generator, scale_hi: float = 40.0) -> BaristaPa
     d2 = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.3)) * T
     c = float(rng.uniform(0.5, scale_hi))
     return BaristaParams(a1, a2, a3, d1, d2, c, T)
+
+
+def package_env() -> dict[str, str]:
+    """os.environ for a child Python that imports the barista under test.
+
+    A child does not inherit pytest's sys.path, so PYTHONPATH starts with
+    the directory holding the imported package, ahead of anything already
+    on it.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(barista.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -3,8 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from barista import GaConfig, IngestSpec, __version__, default_bounds, ingest, select_model
+from barista import (
+    BaristaParams,
+    GaConfig,
+    IngestSpec,
+    __version__,
+    default_bounds,
+    ingest,
+    qq_points,
+    select_model,
+)
 from barista.cli import main
+from conftest import package_env
 
 P_STAR_CONFIG = {
     "family": "three-stage", "horizon": 7.0,
@@ -259,8 +269,12 @@ class TestDiagnose:
         lines = qq_path.read_text().splitlines()
         assert lines[0] == "reference_quantile,observed_quantile"
         assert len(lines) == 801
-        first = [float(v) for v in lines[1].split(",")]
-        assert all(np.isfinite(first))
+        # every value reads back as the exact float qq_points computed
+        sample = ingest(IngestSpec(data, horizon=7.0))
+        fitted = BaristaParams(**rep["params"], T=7.0)
+        want = qq_points(sample, fitted).pairs
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_true_model_fits_well(self, tmp_path, capsys):
         data = simulate(tmp_path, n=2000, seed=23)
@@ -377,18 +391,11 @@ class TestErrors:
 
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
-        import os
         import subprocess
         import sys
 
-        import barista
-
-        # the child does not inherit pytest's sys.path; point it at the
-        # package under test, ahead of anything already on PYTHONPATH
-        src = os.path.dirname(os.path.dirname(os.path.abspath(barista.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         res = subprocess.run(
             [sys.executable, "-m", "barista", "--version"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+            capture_output=True, text=True, env=package_env())
         assert res.returncode == 0
         assert __version__ in res.stdout

@@ -289,7 +289,7 @@ class _Draws:
 def test_sampler_resorts_where_branches_meet():
     # uniforms a few ulps around F(d1) and F(T - d2): rounding in the two
     # branch formulas can put a later uniform's time before an earlier one's.
-    # Boundaries near 1 are left out, where a time can round up to T.
+    # Boundaries near 1, where a time can round up to T, are the next test's.
     resorted = 0
     for p in random_vectors(600, seed=5):
         u = []
@@ -305,6 +305,27 @@ def test_sampler_resorts_where_branches_meet():
         got = _iid_times(p, _Draws(u), u.size)
         assert_bits(got.times, np.sort(ref_inverse_cdf(p, u)))
     assert resorted > 0
+
+
+def test_sampler_moves_times_at_T_below_T():
+    # uniforms just below 1: for some vectors several map to exactly T, and
+    # the sampler moves those, and only those, to the largest float below T
+    hit = 0
+    for p in VECTORS:
+        x, u = 1.0, []
+        for _ in range(64):
+            x = np.nextafter(x, 0.0)
+            u.append(x)
+        u = np.array(u + [1.0 - 1e-9, 1.0 - 1e-12, 0.5])
+        u = u[np.random.default_rng(1).permutation(u.size)]
+        want = np.sort(ref_inverse_cdf(p, u))
+        hit += int(np.sum(want == p.T))
+        want[want == p.T] = np.nextafter(p.T, 0.0)
+        got = _iid_times(p, _Draws(u), u.size)
+        assert_bits(got.times, want)
+        # inverse_cdf itself still returns T there
+        assert_bits(inverse_cdf(p, u), ref_inverse_cdf(p, u))
+    assert hit > 0
 
 
 def test_sample_poisson_count_bit_equal():

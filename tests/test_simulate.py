@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from barista import (
+    BaristaParams,
     BidderStrategyParams,
     OneStage,
     TwoStage,
     cdf,
+    inverse_cdf,
     ks_one_sample,
     mean_count,
     sample_fixed_n,
@@ -32,6 +34,14 @@ class TestDirectSampling:
         assert s.n == 500
         assert np.all(np.diff(s.times) >= 0)
         assert np.all((s.times >= 0) & (s.times < p_star.T))
+
+    def test_fixed_n_time_at_T_moves_below_T(self):
+        # alpha3 < 1: a uniform within rounding of 1 maps to exactly T
+        p = BaristaParams(3.0, 0.4, 0.5, 2.5, 5 / 1440, 1.0, 7.0)
+        s = sample_fixed_n(p, 100_000, seed=479)
+        assert s.times[-1] == np.nextafter(p.T, 0.0)
+        assert np.all(s.times < p.T)
+        assert inverse_cdf(p, 1.0) == p.T
 
     def test_fixed_n_law(self, p_star):
         s = sample_fixed_n(p_star, 4000, seed=7)
