@@ -478,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ingest(sel)
     sel.add_argument("--alpha-level", dest="alpha_level", type=float,
                      help="test level (default 0.05)")
-    sel.add_argument("--generations", type=int, help="GA generations per family")
+    sel.add_argument("--generations", type=int,
+                     help="GA generations of the two-stage and three-stage fits "
+                          "(default 500); the one-stage fit is exact")
     sel.set_defaults(func=_cmd_select)
 
     diag = commands.add_parser("diagnose", help="fit, then KS/QQ against the fit")

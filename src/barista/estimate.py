@@ -294,41 +294,47 @@ class _CondLoglik:
         np.cumsum(tail, out=tail)
 
     def values(self, a1, a2, a3, d1, d2) -> np.ndarray:
-        """Vectorized conditional log-likelihood; -inf where invalid."""
-        a1, a2, a3, d1, d2 = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (a1, a2, a3, d1, d2))
-        )
-        T, n = self.T, self.n
-        valid = (a1 > 0) & (a2 > 0) & (a3 > 0) & (d1 >= 0) & (d2 >= 0) & (d1 < T - d2)
-        # sanitized copies keep the vector arithmetic clean off the valid set
-        d1s = np.where(valid, d1, 0.0)
-        d2s = np.where(valid, d2, 0.0)
-        q1 = 1.0 - d1s / T
-        q2 = d2s / T
-        B = (
-            a2 * a3 * q1 ** (a2 - a1)
-            + a3 * (a1 - a2) * q1 ** a2
-            + a1 * (a2 - a3) * q2 ** a2
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
+        """Vectorized conditional log-likelihood; -inf where invalid.
+
+        Equal-length 1-d float arrays are used as given; anything else
+        (scalars, lists, other dtypes) is broadcast to 1-d float arrays first.
+        """
+        cols = (a1, a2, a3, d1, d2)
+        if not all(type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
+                   and x.shape == a1.shape for x in cols):
+            cols = np.broadcast_arrays(
+                *(np.atleast_1d(np.asarray(x, dtype=float)) for x in cols))
+        a1, a2, a3, d1, d2 = cols
+        T, n, prefix = self.T, self.n, self.prefix
+        # rows off the valid set compute garbage (nan, inf, clamped indices)
+        # under the silenced errors and are replaced by -inf at the end
+        with np.errstate(all="ignore"):
+            late = T - d2
+            valid = d1 < late
+            valid &= np.minimum(np.minimum(a1, a2), a3) > 0
+            valid &= np.minimum(d1, d2) >= 0
+            q1 = 1.0 - d1 / T
+            q2 = d2 / T
+            a21 = a2 - a1
+            a23 = a2 - a3
+            B = a2 * a3 * q1 ** a21 + a3 * (a1 - a2) * q1 ** a2 + a1 * a23 * q2 ** a2
             logC = np.log(a1 * a2 * a3 / T) - np.log(B)
-        i1 = np.searchsorted(self.times, d1s, side="right")
-        i2 = np.searchsorted(self.times, T - d2s, side="right")
-        n1 = i1.astype(float)
-        n3 = float(n) - i2.astype(float)
-        S1 = self.prefix[i1]
-        S2 = self.prefix[i2] - self.prefix[i1]
-        S3 = self.prefix[n] - self.prefix[i2]
-        logq2 = np.where(q2 > 0, np.log(np.where(q2 > 0, q2, 1.0)), 0.0)
-        ll = (
-            n * logC
-            + n1 * (a2 - a1) * np.log(q1)
-            + n3 * (a2 - a3) * logq2
-            + (a1 - 1.0) * S1
-            + (a2 - 1.0) * S2
-            + (a3 - 1.0) * S3
-        )
-        return np.where(valid & np.isfinite(ll), ll, -np.inf)
+            i1 = self.times.searchsorted(d1, side="right")
+            i2 = self.times.searchsorted(late, side="right")
+            S1 = prefix[i1]
+            P2 = prefix[i2]
+            # log(1) = 0 stands in for log(0), whose term has no events
+            logq2 = np.log(np.where(q2 > 0, q2, 1.0))
+            ll = (
+                n * logC
+                + i1 * a21 * np.log(q1)
+                + (n - i2) * a23 * logq2
+                + (a1 - 1.0) * S1
+                + (a2 - 1.0) * (P2 - S1)
+                + (a3 - 1.0) * (prefix[n] - P2)
+            )
+            valid &= np.isfinite(ll)
+        return np.where(valid, ll, -np.inf)
 
     def value(self, a1: float, a2: float, a3: float, d1: float, d2: float) -> float:
         return float(self.values(a1, a2, a3, d1, d2)[0])
@@ -640,6 +646,10 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
     fitness (recorded in FitResult.history) never decreases.  Each generation's
     offspring are mapped to full parameter rows through the family's gene map
     and scored as one array by a single likelihood call.
+
+    Only the elite of each generation breeds, so the truncated population is
+    kept as its elite alone: one pool of elite and offspring rows, allocated
+    once, is refilled in place every generation.
     """
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="ga_fit")
@@ -654,38 +664,46 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
         else (hi - lo) / 20.0
     )
     cache = _CondLoglik(sample)
-
-    def fitness(block: np.ndarray) -> np.ndarray:
-        return cache.values(*_gene_vectors(family, block).T)
-
     rng = np.random.default_rng(cfg.seed)
     pop = rng.uniform(lo, hi, size=(cfg.population_size, lo.size))
-    fit = fitness(pop)
+    fit = cache.values(*_gene_vectors(family, pop).T)
     order = np.argsort(-fit, kind="stable")
-    pop, fit = pop[order], fit[order]
-    history = [float(fit[0])]
 
     n_elite = max(1, int(cfg.population_size * cfg.elite_fraction))
+    pairs = cfg.offspring_pairs
+    # rows: elite, then blends, then mirrored blends; the trailing column stays
+    # 0, the padding column of _GENE_MAP
+    pool = np.zeros((n_elite + 2 * pairs, lo.size + 1))
+    pool_fit = np.empty(n_elite + 2 * pairs)
+    genes = pool[:, :-1]
+    kids = genes[n_elite:]
+    blend, mirror = kids[:pairs], kids[pairs:]
+    kid_columns = [pool[n_elite:, j] for j in _GENE_MAP[family]]
+    genes[:n_elite] = pop[order[:n_elite]]
+    pool_fit[:n_elite] = fit[order[:n_elite]]
+    history = [float(pool_fit[0])]
+
     for _ in range(cfg.generations):
-        elite, elite_fit = pop[:n_elite], fit[:n_elite]
-        ia = rng.integers(0, n_elite, size=cfg.offspring_pairs)
-        ib = rng.integers(0, n_elite, size=cfg.offspring_pairs)
-        u = rng.random((cfg.offspring_pairs, lo.size))
-        kids = np.vstack([
-            u * elite[ia] + (1.0 - u) * elite[ib],
-            (1.0 - u) * elite[ia] + u * elite[ib],
-        ])
+        ia = rng.integers(0, n_elite, size=pairs)
+        ib = rng.integers(0, n_elite, size=pairs)
+        u = rng.random((pairs, lo.size))
+        a, b = genes[ia], genes[ib]
+        w = 1.0 - u
+        np.multiply(u, a, out=blend)
+        blend += w * b
+        np.multiply(w, a, out=mirror)
+        mirror += u * b
         kids += rng.normal(0.0, 1.0, size=kids.shape) * scale
         np.clip(kids, lo, hi, out=kids)
-        pool_genes = np.vstack([elite, kids])
-        pool_fit = np.concatenate([elite_fit, fitness(kids)])
-        order = np.argsort(-pool_fit, kind="stable")[: cfg.population_size]
-        pop, fit = pool_genes[order], pool_fit[order]
-        history.append(float(fit[0]))
+        pool_fit[n_elite:] = cache.values(*kid_columns)
+        order = np.argsort(-pool_fit, kind="stable")[:n_elite]
+        pool[:n_elite] = pool[order]
+        pool_fit[:n_elite] = pool_fit[order]
+        history.append(float(pool_fit[0]))
 
-    if not np.isfinite(fit[0]):
+    if not np.isfinite(pool_fit[0]):
         raise EstimationError("no feasible genome found", stage="ga_fit")
-    return _finish_fit(family, tuple(pop[0]), float(fit[0]), "ga", sample,
+    return _finish_fit(family, tuple(genes[0]), float(pool_fit[0]), "ga", sample,
                        history=tuple(history))
 
 

@@ -6,6 +6,10 @@ to a chi-squared distribution with 2 degrees of freedom at both steps.
 Selection runs forward: stop at the first test whose p-value exceeds the
 level, otherwise move to the richer family.
 
+The one-stage fit is exact: its maximum-likelihood exponent has a closed form
+(mle_nhpp1), so no search runs for it.  The two-stage and three-stage fits
+are genetic searches (ga_fit), and only they take a GA budget.
+
 The families nest exactly: a one-stage process is a two-stage process with
 equal exponents, and a two-stage process is a three-stage one with the early
 exponent tied and d1 arbitrary.  A richer family's search can still return a
@@ -29,6 +33,7 @@ from .estimate import (
     _gene_vectors,
     default_bounds,
     ga_fit,
+    mle_nhpp1,
 )
 from .process import ModelFamily, OneStage, TwoStage
 from .sample import BidSample
@@ -133,12 +138,20 @@ def _fit_with_floor(sample: BidSample, tag: str, cfg: GaConfig, smaller: FitResu
     return refined if refined.loglik > fit.loglik else fit
 
 
+def _one_stage_fit(sample: BidSample) -> FitResult:
+    """The exact one-stage fit: the closed-form MLE and its likelihood."""
+    alpha, _ = mle_nhpp1(sample)
+    ll = _CondLoglik(sample).value(alpha, alpha, alpha, 0.0, 0.0)
+    return _finish_fit("one-stage", (alpha,), ll, "closed-form", sample)
+
+
 def _default_configs(sample: BidSample, seed: int) -> dict[str, GaConfig]:
-    root = np.random.SeedSequence(seed)
-    seeds = root.generate_state(3)
+    # three seeds are drawn, the first once fed a one-stage GA, so the
+    # two-stage and three-stage searches keep the seeds they always had
+    _, seed2, seed3 = np.random.SeedSequence(seed).generate_state(3)
     return {
         tag: GaConfig(bounds=default_bounds(tag, sample.T), seed=int(s))
-        for tag, s in zip(("one-stage", "two-stage", "three-stage"), seeds)
+        for tag, s in (("two-stage", seed2), ("three-stage", seed3))
     }
 
 
@@ -150,20 +163,24 @@ def select_model(
 ) -> SelectionResult:
     """Forward stepwise selection: one stage, then two, then three.
 
-    configs may override the GA settings per family tag; missing tags fall
-    back to defaults derived from `seed`.  At each step the richer family is
-    adopted only when the LR test rejects at alpha_level.
+    The one-stage fit is the exact closed-form MLE.  configs may override the
+    GA settings of "two-stage" and "three-stage"; missing tags fall back to
+    defaults derived from `seed`.  A "one-stage" entry is rejected, since no
+    search runs for that family.  At each step the richer family is adopted
+    only when the LR test rejects at alpha_level.
     """
     if not (0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
     defaults = _default_configs(sample, seed)
     if configs:
+        if "one-stage" in configs:
+            raise ValueError("the one-stage fit is the closed-form MLE and takes no GA config")
         unknown = set(configs) - set(defaults)
         if unknown:
             raise ValueError(f"unknown family tags {sorted(unknown)}")
         defaults.update(configs)
 
-    fit1 = ga_fit(sample, "one-stage", defaults["one-stage"])
+    fit1 = _one_stage_fit(sample)
     fit2 = _fit_with_floor(sample, "two-stage", defaults["two-stage"], fit1)
     test12 = lr_test(fit1.loglik, fit2.loglik)
     fits = {"one-stage": fit1, "two-stage": fit2}

@@ -242,7 +242,7 @@ class TestSelect:
         sample = ingest(IngestSpec(path=data, horizon=7.0))
         seeds = np.random.SeedSequence(4).generate_state(3)
         configs = {tag: GaConfig(bounds=default_bounds(tag, 7.0), generations=30, seed=int(s))
-                   for tag, s in zip(("one-stage", "two-stage", "three-stage"), seeds)}
+                   for tag, s in zip(("two-stage", "three-stage"), seeds[1:])}
         res = select_model(sample, configs=configs, seed=4)
         assert rep["chosen"] == res.chosen.tag
         assert set(rep["fits"]) == set(res.fits)

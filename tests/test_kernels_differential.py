@@ -2,11 +2,12 @@
 
 cdf and inverse_cdf apply each branch's closed form in place to a gathered
 copy, the samplers invert sorted uniforms, ks_one_sample reuses one buffer,
-the likelihood prefix is written straight into its array and the bootstrap
-sorts its draw in place.  The references below are frozen copies of the
-earlier code, which built a fresh temporary for every operation and inverted
-the uniforms as drawn.  The float operations and their order are unchanged,
-so every result must be bit-identical.
+the likelihood prefix is written straight into its array, the conditional
+log-likelihood takes equal-length columns as given and skips sanitizing
+infeasible rows, and the bootstrap sorts its draw in place.  The references
+below are frozen copies of the earlier code, which built a fresh temporary for
+every operation and inverted the uniforms as drawn.  The float operations and
+their order are unchanged, so every result must be bit-identical.
 """
 import numpy as np
 import pytest
@@ -135,6 +136,46 @@ def ref_ks_one_sample(sample, p):
 def ref_prefix(times, T):
     logrem = np.log1p(-times / T)
     return np.concatenate([[0.0], np.cumsum(logrem)])
+
+
+def ref_values(cache, a1, a2, a3, d1, d2):
+    """_CondLoglik.values as it was: broadcast, sanitize, then evaluate.
+
+    Its floating-point warnings are silenced throughout, which changes no value.
+    """
+    a1, a2, a3, d1, d2 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (a1, a2, a3, d1, d2))
+    )
+    T, n = cache.T, cache.n
+    valid = (a1 > 0) & (a2 > 0) & (a3 > 0) & (d1 >= 0) & (d2 >= 0) & (d1 < T - d2)
+    d1s = np.where(valid, d1, 0.0)
+    d2s = np.where(valid, d2, 0.0)
+    q1 = 1.0 - d1s / T
+    q2 = d2s / T
+    with np.errstate(all="ignore"):
+        B = (
+            a2 * a3 * q1 ** (a2 - a1)
+            + a3 * (a1 - a2) * q1 ** a2
+            + a1 * (a2 - a3) * q2 ** a2
+        )
+        logC = np.log(a1 * a2 * a3 / T) - np.log(B)
+        i1 = np.searchsorted(cache.times, d1s, side="right")
+        i2 = np.searchsorted(cache.times, T - d2s, side="right")
+        n1 = i1.astype(float)
+        n3 = float(n) - i2.astype(float)
+        S1 = cache.prefix[i1]
+        S2 = cache.prefix[i2] - cache.prefix[i1]
+        S3 = cache.prefix[n] - cache.prefix[i2]
+        logq2 = np.where(q2 > 0, np.log(np.where(q2 > 0, q2, 1.0)), 0.0)
+        ll = (
+            n * logC
+            + n1 * (a2 - a1) * np.log(q1)
+            + n3 * (a2 - a3) * logq2
+            + (a1 - 1.0) * S1
+            + (a2 - 1.0) * S2
+            + (a3 - 1.0) * S3
+        )
+    return np.where(valid & np.isfinite(ll), ll, -np.inf)
 
 
 def ref_resamples(sample, n_replicates, seed):
@@ -367,6 +408,94 @@ def test_likelihood_prefix_bit_equal(n):
     cache = _CondLoglik(BidSample(times=frozen(times), T=P_STAR.T))
     assert_bits(cache.prefix, ref_prefix(kept, P_STAR.T))
     assert_bits(times, kept)
+
+
+# exponents and changepoints off the model, or on its edges
+ODD_ALPHAS = (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-300, 300.0)
+
+
+def gene_block(rng, sample, k):
+    """(5, k) parameter columns: feasible rows and edge cases mixed.
+
+    Rows embed all three families (alpha1 == alpha2 == alpha3 with d1 = d2 = 0,
+    alpha1 == alpha2 with d1 = 0), put changepoints on sample times (ties of
+    side="right"), at 0, -0.0 and d1 = T - d2, and break the constraints with
+    nonpositive, nan and infinite values.
+    """
+    T = sample.T
+    a = rng.uniform(0.05, 15.0, size=(3, k))
+    a[:, rng.random(k) < 0.2] = rng.choice([0.5, 1.0, 2.0], size=3)[:, None]
+    d1 = rng.uniform(0.0, T, k) * (rng.random(k) < 0.7)
+    d2 = T * rng.uniform(0.0, 0.3, k) ** 3 * (rng.random(k) < 0.7)
+    if sample.n:
+        hit = rng.random(k) < 0.1
+        d1[hit] = rng.choice(sample.times, hit.sum())
+        hit = rng.random(k) < 0.1
+        d2[hit] = T - rng.choice(sample.times, hit.sum())
+    fam = rng.integers(0, 3, k)
+    a[1, fam == 0] = a[0, fam == 0]
+    a[2, fam == 0] = a[0, fam == 0]
+    d1[fam == 0] = 0.0
+    d2[fam == 0] = 0.0
+    a[0, fam == 1] = a[1, fam == 1]
+    d1[fam == 1] = 0.0
+    marks = np.array([0.0, -0.0, -1e-12, T, np.nan, np.inf, np.nextafter(0.0, 1.0)])
+    for col in (d1, d2):
+        odd = rng.random(k) < 0.08
+        col[odd] = rng.choice(marks, odd.sum())
+    edge = rng.random(k) < 0.05
+    d1[edge] = T - d2[edge]
+    edge = rng.random(k) < 0.03
+    d1[edge] = np.nextafter(T - d2[edge], 0.0)
+    for row in a:
+        odd = rng.random(k) < 0.03
+        row[odd] = rng.choice(ODD_ALPHAS, odd.sum())
+    return np.vstack([a, d1, d2])
+
+
+def _values_samples():
+    times = np.sort(np.concatenate([sample_fixed_n(P_STAR, 2000, seed=4).times, [0.0, 0.0]]))
+    return [BidSample(times=times, T=P_STAR.T),
+            BidSample(times=np.array([0.5]), T=1.0),
+            BidSample(times=np.empty(0), T=3.0)]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_likelihood_values_bit_equal(which):
+    sample = _values_samples()[which]
+    cache = _CondLoglik(sample)
+    rng = np.random.default_rng(40 + which)
+    for k in (1, 2, 100, 3000):
+        cols = gene_block(rng, sample, k)
+        kept = cols.copy()
+        want = ref_values(cache, *cols)
+        assert_bits(cache.values(*cols), want)
+        assert_bits(cols, kept)
+        # read-only contiguous columns, and strided columns as the GA passes them
+        assert_bits(cache.values(*(frozen(c) for c in cols)), want)
+        assert_bits(cache.values(*np.ascontiguousarray(cols.T).T), want)
+    assert np.isneginf(want).any() and np.isfinite(want).any()
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_likelihood_scalars_and_length_one(which):
+    sample = _values_samples()[which]
+    cache = _CondLoglik(sample)
+    T = sample.T
+    rows = [(3.0, 0.4, 1.0, 0.3 * T, 0.001 * T), (1.0, 1.0, 1.0, 0.0, 0.0),
+            (0.5, 0.5, 2.0, -0.0, -0.0), (2.0, 0.4, 1.0, 0.6 * T, 0.4 * T),
+            (0.0, 1.0, 1.0, 0.0, 0.0), (2, 1, 3, 0, 0), (1.0, 2.0, 3.0, np.nan, 0.0)]
+    for row in rows:
+        want = ref_values(cache, *row)
+        assert_bits(cache.values(*row), want)
+        assert_bits(cache.values(*(np.array([x], dtype=float) for x in row)), want)
+        assert_bits(cache.values(*(np.float64(x) for x in row)), want)
+        assert cache.value(*row).hex() == float(want[0]).hex()
+    # mixed scalars, lists, integer arrays and 0-d arrays broadcast
+    a = np.linspace(0.2, 4.0, 7)
+    for args in ((a, 0.4, 1.0, 0.1 * T, 0.0), (a, [0.4] * 7, np.arange(1, 8), 0, np.array(0.001)),
+                 (1.5, 1.5, a, 0.0, np.linspace(0.0, 0.5 * T, 7))):
+        assert_bits(cache.values(*args), ref_values(cache, *args))
 
 
 def _recording_fitter(seen):

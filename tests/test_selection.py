@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from barista import (
     BaristaParams,
+    BidSample,
+    EstimationError,
     FitResult,
     GaConfig,
     OneStage,
@@ -12,13 +15,18 @@ from barista import (
     TwoStage,
     chi2_sf_2df,
     default_bounds,
+    estimate_c,
+    ga_fit,
     loglik,
     lr_statistic,
     lr_test,
+    mle_nhpp1,
     sample_fixed_n,
     select_model,
+    write_sample,
 )
-from barista.selection import _embedding_genes
+from barista.cli import main
+from barista.selection import _default_configs, _embedding_genes
 
 
 class TestChiSquareTail:
@@ -79,8 +87,62 @@ def _fast_configs(T, seed, generations=120):
     return {
         tag: GaConfig(bounds=default_bounds(tag, T), generations=generations,
                       seed=int(root[i]))
-        for i, tag in enumerate(("one-stage", "two-stage", "three-stage"))
+        for i, tag in ((1, "two-stage"), (2, "three-stage"))
     }
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestOneStageClosedForm:
+    def test_fit_is_the_exact_mle(self, p_star):
+        for truth, n, seed in ((OneStage(alpha=1.3, c=1.0, T=7.0).as_barista(), 1000, 3),
+                               (p_star, 800, 9)):
+            s = sample_fixed_n(truth, n, seed=seed)
+            fit = select_model(s, configs=_fast_configs(7.0, seed=0, generations=20)).fits["one-stage"]
+            alpha, _ = mle_nhpp1(s)
+            assert fit.method == "closed-form"
+            assert isinstance(fit.family, OneStage)
+            assert bits(fit.params["alpha"]) == bits(alpha)
+            assert bits(fit.loglik) == bits(loglik(s, fit.family.as_barista()))
+            assert bits(fit.c_hat) == bits(estimate_c(fit.family.as_barista(), s.n))
+
+    def test_one_stage_config_rejected(self, p_star):
+        s = sample_fixed_n(p_star, 50, seed=0)
+        cfg = GaConfig(bounds=default_bounds("one-stage", 7.0))
+        with pytest.raises(ValueError, match="one-stage"):
+            select_model(s, configs={"one-stage": cfg})
+        assert set(_default_configs(s, 0)) == {"two-stage", "three-stage"}
+
+    def test_all_times_zero_raises(self, tmp_path, capsys):
+        s = BidSample(times=np.zeros(40), T=7.0)
+        with pytest.raises(EstimationError) as exc:
+            select_model(s, seed=0)
+        assert exc.value.stage == "mle_nhpp1"
+        path = tmp_path / "zeros.csv"
+        write_sample(s, path)
+        rc = main(["select", "--input", str(path), "--horizon", "7", "--no-timestamp"])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert rc == 1
+        assert err["type"] == "EstimationError" and err["stage"] == "mle_nhpp1"
+
+
+def test_ga_fits_keep_their_default_seeds(p_star):
+    # the richer fits are the GA searches they were: seeded by the second and
+    # third of three states drawn from the selection seed
+    s = sample_fixed_n(p_star, 3000, seed=7)
+    res = select_model(s, seed=5)
+    assert res.chosen.tag == "three-stage"
+    seeds = np.random.SeedSequence(5).generate_state(3)
+    configs = _default_configs(s, 5)
+    for tag, want in (("two-stage", seeds[1]), ("three-stage", seeds[2])):
+        assert configs[tag] == GaConfig(bounds=default_bounds(tag, 7.0), seed=int(want))
+        ref = ga_fit(s, tag, configs[tag])
+        fit = res.fits[tag]
+        assert fit.family == ref.family and fit.method == "ga"
+        assert bits(list(fit.params.values())) == bits(list(ref.params.values()))
+        assert bits(fit.loglik) == bits(ref.loglik)
 
 
 class TestSelectModel:
