@@ -46,7 +46,7 @@ from .estimate import (
     mle_nhpp1,
     qc_fit,
 )
-from .process import BaristaParams, OneStage, ThreeStage, TwoStage, mean_count
+from .process import FAMILIES, OneStage, get_family, mean_count
 from .sample import BidSample
 from .selection import _default_configs, select_model
 from .simulate import sample_fixed_n, sample_poisson_count
@@ -122,15 +122,21 @@ def _require(merged: dict, *keys: str) -> None:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
 
 
-def _ingest_sample(merged: dict) -> BidSample:
+# settings of every subcommand that reads a CSV of bids
+_INGEST_DEFAULTS = {
+    "input": None, "horizon": None, "unit": "days", "clamp_policy": "reject",
+    "output": None, "no_timestamp": None,
+}
+
+
+def _ingest_spec(merged: dict) -> IngestSpec:
     _require(merged, "input", "horizon")
-    spec = IngestSpec(
+    return IngestSpec(
         path=merged["input"],
         horizon=float(merged["horizon"]),
         unit=merged["unit"],
         clamp_policy=merged["clamp_policy"],
     )
-    return ingest(spec)
 
 
 def _json_flag(value, what: str):
@@ -167,29 +173,13 @@ _SIM_DEFAULTS = {
 }
 
 
-def _build_family(merged: dict):
-    T = float(merged["horizon"])
-    c = float(merged["c"])
-    fam = merged["family"]
-    if fam == "one-stage":
-        _require(merged, "alpha")
-        return OneStage(float(merged["alpha"]), c, T)
-    if fam == "two-stage":
-        _require(merged, "alpha2", "alpha3", "d2")
-        return TwoStage(float(merged["alpha2"]), float(merged["alpha3"]),
-                        float(merged["d2"]), c, T)
-    if fam == "three-stage":
-        _require(merged, "alpha1", "alpha2", "alpha3", "d1", "d2")
-        return ThreeStage(BaristaParams(
-            float(merged["alpha1"]), float(merged["alpha2"]), float(merged["alpha3"]),
-            float(merged["d1"]), float(merged["d2"]), c, T))
-    raise ValueError(f"unknown family {fam!r}")
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     merged = _merge(args, _SIM_DEFAULTS)
     _require(merged, "horizon")
-    family = _build_family(merged)
+    T, c = float(merged["horizon"]), float(merged["c"])
+    spec = get_family(merged["family"])
+    _require(merged, *spec.free_names)
+    family = spec.build([float(merged[name]) for name in spec.free_names], c, T)
     p = family.as_barista()
     if merged["n"] is None:
         sample = sample_poisson_count(p, seed=int(merged["seed"]))
@@ -221,17 +211,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-_FIT_DEFAULTS = {
-    "input": None, "horizon": None, "unit": "days", "clamp_policy": "reject",
-    "method": "ga", "family": "three-stage", "seed": 0, "bootstrap": 0,
+# settings of the one fit that fit and diagnose run
+_METHOD_DEFAULTS = {
+    **_INGEST_DEFAULTS, "method": "ga", "family": "three-stage", "seed": 0,
     "windows": None, "grid": None, "bounds": None, "generations": None,
-    "output": None, "no_timestamp": None,
 }
+_FIT_DEFAULTS = {**_METHOD_DEFAULTS, "bootstrap": 0}
 
 
-def _numbers(value, size: int) -> bool:
-    """value is a JSON list of size numbers."""
-    return (isinstance(value, list) and len(value) == size
+def _numbers(value) -> bool:
+    """value is a non-empty JSON list of numbers."""
+    return (isinstance(value, list) and len(value) > 0
             and all(isinstance(v, (int, float)) for v in value))
 
 
@@ -247,7 +237,7 @@ def _qc_config_from(merged: dict, T: float) -> QcConfig:
     for key, size in _WINDOW_SIZES.items():
         if key not in windows:
             raise ValueError(f"--windows object is missing key {key!r}")
-        if not _numbers(windows[key], size):
+        if not (_numbers(windows[key]) and len(windows[key]) == size):
             raise ValueError(f"--windows {key} must be a list of {size} numbers, "
                              f"got {windows[key]!r}")
     return QcConfig(
@@ -262,12 +252,28 @@ def _ga_config_from(merged: dict, T: float) -> GaConfig:
     bounds = _json_flag(merged.get("bounds"), "bounds")
     if bounds is None:
         bounds = default_bounds(merged["family"], T)
-    elif not (isinstance(bounds, list) and all(_numbers(b, 2) for b in bounds)):
+    elif not (isinstance(bounds, list) and all(_numbers(b) and len(b) == 2 for b in bounds)):
         raise ValueError(f"--bounds must be a JSON list of [lo, hi] number pairs, got {bounds!r}")
     kwargs = {"bounds": tuple(tuple(b) for b in bounds), "seed": int(merged["seed"])}
     if merged.get("generations") is not None:
         kwargs["generations"] = int(merged["generations"])
     return GaConfig(**kwargs)
+
+
+def _grid_from(merged: dict) -> dict[str, list]:
+    grid = _json_flag(merged.get("grid"), "grid")
+    if not grid:
+        raise ValueError("grid method needs a grid: {param: [values, ...]}")
+    names = get_family(merged["family"]).free_names
+    if not isinstance(grid, dict):
+        raise ValueError(f"--grid must be a JSON object with keys {list(names)}")
+    for name in names:
+        if name not in grid:
+            raise ValueError(f"--grid object is missing key {name!r}")
+        if not _numbers(grid[name]):
+            raise ValueError(f"--grid {name} must be a non-empty list of numbers, "
+                             f"got {grid[name]!r}")
+    return grid
 
 
 def _fit_once(sample: BidSample, merged: dict) -> FitResult:
@@ -279,10 +285,7 @@ def _fit_once(sample: BidSample, merged: dict) -> FitResult:
     if method == "quick-crude":
         return qc_fit(sample, _qc_config_from(merged, sample.T))
     if method == "grid":
-        grid = _json_flag(merged.get("grid"), "grid")
-        if not grid:
-            raise ValueError("grid method needs a grid: {param: [values, ...]}")
-        return grid_search(sample, merged["family"], grid)
+        return grid_search(sample, merged["family"], _grid_from(merged))
     if method == "ga":
         return ga_fit(sample, merged["family"], _ga_config_from(merged, sample.T))
     raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -290,7 +293,7 @@ def _fit_once(sample: BidSample, merged: dict) -> FitResult:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     merged = _merge(args, _FIT_DEFAULTS)
-    sample = _ingest_sample(merged)
+    sample = ingest(_ingest_spec(merged))
     fit = _fit_once(sample, merged)
     payload = _params_block(fit, merged["unit"])
     payload.update({
@@ -313,15 +316,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 _SELECT_DEFAULTS = {
-    "input": None, "horizon": None, "unit": "days", "clamp_policy": "reject",
-    "seed": 0, "alpha_level": 0.05, "generations": None,
-    "output": None, "no_timestamp": None,
+    **_INGEST_DEFAULTS, "seed": 0, "alpha_level": 0.05, "generations": None,
 }
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
     merged = _merge(args, _SELECT_DEFAULTS)
-    sample = _ingest_sample(merged)
+    sample = ingest(_ingest_spec(merged))
     configs = None
     if merged.get("generations") is not None:
         configs = {
@@ -366,17 +367,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
 # diagnose
 # ---------------------------------------------------------------------------
 
-_DIAGNOSE_DEFAULTS = {
-    "input": None, "horizon": None, "unit": "days", "clamp_policy": "reject",
-    "method": "ga", "family": "three-stage", "seed": 0,
-    "windows": None, "grid": None, "bounds": None, "generations": None,
-    "qq_out": None, "output": None, "no_timestamp": None,
-}
+_DIAGNOSE_DEFAULTS = {**_METHOD_DEFAULTS, "qq_out": None}
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     merged = _merge(args, _DIAGNOSE_DEFAULTS)
-    sample = _ingest_sample(merged)
+    sample = ingest(_ingest_spec(merged))
     fit = _fit_once(sample, merged)
     fitted = fit.family.as_barista()
     ks = ks_one_sample(sample, fitted)
@@ -404,22 +400,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 # ingest-check
 # ---------------------------------------------------------------------------
 
-_CHECK_DEFAULTS = {
-    "input": None, "horizon": None, "unit": "days", "clamp_policy": "reject",
-    "output": None, "no_timestamp": None,
-}
-
-
 def _cmd_ingest_check(args: argparse.Namespace) -> int:
-    merged = _merge(args, _CHECK_DEFAULTS)
-    _require(merged, "input", "horizon")
-    spec = IngestSpec(
-        path=merged["input"],
-        horizon=float(merged["horizon"]),
-        unit=merged["unit"],
-        clamp_policy=merged["clamp_policy"],
-    )
-    _report(ingest_summary(spec), "ingest-check", merged)
+    merged = _merge(args, _INGEST_DEFAULTS)
+    _report(ingest_summary(_ingest_spec(merged)), "ingest-check", merged)
     return 0
 
 
@@ -445,6 +428,15 @@ def _add_ingest(sub: argparse.ArgumentParser) -> None:
                      help="out-of-range times: reject (default) or clamp just inside")
 
 
+def _add_method(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--method", choices=_METHODS)
+    sub.add_argument("--family", choices=list(FAMILIES))
+    sub.add_argument("--windows", help="JSON {stage1,stage2,stage3,safe} for quick-crude")
+    sub.add_argument("--grid", help="JSON {param: [values]} for the grid method")
+    sub.add_argument("--bounds", help="JSON [[lo,hi],...] GA search box")
+    sub.add_argument("--generations", type=int, help="GA generations (default 500)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="barista",
@@ -457,20 +449,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim)
     sim.add_argument("--horizon", type=float, help="auction length")
     sim.add_argument("--unit", choices=sorted(MINUTES_PER_UNIT))
-    sim.add_argument("--family", choices=("one-stage", "two-stage", "three-stage"))
+    sim.add_argument("--family", choices=list(FAMILIES))
     sim.add_argument("--n", type=int, help="fixed event count (default: Poisson draw)")
     sim.set_defaults(func=_cmd_simulate)
 
     fit = commands.add_parser("fit", help="estimate parameters from bids")
     _add_common(fit)
     _add_ingest(fit)
-    fit.add_argument("--method", choices=_METHODS)
-    fit.add_argument("--family", choices=("one-stage", "two-stage", "three-stage"))
+    _add_method(fit)
     fit.add_argument("--bootstrap", type=int, help="bootstrap replicates for SEs")
-    fit.add_argument("--windows", help="JSON {stage1,stage2,stage3,safe} for quick-crude")
-    fit.add_argument("--grid", help="JSON {param: [values]} for the grid method")
-    fit.add_argument("--bounds", help="JSON [[lo,hi],...] GA search box")
-    fit.add_argument("--generations", type=int, help="GA generations (default 500)")
     fit.set_defaults(func=_cmd_fit)
 
     sel = commands.add_parser("select", help="nested LR model selection")
@@ -486,12 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag = commands.add_parser("diagnose", help="fit, then KS/QQ against the fit")
     _add_common(diag)
     _add_ingest(diag)
-    diag.add_argument("--method", choices=_METHODS)
-    diag.add_argument("--family", choices=("one-stage", "two-stage", "three-stage"))
-    diag.add_argument("--windows", help="JSON for quick-crude evaluation points")
-    diag.add_argument("--grid", help="JSON grid for the grid method")
-    diag.add_argument("--bounds", help="JSON GA search box")
-    diag.add_argument("--generations", type=int)
+    _add_method(diag)
     diag.add_argument("--qq-out", dest="qq_out", help="write QQ pairs CSV here")
     diag.set_defaults(func=_cmd_diagnose)
 

@@ -10,10 +10,14 @@ Four routes are implemented, in increasing cost:
 
 The conditional log-likelihood treats the observed count as given, so the
 scale c drops out; it is recovered afterwards by matching the expected total
-count to n (estimate_c).  Analytic first and second derivatives in the three
-exponents are provided for diagnostics and standard-error work; both are
-derived from the normalization constant written as A/B and are checked against
-finite differences in the test suite.
+count to n (estimate_c).  Each family's free parameters, their place in the
+full parameter vector, its default GA box and how a fitted genome becomes a
+family instance all come from the family table, process.FAMILIES.
+
+Analytic first and second derivatives in the three exponents are provided for
+diagnostics and standard-error work; both are derived from the normalization
+constant written as A/B and are checked against finite differences in the
+test suite.
 """
 from __future__ import annotations
 
@@ -27,9 +31,10 @@ import numpy as np
 from .process import (
     BaristaParams,
     ModelFamily,
-    OneStage,
     ThreeStage,
-    TwoStage,
+    _denominator,
+    _ratios,
+    get_family,
     mean_count,
 )
 from .sample import BidSample
@@ -55,9 +60,6 @@ __all__ = [
     "default_bounds",
     "bootstrap_se",
 ]
-
-FAMILY_TAGS = ("one-stage", "two-stage", "three-stage")
-
 
 class EstimationError(RuntimeError):
     """Raised when data do not support the requested estimate.
@@ -317,8 +319,7 @@ class _CondLoglik:
             q2 = d2 / T
             a21 = a2 - a1
             a23 = a2 - a3
-            B = a2 * a3 * q1 ** a21 + a3 * (a1 - a2) * q1 ** a2 + a1 * a23 * q2 ** a2
-            logC = np.log(a1 * a2 * a3 / T) - np.log(B)
+            logC = np.log(a1 * a2 * a3 / T) - np.log(_denominator(a1, a2, a3, q1, q2))
             i1 = self.times.searchsorted(d1, side="right")
             i2 = self.times.searchsorted(late, side="right")
             S1 = prefix[i1]
@@ -376,15 +377,14 @@ def _B_derivatives(p: BaristaParams) -> tuple[float, np.ndarray, np.ndarray]:
     q2^a2 * log(q2) vanish as d2 -> 0 and are forced to 0 there.
     """
     a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    q1 = 1.0 - p.d1 / p.T
-    q2 = p.d2 / p.T
+    q1, q2 = _ratios(p)
     L1 = math.log(q1)
     L2 = math.log(q2) if q2 > 0 else 0.0
     p1 = q1 ** (a2 - a1)
     p2 = q1 ** a2
     p3 = q2 ** a2
 
-    B = a2 * a3 * p1 + a3 * (a1 - a2) * p2 + a1 * (a2 - a3) * p3
+    B = _denominator(a1, a2, a3, q1, q2)
     B1 = -a2 * a3 * L1 * p1 + a3 * p2 + (a2 - a3) * p3
     B2 = (
         a3 * p1 * (1.0 + a2 * L1)
@@ -477,7 +477,6 @@ class FitResult:
     loglik: float
     method: str  # "quick-crude" | "grid" | "ga" | "closed-form"
     c_hat: float
-    stderrs: dict[str, float] | None = None
     history: tuple[float, ...] | None = None  # GA best-so-far per generation
 
     @property
@@ -488,46 +487,12 @@ class FitResult:
         return vals
 
 
-# Each family's embedding in (alpha1, alpha2, alpha3, d1, d2): the column of a
-# gene block, padded with one trailing zero column, that fills each slot.
-_GENE_MAP = {
-    "one-stage": np.array([0, 0, 0, 1, 1]),
-    "two-stage": np.array([0, 0, 1, 3, 2]),
-    "three-stage": np.array([0, 1, 2, 3, 4]),
-}
-
-
-def _gene_vectors(tag: str, genes) -> np.ndarray:
-    """(k, 5) rows of (alpha1, alpha2, alpha3, d1, d2) for a (k, m) gene block."""
-    block = np.asarray(genes, dtype=float)
-    padded = np.zeros((block.shape[0], block.shape[1] + 1))
-    padded[:, :-1] = block
-    return padded[:, _GENE_MAP[tag]]
-
-
-def _family_names(tag: str) -> tuple[str, ...]:
-    for cls in (OneStage, TwoStage, ThreeStage):
-        if cls.tag == tag:
-            return cls.free_names
-    raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILY_TAGS}")
-
-
-def _build_family(tag: str, genes: Sequence[float], c: float, T: float) -> ModelFamily:
-    if tag == "one-stage":
-        return OneStage(genes[0], c, T)
-    if tag == "two-stage":
-        return TwoStage(genes[0], genes[1], genes[2], c, T)
-    a1, a2, a3, d1, d2 = genes
-    return ThreeStage(BaristaParams(a1, a2, a3, d1, d2, c, T))
-
-
 def _finish_fit(tag: str, genes: Sequence[float], ll: float, method: str,
                 sample: BidSample, history: tuple[float, ...] | None = None) -> FitResult:
-    vec = _gene_vectors(tag, [genes])[0]
-    shape = BaristaParams(*vec.tolist(), 1.0, sample.T)
-    c_hat = estimate_c(shape, sample.n)
+    spec = get_family(tag)
+    c_hat = estimate_c(spec.build(genes, 1.0, sample.T).as_barista(), sample.n)
     return FitResult(
-        family=_build_family(tag, genes, c_hat, sample.T),
+        family=spec.build(genes, c_hat, sample.T),
         loglik=ll,
         method=method,
         c_hat=c_hat,
@@ -553,7 +518,8 @@ def grid_search(sample: BidSample, family: str, grid: Mapping[str, Iterable[floa
     """
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="grid_search")
-    names = _family_names(family)
+    spec = get_family(family)
+    names = spec.free_names
     missing = set(names) - set(grid)
     if missing:
         raise ValueError(f"grid is missing values for {sorted(missing)}")
@@ -568,7 +534,7 @@ def grid_search(sample: BidSample, family: str, grid: Mapping[str, Iterable[floa
     for start in range(0, total, _GRID_BLOCK):
         flat = np.arange(start, min(start + _GRID_BLOCK, total))
         genes = np.column_stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape))])
-        ll = cache.values(*_gene_vectors(family, genes).T)
+        ll = cache.values(*spec.vectors(genes).T)
         j = int(np.argmax(ll))
         if ll[j] > best_ll:
             best_ll, best_genes = float(ll[j]), tuple(genes[j])
@@ -619,20 +585,14 @@ class GaConfig:
 
 
 def default_bounds(family: str, T: float) -> tuple[tuple[float, float], ...]:
-    """Search boxes, scaled to the horizon.
+    """Search boxes, scaled to the horizon, from the family table.
 
     Exponent boxes are fixed; changepoint boxes scale linearly with T.  The
     three-stage box puts the early changepoint in [T/7, 5T/7] and the late one
     within T/700 of the close (about 14 minutes on a 7-day horizon), matching
     the short final stages these processes exhibit.
     """
-    if family == "one-stage":
-        return ((0.1, 15.0),)
-    if family == "two-stage":
-        return ((0.1, 1.0), (0.5, 15.0), (0.0, T / 700.0))
-    if family == "three-stage":
-        return ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (T / 7.0, 5.0 * T / 7.0), (0.0, T / 700.0))
-    raise ValueError(f"unknown family tag {family!r}; expected one of {FAMILY_TAGS}")
+    return get_family(family).default_bounds(T)
 
 
 def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
@@ -653,9 +613,9 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
     """
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="ga_fit")
-    names = _family_names(family)
-    if len(cfg.bounds) != len(names):
-        raise ValueError(f"{family} needs {len(names)} bounds, got {len(cfg.bounds)}")
+    spec = get_family(family)
+    if len(cfg.bounds) != len(spec.free_names):
+        raise ValueError(f"{family} needs {len(spec.free_names)} bounds, got {len(cfg.bounds)}")
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
     scale = (
@@ -666,19 +626,19 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
     cache = _CondLoglik(sample)
     rng = np.random.default_rng(cfg.seed)
     pop = rng.uniform(lo, hi, size=(cfg.population_size, lo.size))
-    fit = cache.values(*_gene_vectors(family, pop).T)
+    fit = cache.values(*spec.vectors(pop).T)
     order = np.argsort(-fit, kind="stable")
 
     n_elite = max(1, int(cfg.population_size * cfg.elite_fraction))
     pairs = cfg.offspring_pairs
     # rows: elite, then blends, then mirrored blends; the trailing column stays
-    # 0, the padding column of _GENE_MAP
+    # 0, the padding column of the family's gene map
     pool = np.zeros((n_elite + 2 * pairs, lo.size + 1))
     pool_fit = np.empty(n_elite + 2 * pairs)
     genes = pool[:, :-1]
     kids = genes[n_elite:]
     blend, mirror = kids[:pairs], kids[pairs:]
-    kid_columns = [pool[n_elite:, j] for j in _GENE_MAP[family]]
+    kid_columns = [pool[n_elite:, j] for j in spec.gene_map]
     genes[:n_elite] = pop[order[:n_elite]]
     pool_fit[:n_elite] = fit[order[:n_elite]]
     history = [float(pool_fit[0])]

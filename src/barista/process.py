@@ -16,12 +16,14 @@ the shape parameters, not on c.
 
 All evaluation functions accept scalars or numpy arrays and return matching
 shapes.  Parameter containers are frozen dataclasses validated at construction,
-so an instance that exists is usable.
+so an instance that exists is usable.  The nested one-, two- and three-stage
+families are described once, in the table FAMILIES.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -31,6 +33,9 @@ __all__ = [
     "TwoStage",
     "ThreeStage",
     "ModelFamily",
+    "Family",
+    "FAMILIES",
+    "get_family",
     "normalization_constant",
     "intensity",
     "mean_count",
@@ -87,8 +92,25 @@ class BaristaParams:
         return replace(self, c=c)
 
 
+class _Nested:
+    """as_barista and free_values of a family class, read off its FAMILIES entry."""
+
+    tag: ClassVar[str]
+
+    @property
+    def free_names(self) -> tuple[str, ...]:
+        return FAMILIES[self.tag].free_names
+
+    def free_values(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in self.free_names}
+
+    def as_barista(self) -> BaristaParams:
+        genes = tuple(self.free_values().values())
+        return BaristaParams(*FAMILIES[self.tag].vectors([genes])[0].tolist(), self.c, self.T)
+
+
 @dataclass(frozen=True)
-class OneStage:
+class OneStage(_Nested):
     """Single power-law stage: lambda(s) = c (1 - s/T)^(alpha - 1) on [0, T]."""
 
     alpha: float
@@ -96,17 +118,10 @@ class OneStage:
     T: float
 
     tag = "one-stage"
-    free_names = ("alpha",)
-
-    def as_barista(self) -> BaristaParams:
-        return BaristaParams(self.alpha, self.alpha, self.alpha, 0.0, 0.0, self.c, self.T)
-
-    def free_values(self) -> dict[str, float]:
-        return {"alpha": self.alpha}
 
 
 @dataclass(frozen=True)
-class TwoStage:
+class TwoStage(_Nested):
     """Mid and late stage only (no early stage): d1 = 0, alpha1 = alpha2."""
 
     alpha2: float
@@ -116,23 +131,15 @@ class TwoStage:
     T: float
 
     tag = "two-stage"
-    free_names = ("alpha2", "alpha3", "d2")
-
-    def as_barista(self) -> BaristaParams:
-        return BaristaParams(self.alpha2, self.alpha2, self.alpha3, 0.0, self.d2, self.c, self.T)
-
-    def free_values(self) -> dict[str, float]:
-        return {"alpha2": self.alpha2, "alpha3": self.alpha3, "d2": self.d2}
 
 
 @dataclass(frozen=True)
-class ThreeStage:
+class ThreeStage(_Nested):
     """All three stages free; wraps a full parameter vector."""
 
     params: BaristaParams
 
     tag = "three-stage"
-    free_names = ("alpha1", "alpha2", "alpha3", "d1", "d2")
 
     @property
     def c(self) -> float:
@@ -142,21 +149,81 @@ class ThreeStage:
     def T(self) -> float:
         return self.params.T
 
+    def free_values(self) -> dict[str, float]:
+        return {name: getattr(self.params, name) for name in self.free_names}
+
     def as_barista(self) -> BaristaParams:
         return self.params
 
-    def free_values(self) -> dict[str, float]:
-        p = self.params
-        return {
-            "alpha1": p.alpha1,
-            "alpha2": p.alpha2,
-            "alpha3": p.alpha3,
-            "d1": p.d1,
-            "d2": p.d2,
-        }
-
 
 ModelFamily = OneStage | TwoStage | ThreeStage
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One nested family: its free parameters (genes), where they sit in the
+    full vector (alpha1, alpha2, alpha3, d1, d2), its default GA box on
+    horizon T, a builder of the family instance from (genes, c, T) and, for
+    all but the smallest family, the genes that reproduce a fit of the
+    next-smaller family exactly.  gene_map names the gene that fills each
+    slot of the full vector; the index len(free_names) stands for a 0.
+    """
+
+    free_names: tuple[str, ...]
+    gene_map: np.ndarray
+    default_bounds: Callable[[float], tuple[tuple[float, float], ...]]
+    build: Callable[[Sequence[float], float, float], ModelFamily]
+    embed: Callable[[ModelFamily], tuple[float, ...]] | None = None
+
+    def vectors(self, genes) -> np.ndarray:
+        """(k, 5) rows of (alpha1, alpha2, alpha3, d1, d2) for a (k, m) gene block."""
+        block = np.asarray(genes, dtype=float)
+        padded = np.zeros((block.shape[0], block.shape[1] + 1))
+        padded[:, :-1] = block
+        return padded[:, self.gene_map]
+
+
+# The one-stage and two-stage processes are the three-stage process with
+# d1 = 0 and/or d2 = 0 and the exponent of each empty stage tied to alpha2;
+# this nesting is what makes the likelihood-ratio selection valid.  Entries
+# run from the smallest family to the richest.
+FAMILIES: dict[str, Family] = {
+    OneStage.tag: Family(
+        free_names=("alpha",),
+        gene_map=np.array([0, 0, 0, 1, 1]),
+        default_bounds=lambda T: ((0.1, 15.0),),
+        build=lambda genes, c, T: OneStage(*genes, c, T),
+    ),
+    TwoStage.tag: Family(
+        free_names=("alpha2", "alpha3", "d2"),
+        gene_map=np.array([0, 0, 1, 3, 2]),
+        default_bounds=lambda T: ((0.1, 1.0), (0.5, 15.0), (0.0, T / 700.0)),
+        build=lambda genes, c, T: TwoStage(*genes, c, T),
+        # d2 = 0 empties the late stage, so alpha3 is then arbitrary
+        embed=lambda one: (one.alpha, one.alpha, 0.0),
+    ),
+    ThreeStage.tag: Family(
+        free_names=("alpha1", "alpha2", "alpha3", "d1", "d2"),
+        gene_map=np.array([0, 1, 2, 3, 4]),
+        default_bounds=lambda T: ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0),
+                                  (T / 7.0, 5.0 * T / 7.0), (0.0, T / 700.0)),
+        build=lambda genes, c, T: ThreeStage(BaristaParams(*genes, c, T)),
+        # d1 is free once alpha1 == alpha2; put it mid-early-window for the
+        # refinement grid to perturb
+        embed=lambda two: (two.alpha2, two.alpha2, two.alpha3, two.T / 4.0, two.d2),
+    ),
+}
+
+# The changepoint that sets the length of each outer stage: its exponent is
+# not determined by the data when that length is 0.
+_STAGE_LENGTH = {"alpha1": "d1", "alpha3": "d2"}
+
+
+def get_family(tag: str) -> Family:
+    """The FAMILIES entry for tag; the one place an unknown tag is reported."""
+    try:
+        return FAMILIES[tag]
+    except KeyError:
+        raise ValueError(f"unknown family tag {tag!r}; expected one of {tuple(FAMILIES)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +235,8 @@ def _ratios(p: BaristaParams) -> tuple[float, float]:
     return 1.0 - p.d1 / p.T, p.d2 / p.T
 
 
-def _denominator(p: BaristaParams) -> float:
-    """B such that m(T) = T c B / (alpha1 alpha2 alpha3); positive for valid p."""
-    q1, q2 = _ratios(p)
-    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
+def _denominator(a1, a2, a3, q1, q2):
+    """B with m(T) = T c B / (a1 a2 a3), elementwise; positive for valid shapes."""
     return a2 * a3 * q1 ** (a2 - a1) + a3 * (a1 - a2) * q1 ** a2 + a1 * (a2 - a3) * q2 ** a2
 
 
@@ -227,7 +292,8 @@ def normalization_constant(p: BaristaParams) -> float:
     Depends only on (alpha1, alpha2, alpha3, d1, d2, T); the event-time density
     is f(s) = C * b(s) with b the intensity power term.
     """
-    return (p.alpha1 * p.alpha2 * p.alpha3 / p.T) / _denominator(p)
+    return (p.alpha1 * p.alpha2 * p.alpha3 / p.T) / _denominator(
+        p.alpha1, p.alpha2, p.alpha3, *_ratios(p))
 
 
 def intensity(p: BaristaParams, s):
@@ -240,63 +306,58 @@ def intensity(p: BaristaParams, s):
     return _ret(p.c * _branch_power(p, arr), scalar)
 
 
-def mean_count(p: BaristaParams, s):
-    """Expected number of events in [0, s]: m(s) = integral of the intensity."""
-    arr, scalar = _as_array(s, 0.0, p.T, "s")
-    q1, q2 = _ratios(p)
-    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    K = (p.T * p.c / a1) * q1 ** (a2 - a1)
-    m_at_d1 = K * (1.0 - q1 ** a1)
-    # cumulative mass of the middle stage up to its end
-    m_at_cut = m_at_d1 + (p.T * p.c / a2) * (q1 ** a2 - q2 ** a2)
+def _cumulative(p: BaristaParams, s: np.ndarray, scale: float, top: float | None) -> np.ndarray:
+    """scale/T times the integral of b over [0, s], in a fresh buffer.
 
-    rem = 1.0 - arr / p.T
-    m1, m2, m3 = _stage_masks(p, arr)
-    out = np.empty_like(arr, dtype=float)
-    out[m1] = K * (1.0 - rem[m1] ** a1)
-    out[m2] = m_at_d1 + (p.T * p.c / a2) * (q1 ** a2 - rem[m2] ** a2)
-    if np.any(m3):
-        # written via r = (1 - s/T)/q2 in [0, 1] to stay finite for tiny q2
-        r = rem[m3] / q2
-        out[m3] = m_at_cut + (p.T * p.c / a3) * q2 ** a2 * (1.0 - r ** a3)
-    return _ret(out, scalar)
-
-
-def cdf(p: BaristaParams, s):
-    """Distribution function of a single event time, F(s) = m(s) / m(T).
-
-    The remaining time 1 - s/T is computed once into the output buffer; each
-    branch gathers its part once and applies its closed form in place.
+    scale = T c gives m(s) and scale = T C gives F(s).  The remaining time
+    1 - s/T is computed once into the buffer; each branch gathers its part
+    once and applies its closed form in place.  The last branch is written as
+    top, the value at T (None: the sum of the three stages' masses), minus
+    its tail, via r = (1 - s/T)/q2 in [0, 1] to stay finite for tiny q2.
     """
-    arr, scalar = _as_array(s, 0.0, p.T, "s")
-    C = normalization_constant(p)
     q1, q2 = _ratios(p)
     a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    CT = C * p.T
-    F_at_d1 = (CT / a1) * q1 ** (a2 - a1) * (1.0 - q1 ** a1)
+    K1 = (scale / a1) * q1 ** (a2 - a1)
+    at_d1 = K1 * (1.0 - q1 ** a1)
+    K3 = (scale / a3) * q2 ** a2
+    if top is None:
+        top = at_d1 + (scale / a2) * (q1 ** a2 - q2 ** a2) + K3
 
-    m1, m2, m3 = _stage_masks(p, arr)
-    # a fresh buffer: arr may be the caller's array
-    out = arr / p.T
+    m1, m2, m3 = _stage_masks(p, s)
+    # a fresh buffer: s may be the caller's array
+    out = s / p.T
     np.subtract(1.0, out, out=out)
     x = out[m1]
     x **= a1
     np.subtract(1.0, x, out=x)
-    x *= (CT / a1) * q1 ** (a2 - a1)
+    x *= K1
     out[m1] = x
     x = out[m2]
     x **= a2
     np.subtract(q1 ** a2, x, out=x)
-    x *= CT / a2
-    x += F_at_d1
+    x *= scale / a2
+    x += at_d1
     out[m2] = x
     if np.any(m3):
         x = out[m3]
         x /= q2
         x **= a3
-        x *= (CT / a3) * q2 ** a2
-        np.subtract(1.0, x, out=x)
+        x *= K3
+        np.subtract(top, x, out=x)
         out[m3] = x
+    return out
+
+
+def mean_count(p: BaristaParams, s):
+    """Expected number of events in [0, s]: m(s) = integral of the intensity."""
+    arr, scalar = _as_array(s, 0.0, p.T, "s")
+    return _ret(_cumulative(p, arr, p.T * p.c, None), scalar)
+
+
+def cdf(p: BaristaParams, s):
+    """Distribution function of a single event time, F(s) = m(s) / m(T)."""
+    arr, scalar = _as_array(s, 0.0, p.T, "s")
+    out = _cumulative(p, arr, normalization_constant(p) * p.T, 1.0)
     # F(T) = 1 exactly; the branch algebra can drift by an ulp
     out[arr == p.T] = 1.0
     return _ret(np.clip(out, 0.0, 1.0, out=out), scalar)

@@ -10,13 +10,14 @@ The one-stage fit is exact: its maximum-likelihood exponent has a closed form
 (mle_nhpp1), so no search runs for it.  The two-stage and three-stage fits
 are genetic searches (ga_fit), and only they take a GA budget.
 
-The families nest exactly: a one-stage process is a two-stage process with
-equal exponents, and a two-stage process is a three-stage one with the early
-exponent tied and d1 arbitrary.  A richer family's search can still return a
-worse optimum than the smaller family's (finite search budget), which would
-make the statistic negative; the fitted value is floored at the embedded
-smaller model and, if the flag persists, refined once on a local grid around
-that embedding before giving up and clamping.
+The families nest exactly, and the family table (process.FAMILIES) gives
+each richer family's embedding of the next-smaller fit: a one-stage process
+is a two-stage process with d2 = 0, and a two-stage process is a three-stage
+one with the early exponent tied and d1 arbitrary.  A richer family's search
+can still return a worse optimum than the smaller family's (finite search
+budget), which would make the statistic negative; the fitted value is
+floored at the embedded smaller model and, if the flag persists, refined
+once on a local grid around that embedding before giving up and clamping.
 """
 from __future__ import annotations
 
@@ -30,12 +31,11 @@ from .estimate import (
     GaConfig,
     _CondLoglik,
     _finish_fit,
-    _gene_vectors,
     default_bounds,
     ga_fit,
     mle_nhpp1,
 )
-from .process import ModelFamily, OneStage, TwoStage
+from .process import _STAGE_LENGTH, ModelFamily, get_family
 from .sample import BidSample
 
 __all__ = [
@@ -94,36 +94,30 @@ def lr_test(loglik_small: float, loglik_big: float, df: int = 2) -> LrTest:
     )
 
 
-def _embedding_genes(tag: str, smaller: FitResult) -> tuple[float, ...]:
-    """Genes in family `tag` that reproduce the smaller fit exactly."""
-    params = smaller.family
-    if tag == "two-stage":
-        assert isinstance(params, OneStage)
-        return (params.alpha, params.alpha, 0.0)
-    assert isinstance(params, TwoStage)
-    # d1 is free once alpha1 == alpha2; put it mid-early-window for the
-    # refinement grid to perturb
-    return (params.alpha2, params.alpha2, params.alpha3, params.T / 4.0, params.d2)
-
-
 def _refine_around(sample: BidSample, tag: str, genes: tuple[float, ...]) -> FitResult:
     """Best point on a small multiplicative grid around a genome.
 
     Keeps the genome itself in the grid, so the result is never worse than
-    the starting point.
+    the starting point.  An exponent whose stage has zero length is left
+    alone: the data do not determine it, and moving it changes the
+    likelihood only by rounding.
     """
+    spec = get_family(tag)
+    values = dict(zip(spec.free_names, genes))
     factors = (0.9, 1.0, 1.1)
     # perturb one coordinate at a time; full product over 5 genes would be 243
     # points of mostly redundant work
     candidates = [genes]
-    for i in range(len(genes)):
+    for i, name in enumerate(spec.free_names):
+        if values.get(_STAGE_LENGTH.get(name)) == 0.0:
+            continue
         for f in factors:
             if f == 1.0:
                 continue
             g = list(genes)
             g[i] = g[i] * f if g[i] != 0.0 else (f - 1.0) * 1e-3 * sample.T
             candidates.append(tuple(g))
-    ll = _CondLoglik(sample).values(*_gene_vectors(tag, candidates).T)
+    ll = _CondLoglik(sample).values(*spec.vectors(candidates).T)
     best = int(np.argmax(ll))  # first maximum, as ties keep the earlier candidate
     return _finish_fit(tag, candidates[best], float(ll[best]), "ga", sample)
 
@@ -133,7 +127,7 @@ def _fit_with_floor(sample: BidSample, tag: str, cfg: GaConfig, smaller: FitResu
     fit = ga_fit(sample, tag, cfg)
     if fit.loglik >= smaller.loglik:
         return fit
-    genes = _embedding_genes(tag, smaller)
+    genes = get_family(tag).embed(smaller.family)
     refined = _refine_around(sample, tag, genes)
     return refined if refined.loglik > fit.loglik else fit
 

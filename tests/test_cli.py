@@ -379,6 +379,39 @@ class TestErrors:
         assert err["error"]["type"] == "ValueError"
         assert repr(key) in err["error"]["message"]
 
+    @pytest.mark.parametrize("grid", [
+        {"alpha": 5},
+        {"alpha": [[1, 2]]},
+        {"alpha": {"a": 1}},
+        {"alpha": []},
+        {"alpha2": [1.0]},
+        [1, 2],
+    ])
+    def test_malformed_grid_is_json_error(self, tmp_path, capsys, grid):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        data = simulate(tmp_path, n=30, seed=0)
+        rc, err = run_json(["fit", "--input", data, "--horizon", "7", "--method", "grid",
+                            "--family", "one-stage", "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert err["error"]["type"] == "ValueError"
+        assert "--grid" in err["error"]["message"]
+
+    def test_unknown_family_is_one_error(self, tmp_path, capsys):
+        cfg = tmp_path / "family.json"
+        cfg.write_text(json.dumps({"family": "four-stage"}))
+        data = simulate(tmp_path, n=30, seed=0)
+        messages = []
+        for argv in (["simulate", "--horizon", "7", "--n", "5"],
+                     ["fit", "--input", data, "--horizon", "7"]):
+            rc, err = run_json([*argv, "--config", str(cfg)], capsys)
+            assert rc == 1
+            assert err["error"]["type"] == "ValueError"
+            messages.append(err["error"]["message"])
+        assert messages[0] == messages[1]
+        assert messages[0] == ("unknown family tag 'four-stage'; expected one of "
+                               "('one-stage', 'two-stage', 'three-stage')")
+
     def test_estimation_failure_carries_stage(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("auction_id,bid_time\nx,1.0\n")

@@ -22,11 +22,13 @@ from barista import (
     lr_test,
     mle_nhpp1,
     sample_fixed_n,
+    sample_poisson_count,
     select_model,
     write_sample,
 )
 from barista.cli import main
-from barista.selection import _default_configs, _embedding_genes
+from barista.process import get_family
+from barista.selection import _default_configs
 
 
 class TestChiSquareTail:
@@ -68,7 +70,7 @@ class TestEmbeddings:
         one = OneStage(alpha=0.8, c=2.0, T=3.0)
         s = sample_fixed_n(one.as_barista(), 500, seed=0)
         fit = FitResult(one, loglik(s, one.as_barista()), "ga", 2.0)
-        genes = _embedding_genes("two-stage", fit)
+        genes = get_family("two-stage").embed(fit.family)
         two = TwoStage(alpha2=genes[0], alpha3=genes[1], d2=genes[2], c=2.0, T=3.0)
         assert loglik(s, two.as_barista()) == pytest.approx(fit.loglik, rel=1e-14)
 
@@ -76,7 +78,7 @@ class TestEmbeddings:
         two = TwoStage(alpha2=0.5, alpha3=4.0, d2=0.02, c=2.0, T=3.0)
         s = sample_fixed_n(two.as_barista(), 500, seed=1)
         fit = FitResult(two, loglik(s, two.as_barista()), "ga", 2.0)
-        genes = _embedding_genes("three-stage", fit)
+        genes = get_family("three-stage").embed(fit.family)
         three = ThreeStage(BaristaParams(*genes, c=2.0, T=3.0))
         assert three.params.alpha1 == three.params.alpha2  # d1 is then arbitrary
         assert loglik(s, three.as_barista()) == pytest.approx(fit.loglik, rel=1e-14)
@@ -197,3 +199,18 @@ class TestSelectModel:
         assert a.chosen.tag == b.chosen.tag
         assert {t: f.loglik for t, f in a.fits.items()} == \
                {t: f.loglik for t, f in b.fits.items()}
+
+
+@pytest.mark.parametrize("data_seed, seed", [(1008, 8), (1014, 14)])
+def test_refinement_leaves_an_empty_stage_exponent_alone(data_seed, seed):
+    # criterion-9 one-stage samples on which the two-stage GA ends below the
+    # exact one-stage fit, so the fit is refined around the embedding with
+    # d2 = 0; alpha3 then has no stage and must keep the embedded value
+    s = sample_poisson_count(OneStage(1.0, 143.0, 7.0).as_barista(), seed=data_seed)
+    res = select_model(s, seed=seed)
+    one, two = res.fits["one-stage"], res.fits["two-stage"]
+    assert ga_fit(s, "two-stage", _default_configs(s, seed)["two-stage"]).loglik < one.loglik
+    assert two.params["d2"] == 0.0
+    assert two.params["alpha3"] == two.params["alpha2"] == one.params["alpha"]
+    assert res.lr_one_two.statistic == 0.0
+    assert res.chosen.tag == "one-stage"
