@@ -37,16 +37,15 @@ from .estimate import (
     FitResult,
     GaConfig,
     QcConfig,
+    _one_stage_fit,
     bootstrap_se,
     default_bounds,
     default_qc_config,
     ga_fit,
     grid_search,
-    loglik,
-    mle_nhpp1,
     qc_fit,
 )
-from .process import FAMILIES, OneStage, get_family, mean_count
+from .process import FAMILIES, get_family, mean_count
 from .sample import BidSample
 from .selection import _default_configs, select_model
 from .simulate import sample_fixed_n, sample_poisson_count
@@ -213,7 +212,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 # settings of the one fit that fit and diagnose run
 _METHOD_DEFAULTS = {
-    **_INGEST_DEFAULTS, "method": "ga", "family": "three-stage", "seed": 0,
+    **_INGEST_DEFAULTS, "method": "ga", "family": None, "seed": 0,
     "windows": None, "grid": None, "bounds": None, "generations": None,
 }
 _FIT_DEFAULTS = {**_METHOD_DEFAULTS, "bootstrap": 0}
@@ -248,10 +247,10 @@ def _qc_config_from(merged: dict, T: float) -> QcConfig:
     )
 
 
-def _ga_config_from(merged: dict, T: float) -> GaConfig:
+def _ga_config_from(merged: dict, family: str, T: float) -> GaConfig:
     bounds = _json_flag(merged.get("bounds"), "bounds")
     if bounds is None:
-        bounds = default_bounds(merged["family"], T)
+        bounds = default_bounds(family, T)
     elif not (isinstance(bounds, list) and all(_numbers(b) and len(b) == 2 for b in bounds)):
         raise ValueError(f"--bounds must be a JSON list of [lo, hi] number pairs, got {bounds!r}")
     kwargs = {"bounds": tuple(tuple(b) for b in bounds), "seed": int(merged["seed"])}
@@ -260,11 +259,11 @@ def _ga_config_from(merged: dict, T: float) -> GaConfig:
     return GaConfig(**kwargs)
 
 
-def _grid_from(merged: dict) -> dict[str, list]:
+def _grid_from(merged: dict, family: str) -> dict[str, list]:
     grid = _json_flag(merged.get("grid"), "grid")
     if not grid:
         raise ValueError("grid method needs a grid: {param: [values, ...]}")
-    names = get_family(merged["family"]).free_names
+    names = get_family(family).free_names
     if not isinstance(grid, dict):
         raise ValueError(f"--grid must be a JSON object with keys {list(names)}")
     for name in names:
@@ -276,19 +275,27 @@ def _grid_from(merged: dict) -> dict[str, list]:
     return grid
 
 
+# the one family a method fits; ga and grid fit any, three-stage by default
+_ONLY_FAMILY = {"closed-form": "one-stage", "quick-crude": "three-stage"}
+
+
 def _fit_once(sample: BidSample, merged: dict) -> FitResult:
     method = merged["method"]
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    only = _ONLY_FAMILY.get(method)
+    family = merged["family"]
+    if family is None:
+        family = only or "three-stage"
+    elif only and family != only:
+        raise ValueError(f"--method {method} fits only --family {only}, got {family!r}")
     if method == "closed-form":
-        alpha_hat, c_hat = mle_nhpp1(sample)
-        family = OneStage(alpha_hat, c_hat, sample.T)
-        return FitResult(family, loglik(sample, family.as_barista()), "closed-form", c_hat)
+        return _one_stage_fit(sample)
     if method == "quick-crude":
         return qc_fit(sample, _qc_config_from(merged, sample.T))
     if method == "grid":
-        return grid_search(sample, merged["family"], _grid_from(merged))
-    if method == "ga":
-        return ga_fit(sample, merged["family"], _ga_config_from(merged, sample.T))
-    raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+        return grid_search(sample, family, _grid_from(merged, family))
+    return ga_fit(sample, family, _ga_config_from(merged, family, sample.T))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

@@ -11,17 +11,23 @@ are handled by policy: "reject" raises with the offending line number,
 "clamp-epsilon" moves negatives to 0 and late times to just inside the
 horizon.  Malformed rows always raise; silently dropping data is worse than
 stopping.
+
+The file is read once, by csv, into one list of raw fields per needed
+column, and each column is converted and checked as an array.  Only when a
+check fails are per-check masks built, to name the first bad row.
 """
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import io
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping
+from typing import IO, TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -59,7 +65,9 @@ _BLOCK_ROWS = 65536
 class IngestError(ValueError):
     """A data problem, carrying the 1-based CSV record number when known.
 
-    Records are counted as csv reads them, comment and blank lines included.
+    Records are counted as csv reads them: comment and blank lines count, and
+    a quoted field holding a newline does not start another.  Header and
+    layout errors carry no record number.
     """
 
     def __init__(self, message: str, line: int | None = None) -> None:
@@ -86,19 +94,6 @@ class IngestSpec:
             raise ValueError(f"fmt must be one of {_FORMATS}, got {self.fmt!r}")
 
 
-def _float_field(row: Mapping[str, str], col: str, line: int) -> float:
-    raw = row.get(col)
-    if raw is None or raw.strip() == "":
-        raise IngestError(f"missing value in column {col!r}", line)
-    try:
-        val = float(raw)
-    except ValueError:
-        raise IngestError(f"cannot parse {raw!r} in column {col!r} as a number", line) from None
-    if not math.isfinite(val):
-        raise IngestError(f"non-finite value {raw!r} in column {col!r}", line)
-    return val
-
-
 def _layout(header: list[str], fmt: str) -> tuple[str, ...]:
     """The columns a header must supply; raises when it cannot supply them."""
     if fmt == "auto":
@@ -119,141 +114,134 @@ def _layout(header: list[str], fmt: str) -> tuple[str, ...]:
 def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
     """(times, auction ids, clamped-row count), times not yet sorted.
 
-    A file with any problem is read again row by row, which raises the
-    first problem with its line.
+    Each column is converted in one pass and checked as an array; a file
+    that fails a check raises the error of its first bad row.
     """
-    return _parse_columns(spec) or _parse_rows(spec)
-
-
-def _parse_columns(spec: IngestSpec) -> tuple[np.ndarray, list[str], int] | None:
-    """_parse with each column converted in one pass; None on any problem.
-
-    The problem is then reported by _parse_rows, which knows its line.
-    """
-    cols = _read_columns(spec)
-    if cols is None:
-        return None
-    ids = list(map(str.strip, cols[0]))
+    columns, record_of = _read_columns(spec)
+    ids = list(map(str.strip, columns.pop("auction_id")))
     try:
-        values = [np.fromiter(map(float, col), float, len(col)) for col in cols[1:]]
+        values = [np.fromiter(map(float, col), float, len(col)) for col in columns.values()]
     except ValueError:
-        return None
-    if not all(ids) or not all(np.isfinite(v).all() for v in values):
-        return None
+        # nan stands in for each field float() refuses; _first_bad_row names it
+        values = [np.fromiter(map(_number, col), float, len(col)) for col in columns.values()]
     if len(values) == 1:
         times = values[0]
     else:
         stamps, starts = values
-        # one distinct (auction, start) pair per auction, or some start changed
-        if len(set(zip(ids, starts.tolist()))) != len(set(ids)):
-            return None
         # finite values can still differ by more than the largest float; the
         # difference is then inf, as in Python, and out of range
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             times = stamps - starts
     low = times < 0.0
     high = times >= spec.horizon
     clamped = int(np.count_nonzero(low | high))
+    if (not all(ids) or not all(np.isfinite(v).all() for v in values)
+            # one distinct (auction, start) pair per auction, or some start changed
+            or len(values) == 2 and len(set(zip(ids, starts.tolist()))) != len(set(ids))
+            or clamped and spec.clamp_policy == "reject"):
+        raise _first_bad_row(spec, ids, columns, values, times, record_of)
     if clamped:
-        if spec.clamp_policy == "reject":
-            return None
         times[low] = 0.0
         times[high] = np.nextafter(spec.horizon, 0.0)
     return times, ids, clamped
 
 
-def _read_columns(spec: IngestSpec) -> tuple[list[str], ...] | None:
-    """Raw fields of the needed columns, auction_id first.
+def _read_columns(spec: IngestSpec) -> tuple[dict[str, list[str]], Callable[[int], int]]:
+    """Raw fields of each needed column, auction_id first, and the record
+    number of a data row as a function of its index.
 
-    None when the header is absent or unusable or a data row has the wrong
-    number of fields.
+    Raises a wrong field count with its record, then header and layout errors.
     """
-    with Path(spec.path).open(newline="") as fh:
+    path = Path(spec.path)
+    with path.open(newline="") as fh:
         rows = csv.reader(fh)
-        for raw in rows:
+        # leading '#' lines are metadata from our own emitter
+        for header_record, raw in enumerate(rows, 1):
             if raw and not raw[0].lstrip().startswith("#"):
                 header = [h.strip().lower() for h in raw]
                 break
         else:
-            return None
+            raise IngestError(f"no header row found in {path}")
         try:
             needed = _layout(header, spec.fmt)
-        except IngestError:
-            return None
-        # a repeated header name means its last column, as in _parse_rows
-        index = {name: i for i, name in enumerate(header)}
-        pick = operator.itemgetter(*(index[name] for name in needed))
-        width = len(header)
+        except IngestError as exc:
+            # a wrong field count comes first, so every row is still read whole
+            layout_error, needed, pick = exc, header, tuple
+        else:
+            layout_error = None
+            # a repeated header name means its last column, as in a dict of the row
+            index = {name: i for i, name in enumerate(header)}
+            pick = operator.itemgetter(*(index[name] for name in needed))
+        width, k = len(header), len(needed)
         fields: list[str] = []
         extend = fields.extend
+        skipped: list[int] = []  # per comment or blank record, the data rows before it
         for raw in rows:
             # only a row whose first field holds '#' can be a comment
             if len(raw) != width or "#" in raw[0]:
                 if not raw or raw[0].lstrip().startswith("#"):
+                    skipped.append(len(fields) // k)
                     continue
                 if len(raw) != width:
-                    return None
+                    raise IngestError(f"expected {width} fields, got {len(raw)}",
+                                      header_record + 1 + len(fields) // k + len(skipped))
             extend(pick(raw))
-    k = len(needed)
-    return tuple(fields[i::k] for i in range(k))
+    if layout_error is not None:
+        raise layout_error
+    return ({name: fields[i::k] for i, name in enumerate(needed)},
+            lambda row: header_record + 1 + row + bisect.bisect_right(skipped, row))
 
 
-def _parse_rows(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
-    """_parse one row at a time, to report the problem _parse_columns found.
+def _first_bad_row(spec: IngestSpec, ids: list[str], columns: dict[str, list[str]],
+                   values: list[np.ndarray], times: np.ndarray,
+                   record_of: Callable[[int], int]) -> IngestError:
+    """The error of the first row in file order that fails a check.
 
-    Raises the first problem in this order: a wrong field count anywhere,
-    then header and layout errors, then the first bad row in file order.
+    A row is checked for an empty auction_id, then for a missing, unparseable
+    (nan in values) or non-finite value in each numeric column, then for a
+    changed auction start, then, under reject, for a time outside
+    [0, horizon).  Each check marks its bad rows in one mask; the message is
+    that of the row's first failed check.
     """
-    path = Path(spec.path)
-    with path.open(newline="") as fh:
-        line = 0
-        header: list[str] | None = None
-        # leading '#' lines are metadata from our own emitter
-        rows = csv.reader(fh)
-        records: list[tuple[int, dict[str, str]]] = []
-        for raw in rows:
-            line += 1
-            if not raw or raw[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [h.strip().lower() for h in raw]
-                continue
-            if len(raw) != len(header):
-                raise IngestError(
-                    f"expected {len(header)} fields, got {len(raw)}", line)
-            records.append((line, dict(zip(header, raw))))
-    if header is None:
-        raise IngestError(f"no header row found in {path}")
-    relative = _layout(header, spec.fmt) == _RELATIVE_COLS
+    checks: list[tuple[np.ndarray, Callable[[int], str]]] = [
+        (np.fromiter(map(operator.not_, ids), bool, len(ids)), lambda i: "empty auction_id")]
+    for (name, col), v in zip(columns.items(), values):
+        checks.append((~np.isfinite(v), functools.partial(_field_problem, name, col)))
+    if len(values) == 2:
+        starts = values[1]
+        # rows before the first bad row are good, so there each auction's
+        # first start is the one a row-by-row reader would know
+        known: dict[str, float] = {}
+        opened = np.fromiter((known.setdefault(a, s) for a, s in zip(ids, starts.tolist())),
+                             float, len(ids))
+        checks.append((opened != starts, lambda i: (
+            f"auction {ids[i]!r} start changed from {float(opened[i])} to {float(starts[i])}")))
+    if spec.clamp_policy == "reject":
+        checks.append(((times < 0.0) | (times >= spec.horizon), lambda i: (
+            f"bid time {float(times[i])} outside [0, {spec.horizon})")))
+    row = int(np.argmax(np.logical_or.reduce([mask for mask, _ in checks])))
+    message = next(word for mask, word in checks if mask[row])
+    return IngestError(message(row), record_of(row))
 
-    times: list[float] = []
-    ids: list[str] = []
-    clamped = 0
-    starts: dict[str, float] = {}
-    just_inside = np.nextafter(spec.horizon, 0.0)
-    for line, row in records:
-        auction = row["auction_id"].strip()
-        if not auction:
-            raise IngestError("empty auction_id", line)
-        if relative:
-            t = _float_field(row, "bid_time", line)
-        else:
-            stamp = _float_field(row, "bid_timestamp", line)
-            start = _float_field(row, "auction_start", line)
-            known = starts.setdefault(auction, start)
-            if known != start:
-                raise IngestError(
-                    f"auction {auction!r} start changed from {known} to {start}", line)
-            t = stamp - start
-        if not (0.0 <= t < spec.horizon):
-            if spec.clamp_policy == "reject":
-                raise IngestError(
-                    f"bid time {t} outside [0, {spec.horizon})", line)
-            t = 0.0 if t < 0.0 else min(t, just_inside)
-            clamped += 1
-        times.append(t)
-        ids.append(auction)
-    return np.asarray(times, dtype=float), ids, clamped
+
+def _number(raw: str) -> float:
+    """float(raw), or nan where float() refuses it."""
+    try:
+        return float(raw)
+    except ValueError:
+        return math.nan
+
+
+def _field_problem(name: str, col: list[str], row: int) -> str:
+    """Why col[row], a field of numeric column name, is not a finite number."""
+    raw = col[row]
+    if not raw.strip():
+        return f"missing value in column {name!r}"
+    try:
+        float(raw)
+    except ValueError:
+        return f"cannot parse {raw!r} in column {name!r} as a number"
+    return f"non-finite value {raw!r} in column {name!r}"
 
 
 def ingest(spec: IngestSpec) -> BidSample:

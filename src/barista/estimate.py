@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -455,6 +456,13 @@ def mle_nhpp1(sample: BidSample) -> tuple[float, float]:
     return alpha_hat, sample.n * alpha_hat / sample.T
 
 
+def _one_stage_fit(sample: BidSample) -> FitResult:
+    """The exact one-stage fit: the closed-form MLE and its likelihood."""
+    alpha, _ = mle_nhpp1(sample)
+    ll = _CondLoglik(sample).value(alpha, alpha, alpha, 0.0, 0.0)
+    return _finish_fit("one-stage", (alpha,), ll, "closed-form", sample)
+
+
 def estimate_c(shape: BaristaParams, n: int) -> float:
     """Scale that makes the expected total count match the observed n.
 
@@ -684,7 +692,8 @@ def bootstrap_se(
     each reported parameter is the ddof=1 standard deviation across the
     replicates.  Replicates where the fitter raises are tolerated up to
     max_failure_fraction of n_replicates; beyond that an error reports the
-    observed failure fraction.  Deterministic for a given seed.
+    failure fraction and the failures per EstimationError stage (or error
+    type name).  Deterministic for a given seed.
     """
     if n_replicates < 2:
         raise ValueError("need at least 2 replicates")
@@ -692,7 +701,7 @@ def bootstrap_se(
         raise EstimationError("cannot bootstrap an empty sample", stage="bootstrap")
     children = np.random.SeedSequence(seed).spawn(n_replicates)
     draws: list[dict[str, float]] = []
-    failures = 0
+    failed: Counter[str] = Counter()
     for child in children:
         rng = np.random.default_rng(child)
         idx = rng.integers(0, sample.n, size=sample.n)
@@ -701,13 +710,15 @@ def bootstrap_se(
         boot = BidSample(times=t, T=sample.T)
         try:
             draws.append(fitter(boot).params)
-        except (EstimationError, ValueError):
-            failures += 1
+        except (EstimationError, ValueError) as exc:
+            failed[getattr(exc, "stage", None) or type(exc).__name__] += 1
+    failures = sum(failed.values())
     frac = failures / n_replicates
     if frac > max_failure_fraction or len(draws) < 2:
+        stages = ", ".join(f"{stage} {count}" for stage, count in sorted(failed.items()))
         raise EstimationError(
             f"bootstrap refit failed on {failures}/{n_replicates} replicates "
-            f"({frac:.0%} > {max_failure_fraction:.0%} allowed)",
+            f"({frac:.0%} > {max_failure_fraction:.0%} allowed); failures by stage: {stages}",
             stage="bootstrap",
         )
     return {

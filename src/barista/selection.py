@@ -31,9 +31,9 @@ from .estimate import (
     GaConfig,
     _CondLoglik,
     _finish_fit,
+    _one_stage_fit,
     default_bounds,
     ga_fit,
-    mle_nhpp1,
 )
 from .process import _STAGE_LENGTH, ModelFamily, get_family
 from .sample import BidSample
@@ -130,13 +130,6 @@ def _fit_with_floor(sample: BidSample, tag: str, cfg: GaConfig, smaller: FitResu
     genes = get_family(tag).embed(smaller.family)
     refined = _refine_around(sample, tag, genes)
     return refined if refined.loglik > fit.loglik else fit
-
-
-def _one_stage_fit(sample: BidSample) -> FitResult:
-    """The exact one-stage fit: the closed-form MLE and its likelihood."""
-    alpha, _ = mle_nhpp1(sample)
-    ll = _CondLoglik(sample).value(alpha, alpha, alpha, 0.0, 0.0)
-    return _finish_fit("one-stage", (alpha,), ll, "closed-form", sample)
 
 
 def _default_configs(sample: BidSample, seed: int) -> dict[str, GaConfig]:

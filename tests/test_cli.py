@@ -161,6 +161,30 @@ class TestFit:
         assert rep["params"]["alpha"] > 0
         assert rep["params"]["c"] == rep["c_hat"]
 
+    def test_closed_form_without_family_fits_one_stage(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=800, seed=4)
+        argv = ["fit", "--input", data, "--horizon", "7", "--method", "closed-form",
+                "--no-timestamp"]
+        rc, rep = run_json(argv, capsys)
+        assert rc == 0
+        assert rep["family"] == "one-stage"
+        assert run_json([*argv, "--family", "one-stage"], capsys) == (0, rep)
+
+    @pytest.mark.parametrize("method, family, only", [
+        ("closed-form", "three-stage", "one-stage"),
+        ("quick-crude", "one-stage", "three-stage"),
+    ])
+    def test_family_the_method_cannot_fit_is_json_error(self, tmp_path, capsys,
+                                                        method, family, only):
+        data = simulate(tmp_path, n=800, seed=4)
+        rc, err = run_json(
+            ["fit", "--input", data, "--horizon", "7", "--method", method,
+             "--family", family, "--no-timestamp"], capsys)
+        assert rc == 1
+        assert err["error"]["type"] == "ValueError"
+        assert err["error"]["message"] == (
+            f"--method {method} fits only --family {only}, got {family!r}")
+
     def test_grid_method(self, tmp_path, capsys):
         data = simulate(tmp_path, n=400, seed=6)
         grid = json.dumps({"alpha": [0.5, 1.0, 1.5, 2.0, 3.0]})

@@ -118,6 +118,21 @@ class TestErrors:
         with pytest.raises(IngestError, match="line 2"):
             ingest(IngestSpec(path=path2, horizon=7.0))
 
+    def test_faulty_file_opened_once(self, tmp_path, monkeypatch):
+        path = write(tmp_path, RELATIVE + "a3,9.5\n")
+        opened = []
+        real_open = type(path).open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(path), "open", counting_open)
+        for fn in (ingest, ingest_summary):
+            with pytest.raises(IngestError, match="line 5: bid time 9.5 outside"):
+                fn(IngestSpec(path=path, horizon=7.0))
+        assert opened == [path, path]
+
     def test_no_data_rows(self, tmp_path):
         path = write(tmp_path, "auction_id,bid_time\n")
         with pytest.raises(IngestError, match="no bid rows"):

@@ -471,6 +471,25 @@ class TestBootstrap:
         with pytest.raises(EstimationError, match="replicates"):
             bootstrap_se(s, bad_fitter, 10, seed=0)
 
+    def test_failure_counts_by_stage(self, p_star):
+        s = sample_fixed_n(p_star, 50, seed=0)
+        calls = []
+
+        def failing_fitter(sample):
+            calls.append(None)
+            if len(calls) % 3 == 1:
+                raise EstimationError("no alpha", stage="qc_alpha")
+            if len(calls) % 3 == 2:
+                raise EstimationError("no changepoints", stage="qc_changepoints")
+            raise ValueError("not a parameter vector")
+
+        with pytest.raises(EstimationError) as exc:
+            bootstrap_se(s, failing_fitter, 10, seed=0)
+        assert str(exc.value) == (
+            "bootstrap refit failed on 10/10 replicates (100% > 20% allowed); "
+            "failures by stage: ValueError 3, qc_alpha 4, qc_changepoints 3")
+        assert exc.value.stage == "bootstrap"
+
     def test_needs_two_replicates(self, p_star):
         s = sample_fixed_n(p_star, 10, seed=0)
         with pytest.raises(ValueError):

@@ -129,8 +129,9 @@ def reference_summary(spec):
 # ---------------------------------------------------------------------------
 
 # ids that csv must quote, that strip to the same id, or that differ only by
-# a trailing NUL, which csv passes through
-IDS = ("a", " a ", "a\x00", "b", "x,y", 'q"r', "#c", "d e")
+# a trailing NUL, which csv passes through; "m\nn" makes one record span two
+# physical lines, so line numbers must count records
+IDS = ("a", " a ", "a\x00", "b", "x,y", 'q"r', "#c", "d e", "m\nn")
 # spellings float() accepts that repr() never writes
 ODD_TIMES = ("1_0", "-0.0", "0", " 1.5 ", "+2", ".25", "3.", "1e0", "0.0")
 ODD_STARTS = ("1_00", "100", " 100.0 ", "1e2", "-0.0", "0.0", "0", "5", "-1.7e308")
@@ -220,12 +221,16 @@ def bid_files(draw):
         buf.truncate()
         writer.writerow(row)
         lines.append(buf.getvalue())
+    text = "".join(lines)
+    if draw(st.booleans()):
+        # no final newline
+        text = text.removesuffix("\n").removesuffix("\r")
     spec = {
         "horizon": horizon,
         "clamp_policy": draw(st.sampled_from(("reject", "clamp-epsilon"))),
         "fmt": draw(st.sampled_from(("auto", "auto", layout, "relative", "timestamped"))),
     }
-    return "".join(lines), spec
+    return text, spec
 
 
 def _run(fn, spec):
