@@ -12,9 +12,17 @@ are handled by policy: "reject" raises with the offending line number,
 horizon.  Malformed rows always raise; silently dropping data is worse than
 stopping.
 
-The file is read once, by csv, into one list of raw fields per needed
-column, and each column is converted and checked as an array.  Only when a
-check fails are per-check masks built, to name the first bad row.
+The file is opened and read once, in blocks of whole lines of about
+_BLOCK_CHARS characters.  A block after the header takes the split
+path when it holds no '"', '\\r', '#' or blank line and every line in it has
+exactly one comma fewer than the header has fields: splitting it at commas
+then yields the fields csv would.  From the first block that fails these
+tests, csv reads the rest of the file; the lines up to the header go to csv
+as soon as one of them holds a '"' or '\\r'.  Either way each numeric column
+is converted block by block, and only auction ids and the raw fields of
+non-finite values are kept as strings.  The results, errors and record
+numbers are those of csv alone.  Only when a check of the whole columns
+fails are per-check masks built, to name the first bad row.
 """
 from __future__ import annotations
 
@@ -22,12 +30,13 @@ import bisect
 import csv
 import functools
 import io
+import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Mapping
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -60,6 +69,9 @@ _POLICIES = ("reject", "clamp-epsilon")
 _FORMATS = ("auto", "relative", "timestamped")
 # rows formatted per write by _write_rows
 _BLOCK_ROWS = 65536
+# characters read per block by _read_columns; its csv path converts its
+# fields whenever it has gathered an eighth as many
+_BLOCK_CHARS = 1 << 20
 
 
 class IngestError(ValueError):
@@ -114,16 +126,13 @@ def _layout(header: list[str], fmt: str) -> tuple[str, ...]:
 def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
     """(times, auction ids, clamped-row count), times not yet sorted.
 
-    Each column is converted in one pass and checked as an array; a file
+    Each column is converted as it is read and checked as an array; a file
     that fails a check raises the error of its first bad row.
     """
-    columns, record_of = _read_columns(spec)
-    ids = list(map(str.strip, columns.pop("auction_id")))
-    try:
-        values = [np.fromiter(map(float, col), float, len(col)) for col in columns.values()]
-    except ValueError:
-        # nan stands in for each field float() refuses; _first_bad_row names it
-        values = [np.fromiter(map(_number, col), float, len(col)) for col in columns.values()]
+    table, record_of = _read_columns(spec)
+    ids = table.ids
+    values = [np.concatenate(blocks) if blocks else np.empty(0)
+              for blocks in table.blocks.values()]
     if len(values) == 1:
         times = values[0]
     else:
@@ -135,64 +144,163 @@ def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
     low = times < 0.0
     high = times >= spec.horizon
     clamped = int(np.count_nonzero(low | high))
-    if (not all(ids) or not all(np.isfinite(v).all() for v in values)
+    if (not all(ids) or any(table.raw.values())
             # one distinct (auction, start) pair per auction, or some start changed
             or len(values) == 2 and len(set(zip(ids, starts.tolist()))) != len(set(ids))
             or clamped and spec.clamp_policy == "reject"):
-        raise _first_bad_row(spec, ids, columns, values, times, record_of)
+        raise _first_bad_row(spec, ids, table.raw, values, times, record_of)
     if clamped:
         times[low] = 0.0
         times[high] = np.nextafter(spec.horizon, 0.0)
     return times, ids, clamped
 
 
-def _read_columns(spec: IngestSpec) -> tuple[dict[str, list[str]], Callable[[int], int]]:
-    """Raw fields of each needed column, auction_id first, and the record
-    number of a data row as a function of its index.
+class _Table:
+    """The data rows read so far: stripped auction ids, one float array per
+    block for each numeric column, and per column the raw field of each row
+    whose value is not a finite number."""
 
-    Raises a wrong field count with its record, then header and layout errors.
+    def __init__(self, names: list[str]) -> None:
+        self.ids: list[str] = []
+        self.blocks: dict[str, list[np.ndarray]] = {name: [] for name in names}
+        self.raw: dict[str, dict[int, str]] = {name: {} for name in names}
+
+    def add(self, ids: list[str], *columns: list[str]) -> None:
+        """Append a block of rows given as raw fields, auction ids first."""
+        start = len(self.ids)
+        self.ids.extend(map(str.strip, ids))
+        for (name, blocks), col in zip(self.blocks.items(), columns):
+            try:
+                v = np.fromiter(map(float, col), float, len(col))
+            except ValueError:
+                # nan stands in for each field float() refuses
+                v = np.fromiter(map(_number, col), float, len(col))
+            for i in np.flatnonzero(~np.isfinite(v)).tolist():
+                self.raw[name][start + i] = col[i]
+            blocks.append(v)
+
+
+def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
+    """The data rows, converted block by block, and the record number of a
+    data row as a function of its index.
+
+    Blocks of text are split at commas while _split accepts them; from the
+    first block it refuses, csv reads the rest of the file and its rows are
+    converted in blocks of _BLOCK_CHARS // 8 fields.  Raises a wrong field
+    count with its record, then header and layout errors.
     """
     path = Path(spec.path)
     with path.open(newline="") as fh:
-        rows = csv.reader(fh)
-        # leading '#' lines are metadata from our own emitter
-        for header_record, raw in enumerate(rows, 1):
-            if raw and not raw[0].lstrip().startswith("#"):
-                header = [h.strip().lower() for h in raw]
-                break
-        else:
-            raise IngestError(f"no header row found in {path}")
+        header_record, raw, rows = _find_header(fh, path)
+        header = [h.strip().lower() for h in raw]
+        width = len(header)
         try:
             needed = _layout(header, spec.fmt)
         except IngestError as exc:
             # a wrong field count comes first, so every row is still read whole
-            layout_error, needed, pick = exc, header, tuple
+            layout_error, needed, columns, pick = exc, header, range(width), tuple
         else:
             layout_error = None
             # a repeated header name means its last column, as in a dict of the row
             index = {name: i for i, name in enumerate(header)}
-            pick = operator.itemgetter(*(index[name] for name in needed))
-        width, k = len(header), len(needed)
-        fields: list[str] = []
-        extend = fields.extend
+            columns = [index[name] for name in needed]
+            pick = operator.itemgetter(*columns)
+        table = _Table(needed[1:])
+        n = 0  # data rows read
+        if rows is None:
+            for block in iter(functools.partial(_read_block, fh), ""):
+                split = _split(block, width)
+                if split is None:
+                    rows = csv.reader(itertools.chain(io.StringIO(block, newline=""), fh))
+                    break
+                parts, lines = split
+                table.add(*(parts[j:lines * width:width] for j in columns))
+                n += lines
         skipped: list[int] = []  # per comment or blank record, the data rows before it
-        for raw in rows:
-            # only a row whose first field holds '#' can be a comment
-            if len(raw) != width or "#" in raw[0]:
-                if not raw or raw[0].lstrip().startswith("#"):
-                    skipped.append(len(fields) // k)
-                    continue
-                if len(raw) != width:
-                    raise IngestError(f"expected {width} fields, got {len(raw)}",
-                                      header_record + 1 + len(fields) // k + len(skipped))
-            extend(pick(raw))
+        if rows is not None:
+            k = len(columns)
+            fields: list[str] = []
+            for raw in rows:
+                # only a row whose first field holds '#' can be a comment
+                if len(raw) != width or "#" in raw[0]:
+                    if not raw or raw[0].lstrip().startswith("#"):
+                        skipped.append(n)
+                        continue
+                    if len(raw) != width:
+                        raise IngestError(f"expected {width} fields, got {len(raw)}",
+                                          header_record + 1 + n + len(skipped))
+                n += 1
+                fields += pick(raw)
+                if len(fields) >= _BLOCK_CHARS // 8:
+                    table.add(*(fields[j::k] for j in range(k)))
+                    fields = []
+            table.add(*(fields[j::k] for j in range(k)))
     if layout_error is not None:
         raise layout_error
-    return ({name: fields[i::k] for i, name in enumerate(needed)},
-            lambda row: header_record + 1 + row + bisect.bisect_right(skipped, row))
+    return table, lambda row: header_record + 1 + row + bisect.bisect_right(skipped, row)
 
 
-def _first_bad_row(spec: IngestSpec, ids: list[str], columns: dict[str, list[str]],
+def _find_header(fh: IO[str], path: Path) -> tuple[int, list[str], Iterator[list[str]] | None]:
+    """(record number of the header, its raw fields, and csv's reader of the
+    records after it, or None when no line up to the header needed csv).
+
+    Lines are split at commas until one holds a '"' or '\\r'; from that line
+    on csv reads.  Leading '#' lines are metadata from our own emitter.
+    """
+    record = 0
+    for line in iter(fh.readline, ""):
+        if '"' in line or "\r" in line:
+            rows = csv.reader(itertools.chain([line], fh))
+            for record, raw in enumerate(rows, record + 1):
+                if raw and not raw[0].lstrip().startswith("#"):
+                    return record, raw, rows
+            break
+        record += 1
+        raw = line.removesuffix("\n").split(",") if line != "\n" else []
+        if raw and not raw[0].lstrip().startswith("#"):
+            return record, raw, None
+    raise IngestError(f"no header row found in {path}")
+
+
+def _read_block(fh: IO[str]) -> str:
+    """Whole lines of fh, about _BLOCK_CHARS characters of them; '' at the end.
+
+    A read of at most 2048 characters makes the text layer decode one chunk
+    of its default 8192 bytes (a character takes at most 4), as a line read
+    does, so an undecodable byte raises the UnicodeDecodeError csv would.
+    """
+    pieces: list[str] = []
+    size = 0
+    while size < _BLOCK_CHARS and (text := fh.read(min(2048, _BLOCK_CHARS - size))):
+        pieces.append(text)
+        size += len(text)
+    pieces.append(fh.readline())
+    return "".join(pieces)
+
+
+def _split(block: str, width: int) -> tuple[list[str], int] | None:
+    """(fields, line count) of a block of lines split at commas, when that
+    gives the records csv would read, each of width fields; else None.
+
+    It does when the block holds no '"', '\\r', '#' or blank line, every
+    line has width - 1 commas, and no line is longer than csv's field size
+    limit (csv refuses a longer field).  The field list may end with one
+    extra empty field.
+    """
+    if '"' in block or "\r" in block or "#" in block or "\n\n" in block or block[0] == "\n":
+        return None
+    data = np.frombuffer(block.encode(), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if block[-1] != "\n":
+        ends = np.append(ends, data.size)
+    commas_before = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
+    if (not np.array_equal(commas_before, np.arange(1, ends.size + 1) * (width - 1))
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
+        return None
+    return block.replace("\n", ",").split(","), ends.size
+
+
+def _first_bad_row(spec: IngestSpec, ids: list[str], raw: dict[str, dict[int, str]],
                    values: list[np.ndarray], times: np.ndarray,
                    record_of: Callable[[int], int]) -> IngestError:
     """The error of the first row in file order that fails a check.
@@ -201,11 +309,12 @@ def _first_bad_row(spec: IngestSpec, ids: list[str], columns: dict[str, list[str
     (nan in values) or non-finite value in each numeric column, then for a
     changed auction start, then, under reject, for a time outside
     [0, horizon).  Each check marks its bad rows in one mask; the message is
-    that of the row's first failed check.
+    that of the row's first failed check, worded from raw, which maps each
+    numeric column to the raw fields of its rows that hold no finite number.
     """
     checks: list[tuple[np.ndarray, Callable[[int], str]]] = [
         (np.fromiter(map(operator.not_, ids), bool, len(ids)), lambda i: "empty auction_id")]
-    for (name, col), v in zip(columns.items(), values):
+    for (name, col), v in zip(raw.items(), values):
         checks.append((~np.isfinite(v), functools.partial(_field_problem, name, col)))
     if len(values) == 2:
         starts = values[1]
@@ -232,8 +341,9 @@ def _number(raw: str) -> float:
         return math.nan
 
 
-def _field_problem(name: str, col: list[str], row: int) -> str:
-    """Why col[row], a field of numeric column name, is not a finite number."""
+def _field_problem(name: str, col: Mapping[int, str], row: int) -> str:
+    """Why col[row], the raw field of numeric column name in a data row, is
+    not a finite number."""
     raw = col[row]
     if not raw.strip():
         return f"missing value in column {name!r}"

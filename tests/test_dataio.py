@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from barista import (
+    BidSample,
     IngestError,
     IngestSpec,
     ingest,
@@ -10,6 +13,7 @@ from barista import (
     sample_fixed_n,
     write_sample,
 )
+from barista import dataio
 from barista.dataio import MINUTES_PER_UNIT
 
 
@@ -224,3 +228,128 @@ class TestRoundTrip:
         write_sample(s, dest, metadata={})
         back = ingest(IngestSpec(path=dest, horizon=1.0))
         assert back.sources == ("u", "v")
+
+
+def _refuse_csv(monkeypatch):
+    """Make dataio's csv.reader raise, so only the split path can read."""
+    def reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(dataio.csv, "reader", reader)
+
+
+def _stamped(tmp_path, rows, name="stamped.csv"):
+    """A timestamped file with one row per (auction, offset), starts in days
+    since the epoch, each float written with repr as bench/datagen.py does."""
+    starts = {a: 19_000.0 + 0.37 * k for k, a in enumerate(sorted({a for a, _ in rows}))}
+    text = "auction_id,bid_timestamp,auction_start\n" + "".join(
+        f"{a},{starts[a] + t!r},{starts[a]!r}\n" for a, t in rows)
+    return write(tmp_path, text, name)
+
+
+class TestBlocks:
+    """Clean blocks are split at commas; any other file goes to csv."""
+
+    @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS])
+    def test_clean_files_take_the_split_path(self, tmp_path, monkeypatch, p_star, block):
+        s = sample_fixed_n(p_star, 300, seed=5)
+        tagged = BidSample(times=s.times, T=s.T,
+                           sources=tuple(f"a{i % 7:05d}" for i in range(s.n)))
+        dest = tmp_path / "out.csv"
+        write_sample(tagged, dest, metadata={"seed": 5, "n": s.n})
+        stamped = _stamped(tmp_path,
+                           [(f"a{i % 4:05d}", t) for i, t in enumerate(s.times.tolist())])
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", block)
+        _refuse_csv(monkeypatch)
+        back = ingest(IngestSpec(path=dest, horizon=7.0))
+        np.testing.assert_array_equal(back.times, s.times)
+        assert back.sources == tagged.sources
+        summ = ingest_summary(IngestSpec(path=stamped, horizon=7.0))
+        assert (summ["n_bids"], summ["n_auctions"], summ["n_clamped"]) == (300, 4, 0)
+
+    @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS])
+    @pytest.mark.parametrize("last", ['"b"', "b" * 140_000])
+    def test_a_quote_or_long_field_in_the_last_row_reaches_csv(self, tmp_path, monkeypatch,
+                                                                block, last):
+        text = "auction_id,bid_time\n" + "a,1.5\n" * 30 + f"{last},2.5\n"
+        path = write(tmp_path, text)
+        if last.startswith('"'):
+            assert ingest(IngestSpec(path=path, horizon=7.0)).sources == ("a",) * 30 + ("b",)
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", block)
+        _refuse_csv(monkeypatch)
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            ingest(IngestSpec(path=path, horizon=7.0))
+
+    def test_clean_and_handed_off_files_opened_once(self, tmp_path, monkeypatch):
+        clean = write(tmp_path, RELATIVE + "a3,2.5\n" * 20, "clean.csv")
+        quoted = write(tmp_path, RELATIVE + "a3,2.5\n" * 20 + '"a4",3.5\n', "quoted.csv")
+        opened = []
+        real_open = type(clean).open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(clean), "open", counting_open)
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 16)
+        for fn in (ingest, ingest_summary):
+            for path in (clean, quoted):
+                fn(IngestSpec(path=path, horizon=7.0))
+        assert opened == [clean, quoted] * 2
+
+    def test_undecodable_byte_fails_as_under_csv(self, tmp_path):
+        # two bytes a character in the ids, so bytes and characters differ
+        text = ("auction_id,bid_time\n" + "\u00e9\u00e8,1.5\n" * 5000).encode()
+        path = tmp_path / "bids.csv"
+        path.write_bytes(text[:20_000] + b"\xff" + text[20_000:])
+        with pytest.raises(UnicodeDecodeError) as want, path.open(newline="") as fh:
+            list(csv.reader(fh))
+        with pytest.raises(UnicodeDecodeError) as got:
+            ingest(IngestSpec(path=path, horizon=7.0))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("text, error", [
+        # csv ends a line at a lone CR, so a field count is off by a line
+        ("auction_id,bid_time\na,1\rb\n", "line 3: expected 2 fields, got 1"),
+        ("auction_id,bid_time\ra,1\rb,9\n", "line 3: bid time 9.0 outside [0, 7.0)"),
+        # a row whose first field starts with '#' is a comment
+        ("auction_id,bid_time\na,1\n#b,9\n", None),
+    ])
+    def test_lines_split_as_csv_splits_them(self, tmp_path, text, error):
+        path = tmp_path / "bids.csv"
+        path.write_text(text, newline="")
+        if error is None:
+            assert ingest(IngestSpec(path=path, horizon=7.0)).sources == ("a",)
+        else:
+            with pytest.raises(IngestError) as err:
+                ingest(IngestSpec(path=path, horizon=7.0))
+            assert str(err.value) == error
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("a,oops", "cannot parse 'oops' in column 'bid_time' as a number"),
+        ("a,nan", "non-finite value 'nan' in column 'bid_time'"),
+        (" ,1.5", "empty auction_id"),
+    ])
+    def test_relative_error_past_the_first_block(self, tmp_path, monkeypatch, bad_row, message):
+        lines = ["# seed=1", "auction_id,bid_time"] + ["a,1.5"] * 40 + [bad_row] + ["a,9"]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 24)
+        _refuse_csv(monkeypatch)
+        with pytest.raises(IngestError) as err:
+            ingest(IngestSpec(path=path, horizon=7.0))
+        assert (str(err.value), err.value.line) == (f"line 43: {message}", 43)
+
+    def test_changed_start_past_the_first_block(self, tmp_path, monkeypatch):
+        rows = [(f"a{i % 3}", 0.25 * (i % 20)) for i in range(40)]
+        path = _stamped(tmp_path, rows)
+        text = path.read_text().splitlines(keepends=True)
+        # data row 36, on line 38, belongs to a0, which opened at 19000.0
+        assert text[37].startswith("a0,")
+        text[37] = "a0,19001.0,19000.5\n"
+        path.write_text("".join(text))
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 32)
+        _refuse_csv(monkeypatch)
+        with pytest.raises(IngestError) as err:
+            ingest_summary(IngestSpec(path=path, horizon=7.0))
+        assert str(err.value) == "line 38: auction 'a0' start changed from 19000.0 to 19000.5"
+        assert err.value.line == 38

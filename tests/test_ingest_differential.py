@@ -3,7 +3,10 @@
 The reference below is the row-wise parser barista shipped before ingest
 read columns: one dict and one float() call per field.  Generated files,
 valid or carrying injected faults, must give the same sample and summary,
-or the same error with the same text and line.
+or the same error with the same text and line.  ingest reads its input in
+blocks of text; most examples shrink the blocks to a few dozen characters,
+so that a file spans many of them and a quote, CRLF, comment or blank line,
+wrong field count or bad number can land after several clean blocks.
 """
 import csv
 import io
@@ -11,10 +14,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barista import IngestError, IngestSpec, ingest, ingest_summary
+from barista import IngestError, IngestSpec, dataio, ingest, ingest_summary
 from barista.sample import BidSample
 
 _RELATIVE_COLS = ("auction_id", "bid_time")
@@ -137,6 +141,9 @@ ODD_TIMES = ("1_0", "-0.0", "0", " 1.5 ", "+2", ".25", "3.", "1e0", "0.0")
 ODD_STARTS = ("1_00", "100", " 100.0 ", "1e2", "-0.0", "0.0", "0", "5", "-1.7e308")
 EXTRA_VALUES = ("", "z", "#note", " #note", "n#", "1.5")
 COMMENTS = ("# meta=1", "  # indented", "#", "")
+# ids and extra values that csv writes unquoted and that start no comment
+PLAIN_IDS = tuple(a for a in IDS if not set(a) & set('",#\n'))
+PLAIN_EXTRAS = tuple(v for v in EXTRA_VALUES if "#" not in v)
 FAULTS = ("count", "empty_id", "missing", "garbage", "nonfinite", "start", "range",
           "header")
 
@@ -159,9 +166,16 @@ def bid_files(draw):
 
     auctions = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True))
     starts = {a: draw(st.sampled_from(ODD_STARTS)) for a in auctions}
+    n_rows = draw(st.integers(0, 25))
+    # the first plain_rows rows are plain text: plain ids and extras, written
+    # with LF and minimal quoting, with no comment line among them; so a
+    # quote, CRLF, comment or blank line can start after several clean blocks
+    plain_rows = n_rows - draw(st.integers(0, n_rows))
+    plain_auctions = [a for a in auctions if a in PLAIN_IDS] or auctions
     rows = []
-    for _ in range(draw(st.integers(0, 25))):
-        auction = draw(st.sampled_from(auctions))
+    for i in range(n_rows):
+        plain = i < plain_rows
+        auction = draw(st.sampled_from(plain_auctions if plain else auctions))
         if draw(st.booleans()):
             t = draw(st.floats(0.0, horizon, exclude_max=True))
             spelled = repr(t)
@@ -174,7 +188,8 @@ def bid_files(draw):
         if layout == "timestamped":
             fields["auction_start"] = starts[auction]
             fields["bid_timestamp"] = repr(float(starts[auction]) + t)
-        rows.append([fields[c] if c in fields else draw(st.sampled_from(EXTRA_VALUES))
+        extra_values = PLAIN_EXTRAS if plain else EXTRA_VALUES
+        rows.append([fields[c] if c in fields else draw(st.sampled_from(extra_values))
                      for c in columns])
 
     faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2))
@@ -210,16 +225,20 @@ def bid_files(draw):
             row[time_col] = repr(base + offset) if offset != 1.7e308 else "1.7e308"
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(("\n", "\r\n"))),
+    endings = ("\n", "\r\n", "\r")
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(endings)),
                         quoting=draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL))))
-    lines = [draw(st.sampled_from(COMMENTS)) + "\n" for _ in range(draw(st.integers(0, 2)))]
-    lines.append(",".join(header) + "\n")
-    for row in rows:
-        if draw(st.integers(0, 5)) == 0:
+    plain_writer = csv.writer(buf, lineterminator="\n")
+    # the lines up to the header end alike, mostly with LF
+    eol = draw(st.sampled_from(("\n", "\n", "\n", "\r\n", "\r")))
+    lines = [draw(st.sampled_from(COMMENTS)) + eol for _ in range(draw(st.integers(0, 2)))]
+    lines.append(",".join(header) + eol)
+    for i, row in enumerate(rows):
+        if i >= plain_rows and draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(COMMENTS)) + "\n")
         buf.seek(0)
         buf.truncate()
-        writer.writerow(row)
+        (plain_writer if i < plain_rows else writer).writerow(row)
         lines.append(buf.getvalue())
     text = "".join(lines)
     if draw(st.booleans()):
@@ -242,14 +261,19 @@ def _run(fn, spec):
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=bid_files())
-def test_matches_row_reference(case, tmp_path_factory):
+# blocks of 1 to 64 characters, or one in five at the default size
+@given(case=bid_files(),
+       block=st.integers(1, 80).map(lambda n: n if n <= 64 else dataio._BLOCK_CHARS))
+def test_matches_row_reference(case, block, tmp_path_factory):
     text, kwargs = case
     path = tmp_path_factory.mktemp("diff") / "bids.csv"
     path.write_text(text, newline="")
     spec = IngestSpec(path=path, **kwargs)
 
-    got, err = _run(ingest, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_CHARS", block)
+        got, err = _run(ingest, spec)
+        got_summary, summary_err = _run(ingest_summary, spec)
     ref, ref_err = _run(reference_ingest, spec)
     assert err == ref_err
     if ref is not None:
@@ -257,7 +281,7 @@ def test_matches_row_reference(case, tmp_path_factory):
         assert got.times.tobytes() == ref.times.tobytes()
         assert got.sources == ref.sources
 
-    got, err = _run(ingest_summary, spec)
+    got, err = got_summary, summary_err
     ref, ref_err = _run(reference_summary, spec)
     assert err == ref_err
     if ref is not None:
