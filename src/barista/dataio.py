@@ -12,17 +12,15 @@ are handled by policy: "reject" raises with the offending line number,
 horizon.  Malformed rows always raise; silently dropping data is worse than
 stopping.
 
-The file is opened and read once, in blocks of whole lines of about
-_BLOCK_CHARS characters.  A block after the header takes the split
-path when it holds no '"', '\\r', '#' or blank line and every line in it has
-exactly one comma fewer than the header has fields: splitting it at commas
-then yields the fields csv would.  From the first block that fails these
-tests, csv reads the rest of the file; the lines up to the header go to csv
-as soon as one of them holds a '"' or '\\r'.  Either way each numeric column
-is converted block by block, and only auction ids and the raw fields of
-non-finite values are kept as strings.  The results, errors and record
-numbers are those of csv alone.  Only when a check of the whole columns
-fails are per-check masks built, to name the first bad row.
+The file is opened and read once, in blocks of whole lines.  A block after
+the header that holds no '"', '\\r', '#' or blank line, and whose every line
+has one comma fewer than the header has fields, is split at commas, which
+then yields the fields csv would; from the first block that fails these
+tests, csv reads the rest of the file.  Either way each numeric column is
+converted block by block, and only auction ids and the raw fields of
+non-finite values are kept as strings.  Results, errors and record numbers
+are those of csv alone.  Only when a check of the whole columns fails are
+per-check masks built, to name the first bad row.
 """
 from __future__ import annotations
 
