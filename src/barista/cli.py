@@ -11,8 +11,10 @@ Subcommands:
 Reports are JSON objects carrying "schema": "barista/1", written to --output
 or stdout.  --no-timestamp drops the generated_at field so identical runs are
 byte-identical.  A --config file is a flat JSON object supplying any of the
-subcommand's settings, each of the JSON type its flag takes; explicit flags
-win over the file.  Failures print a JSON error object to stdout and exit 1.
+subcommand's settings (its flags' names, and simulate's model parameters),
+each of the JSON type its flag takes.  Each subparser holds its defaults and
+a config file replaces them, so the precedence is flag defaults < config <
+explicit flags.  Failures print a JSON error object to stdout and exit 1.
 """
 from __future__ import annotations
 
@@ -58,18 +60,13 @@ _METHODS = ("ga", "grid", "quick-crude", "closed-form")
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _echo(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _report(payload: dict, command: str, merged: dict) -> None:
-    obj = {"schema": SCHEMA, "command": command, **payload}
-    if not merged.get("no_timestamp"):
+def _envelope(args: argparse.Namespace, payload: dict) -> dict:
+    """schema and command, then the payload, then generated_at unless
+    --no-timestamp: every report, and the metadata of simulate's CSV."""
+    obj = {"schema": SCHEMA, "command": args.command, **payload}
+    if not args.no_timestamp:
         obj["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    _echo(json.dumps(obj, indent=2, sort_keys=True) + "\n", merged.get("output"))
+    return obj
 
 
 # JSON types a --config value may take: those of the flag that sets it (a
@@ -87,55 +84,48 @@ _SETTING_TYPES = {
 }
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
                list: "a list", bool: "true or false"}
+# names a subparser's namespace holds that are not settings
+_NOT_SETTINGS = {"func", "parser", "config"}
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = set(cfg) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
-        for key, val in cfg.items():
-            if val is None:
-                continue
-            kinds = _SETTING_TYPES[key]
-            if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
-                names = " or ".join(_JSON_NAMES[k] for k in kinds)
-                raise ValueError(f"config key {key!r} must be {names}, "
-                                 f"got {json.dumps(val)}")
-            merged[key] = val
-    for key, val in vars(args).items():
-        if key in defaults and val is not None:
-            merged[key] = val
-    return merged
+def _config(path: str, sub: argparse.ArgumentParser) -> dict:
+    """The non-null settings of a --config file, each of its flag's JSON type."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = set(cfg) - (set(vars(sub.parse_args([]))) - _NOT_SETTINGS)
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    for key, val in cfg.items():
+        kinds = _SETTING_TYPES[key]
+        if val is not None and (not isinstance(val, kinds)
+                                or isinstance(val, bool) and bool not in kinds):
+            names = " or ".join(_JSON_NAMES[k] for k in kinds)
+            raise ValueError(f"config key {key!r} must be {names}, got {json.dumps(val)}")
+    return {key: val for key, val in cfg.items() if val is not None}
 
 
-def _require(merged: dict, *keys: str) -> None:
-    missing = [k for k in keys if merged.get(k) is None]
+def _require(args: argparse.Namespace, *keys: str) -> None:
+    missing = [k for k in keys if getattr(args, k) is None]
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
 
 
-# settings of every subcommand that reads a CSV of bids
-_INGEST_DEFAULTS = {
-    "input": None, "horizon": None, "unit": "days", "clamp_policy": "reject",
-    "output": None, "no_timestamp": None,
-}
-
-
-def _ingest_spec(merged: dict) -> IngestSpec:
-    _require(merged, "input", "horizon")
+def _ingest_spec(args: argparse.Namespace) -> IngestSpec:
+    _require(args, "input", "horizon")
     return IngestSpec(
-        path=merged["input"],
-        horizon=float(merged["horizon"]),
-        unit=merged["unit"],
-        clamp_policy=merged["clamp_policy"],
+        path=args.input,
+        horizon=float(args.horizon),
+        unit=args.unit,
+        clamp_policy=args.clamp_policy,
     )
+
+
+def _ingested(args: argparse.Namespace) -> tuple[BidSample, dict]:
+    """The sample the ingest settings name, and the report fields describing it."""
+    sample = ingest(_ingest_spec(args))
+    return sample, {"n": sample.n, "horizon": sample.T, "unit": args.unit}
 
 
 def _json_flag(value, what: str):
@@ -165,58 +155,37 @@ def _params_block(fit: FitResult, unit: str) -> dict:
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIM_DEFAULTS = {
-    "family": "three-stage", "horizon": None, "unit": "days", "seed": 0,
-    "n": None, "c": 1.0, "alpha": None, "alpha1": None, "alpha2": None,
-    "alpha3": None, "d1": None, "d2": None, "output": None, "no_timestamp": None,
-}
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    merged = _merge(args, _SIM_DEFAULTS)
-    _require(merged, "horizon")
-    T, c = float(merged["horizon"]), float(merged["c"])
-    spec = get_family(merged["family"])
-    _require(merged, *spec.free_names)
-    family = spec.build([float(merged[name]) for name in spec.free_names], c, T)
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    _require(args, "horizon")
+    T, c = float(args.horizon), float(args.c)
+    spec = get_family(args.family)
+    _require(args, *spec.free_names)
+    family = spec.build([float(getattr(args, name)) for name in spec.free_names], c, T)
     p = family.as_barista()
-    if merged["n"] is None:
-        sample = sample_poisson_count(p, seed=int(merged["seed"]))
+    if args.n is None:
+        sample = sample_poisson_count(p, seed=args.seed)
     else:
-        sample = sample_fixed_n(p, int(merged["n"]), seed=int(merged["seed"]))
-    meta = {
-        "schema": SCHEMA,
-        "command": "simulate",
+        sample = sample_fixed_n(p, args.n, seed=args.seed)
+    meta = _envelope(args, {
         "family": family.tag,
         "horizon": p.T,
-        "unit": merged["unit"],
-        "seed": int(merged["seed"]),
+        "unit": args.unit,
+        "seed": args.seed,
         "n": sample.n,
         "expected_count": mean_count(p, p.T),
-    }
-    meta.update(family.free_values())
-    meta["c"] = p.c
-    if not merged.get("no_timestamp"):
-        meta["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if merged["output"]:
-        with open(merged["output"], "w", newline="") as fh:
+        **family.free_values(),
+        "c": p.c,
+    })
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
             write_sample(sample, fh, meta)
     else:
         write_sample(sample, sys.stdout, meta)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
-
-# settings of the one fit that fit and diagnose run
-_METHOD_DEFAULTS = {
-    **_INGEST_DEFAULTS, "method": "ga", "family": None, "seed": 0,
-    "windows": None, "grid": None, "bounds": None, "generations": None,
-}
-_FIT_DEFAULTS = {**_METHOD_DEFAULTS, "bootstrap": 0}
-
 
 def _numbers(value) -> bool:
     """value is a non-empty JSON list of numbers."""
@@ -227,8 +196,8 @@ def _numbers(value) -> bool:
 _WINDOW_SIZES = {"stage1": 2, "stage2": 2, "stage3": 2, "safe": 4}
 
 
-def _qc_config_from(merged: dict, T: float) -> QcConfig:
-    windows = _json_flag(merged.get("windows"), "windows")
+def _qc_config_from(args: argparse.Namespace, T: float) -> QcConfig:
+    windows = _json_flag(args.windows, "windows")
     if windows is None:
         return default_qc_config(T)
     if not isinstance(windows, dict):
@@ -247,20 +216,20 @@ def _qc_config_from(merged: dict, T: float) -> QcConfig:
     )
 
 
-def _ga_config_from(merged: dict, family: str, T: float) -> GaConfig:
-    bounds = _json_flag(merged.get("bounds"), "bounds")
+def _ga_config_from(args: argparse.Namespace, family: str, T: float) -> GaConfig:
+    bounds = _json_flag(args.bounds, "bounds")
     if bounds is None:
         bounds = default_bounds(family, T)
     elif not (isinstance(bounds, list) and all(_numbers(b) and len(b) == 2 for b in bounds)):
         raise ValueError(f"--bounds must be a JSON list of [lo, hi] number pairs, got {bounds!r}")
-    kwargs = {"bounds": tuple(tuple(b) for b in bounds), "seed": int(merged["seed"])}
-    if merged.get("generations") is not None:
-        kwargs["generations"] = int(merged["generations"])
+    kwargs = {"bounds": tuple(tuple(b) for b in bounds), "seed": args.seed}
+    if args.generations is not None:
+        kwargs["generations"] = args.generations
     return GaConfig(**kwargs)
 
 
-def _grid_from(merged: dict, family: str) -> dict[str, list]:
-    grid = _json_flag(merged.get("grid"), "grid")
+def _grid_from(args: argparse.Namespace, family: str) -> dict[str, list]:
+    grid = _json_flag(args.grid, "grid")
     if not grid:
         raise ValueError("grid method needs a grid: {param: [values, ...]}")
     names = get_family(family).free_names
@@ -279,12 +248,12 @@ def _grid_from(merged: dict, family: str) -> dict[str, list]:
 _ONLY_FAMILY = {"closed-form": "one-stage", "quick-crude": "three-stage"}
 
 
-def _fit_once(sample: BidSample, merged: dict) -> FitResult:
-    method = merged["method"]
+def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
+    method = args.method
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     only = _ONLY_FAMILY.get(method)
-    family = merged["family"]
+    family = args.family
     if family is None:
         family = only or "three-stage"
     elif only and family != only:
@@ -292,55 +261,40 @@ def _fit_once(sample: BidSample, merged: dict) -> FitResult:
     if method == "closed-form":
         return _one_stage_fit(sample)
     if method == "quick-crude":
-        return qc_fit(sample, _qc_config_from(merged, sample.T))
+        return qc_fit(sample, _qc_config_from(args, sample.T))
     if method == "grid":
-        return grid_search(sample, family, _grid_from(merged, family))
-    return ga_fit(sample, family, _ga_config_from(merged, family, sample.T))
+        return grid_search(sample, family, _grid_from(args, family))
+    return ga_fit(sample, family, _ga_config_from(args, family, sample.T))
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    merged = _merge(args, _FIT_DEFAULTS)
-    sample = ingest(_ingest_spec(merged))
-    fit = _fit_once(sample, merged)
-    payload = _params_block(fit, merged["unit"])
-    payload.update({
-        "method": fit.method,
-        "n": sample.n,
-        "horizon": float(merged["horizon"]),
-        "unit": merged["unit"],
-    })
-    n_boot = int(merged["bootstrap"] or 0)
-    if n_boot:
+def _cmd_fit(args: argparse.Namespace) -> dict:
+    sample, described = _ingested(args)
+    fit = _fit_once(sample, args)
+    payload = {**_params_block(fit, args.unit), "method": fit.method, **described}
+    if args.bootstrap:
         payload["stderrs"] = bootstrap_se(
-            sample, lambda s: _fit_once(s, merged), n_boot, seed=int(merged["seed"]))
-        payload["bootstrap_replicates"] = n_boot
-    _report(payload, "fit", merged)
-    return 0
+            sample, lambda s: _fit_once(s, args), args.bootstrap, seed=args.seed)
+        payload["bootstrap_replicates"] = args.bootstrap
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # select
 # ---------------------------------------------------------------------------
 
-_SELECT_DEFAULTS = {
-    **_INGEST_DEFAULTS, "seed": 0, "alpha_level": 0.05, "generations": None,
-}
-
-
-def _cmd_select(args: argparse.Namespace) -> int:
-    merged = _merge(args, _SELECT_DEFAULTS)
-    sample = ingest(_ingest_spec(merged))
+def _cmd_select(args: argparse.Namespace) -> dict:
+    sample, described = _ingested(args)
     configs = None
-    if merged.get("generations") is not None:
+    if args.generations is not None:
         configs = {
-            tag: replace(cfg, generations=int(merged["generations"]))
-            for tag, cfg in _default_configs(sample, int(merged["seed"])).items()
+            tag: replace(cfg, generations=args.generations)
+            for tag, cfg in _default_configs(sample, args.seed).items()
         }
     result = select_model(
         sample,
         configs=configs,
-        alpha_level=float(merged["alpha_level"]),
-        seed=int(merged["seed"]),
+        alpha_level=float(args.alpha_level),
+        seed=args.seed,
     )
 
     def test_block(test):
@@ -353,90 +307,67 @@ def _cmd_select(args: argparse.Namespace) -> int:
             "negative_flag": test.negative_flag,
         }
 
-    payload = {
+    return {
         "chosen": result.chosen.tag,
         "alpha_level": result.alpha_level,
-        "n": sample.n,
-        "horizon": float(merged["horizon"]),
-        "unit": merged["unit"],
-        "fits": {tag: _params_block(fit, merged["unit"])
-                 for tag, fit in result.fits.items()},
+        **described,
+        "fits": {tag: _params_block(fit, args.unit) for tag, fit in result.fits.items()},
         "tests": {
             "one_vs_two": test_block(result.lr_one_two),
             "two_vs_three": test_block(result.lr_two_three),
         },
     }
-    _report(payload, "select", merged)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # diagnose
 # ---------------------------------------------------------------------------
 
-_DIAGNOSE_DEFAULTS = {**_METHOD_DEFAULTS, "qq_out": None}
-
-
-def _cmd_diagnose(args: argparse.Namespace) -> int:
-    merged = _merge(args, _DIAGNOSE_DEFAULTS)
-    sample = ingest(_ingest_spec(merged))
-    fit = _fit_once(sample, merged)
+def _cmd_diagnose(args: argparse.Namespace) -> dict:
+    sample, described = _ingested(args)
+    fit = _fit_once(sample, args)
     fitted = fit.family.as_barista()
     ks = ks_one_sample(sample, fitted)
     qq = qq_points(sample, fitted)
-    if merged.get("qq_out"):
-        write_qq(qq, merged["qq_out"])
-    payload = _params_block(fit, merged["unit"])
-    payload.update({
+    if args.qq_out:
+        write_qq(qq, args.qq_out)
+    return {
+        **_params_block(fit, args.unit),
         "method": fit.method,
-        "n": sample.n,
-        "horizon": float(merged["horizon"]),
-        "unit": merged["unit"],
+        **described,
         "ks": {
             "d_statistic": float(ks.d_statistic),
             "p_value": float(ks.p_value),
             "n_effective": float(ks.n_effective),
         },
         "qq_max_abs_deviation": qq.max_abs_deviation(),
-    })
-    _report(payload, "diagnose", merged)
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
 # ingest-check
 # ---------------------------------------------------------------------------
 
-def _cmd_ingest_check(args: argparse.Namespace) -> int:
-    merged = _merge(args, _INGEST_DEFAULTS)
-    _report(ingest_summary(_ingest_spec(merged)), "ingest-check", merged)
-    return 0
+def _cmd_ingest_check(args: argparse.Namespace) -> dict:
+    return ingest_summary(_ingest_spec(args))
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat JSON object of settings; flags override")
-    sub.add_argument("--output", help="write the report here instead of stdout")
-    sub.add_argument("--seed", type=int, help="random seed (default 0)")
-    sub.add_argument("--no-timestamp", dest="no_timestamp", action="store_true",
-                     default=None, help="omit generated_at for reproducible bytes")
-
-
 def _add_ingest(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="CSV of bids")
     sub.add_argument("--horizon", type=float, help="auction length in --unit")
-    sub.add_argument("--unit", choices=sorted(MINUTES_PER_UNIT),
+    sub.add_argument("--unit", choices=sorted(MINUTES_PER_UNIT), default="days",
                      help="time unit of the data (default days)")
     sub.add_argument("--clamp-policy", dest="clamp_policy",
-                     choices=("reject", "clamp-epsilon"),
+                     choices=("reject", "clamp-epsilon"), default="reject",
                      help="out-of-range times: reject (default) or clamp just inside")
 
 
 def _add_method(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--method", choices=_METHODS)
+    sub.add_argument("--method", choices=_METHODS, default="ga")
     sub.add_argument("--family", choices=list(FAMILIES))
     sub.add_argument("--windows", help="JSON {stage1,stage2,stage3,safe} for quick-crude")
     sub.add_argument("--grid", help="JSON {param: [values]} for the grid method")
@@ -452,50 +383,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sim = commands.add_parser("simulate", help="draw a synthetic sample to CSV")
-    _add_common(sim)
-    sim.add_argument("--horizon", type=float, help="auction length")
-    sim.add_argument("--unit", choices=sorted(MINUTES_PER_UNIT))
-    sim.add_argument("--family", choices=list(FAMILIES))
-    sim.add_argument("--n", type=int, help="fixed event count (default: Poisson draw)")
-    sim.set_defaults(func=_cmd_simulate)
+    def command(name: str, func, summary: str, seed=0) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=summary)
+        sub.set_defaults(func=func, parser=sub)
+        sub.add_argument("--config", help="flat JSON object of settings; flags override")
+        sub.add_argument("--output", help="write the report here instead of stdout")
+        sub.add_argument("--seed", type=int, default=seed, help="random seed (default 0)")
+        sub.add_argument("--no-timestamp", dest="no_timestamp", action="store_true",
+                         help="omit generated_at for reproducible bytes")
+        return sub
 
-    fit = commands.add_parser("fit", help="estimate parameters from bids")
-    _add_common(fit)
+    sim = command("simulate", _cmd_simulate, "draw a synthetic sample to CSV")
+    sim.add_argument("--horizon", type=float, help="auction length")
+    sim.add_argument("--unit", choices=sorted(MINUTES_PER_UNIT), default="days")
+    sim.add_argument("--family", choices=list(FAMILIES), default="three-stage")
+    sim.add_argument("--n", type=int, help="fixed event count (default: Poisson draw)")
+    # model parameters a config file sets; they have no flags
+    sim.set_defaults(c=1.0, **dict.fromkeys(("alpha", "alpha1", "alpha2", "alpha3", "d1", "d2")))
+
+    fit = command("fit", _cmd_fit, "estimate parameters from bids")
     _add_ingest(fit)
     _add_method(fit)
-    fit.add_argument("--bootstrap", type=int, help="bootstrap replicates for SEs")
-    fit.set_defaults(func=_cmd_fit)
+    fit.add_argument("--bootstrap", type=int, default=0, help="bootstrap replicates for SEs")
 
-    sel = commands.add_parser("select", help="nested LR model selection")
-    _add_common(sel)
+    sel = command("select", _cmd_select, "nested LR model selection")
     _add_ingest(sel)
-    sel.add_argument("--alpha-level", dest="alpha_level", type=float,
+    sel.add_argument("--alpha-level", dest="alpha_level", type=float, default=0.05,
                      help="test level (default 0.05)")
     sel.add_argument("--generations", type=int,
                      help="GA generations of the two-stage and three-stage fits "
                           "(default 500); the one-stage fit is exact")
-    sel.set_defaults(func=_cmd_select)
 
-    diag = commands.add_parser("diagnose", help="fit, then KS/QQ against the fit")
-    _add_common(diag)
+    diag = command("diagnose", _cmd_diagnose, "fit, then KS/QQ against the fit")
     _add_ingest(diag)
     _add_method(diag)
     diag.add_argument("--qq-out", dest="qq_out", help="write QQ pairs CSV here")
-    diag.set_defaults(func=_cmd_diagnose)
 
-    chk = commands.add_parser("ingest-check", help="validate a CSV without fitting")
-    _add_common(chk)
-    _add_ingest(chk)
-    chk.set_defaults(func=_cmd_ingest_check)
+    # ingest-check takes --seed and ignores it; seed is not one of its settings
+    _add_ingest(command("ingest-check", _cmd_ingest_check, "validate a CSV without fitting",
+                        seed=argparse.SUPPRESS))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # built afresh per call: a config's defaults must not outlive its run
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+        if args.config:
+            args.parser.set_defaults(**_config(args.config, args.parser))
+            args = parser.parse_args(argv)
+        payload = args.func(args)
+        if payload is not None:
+            text = json.dumps(_envelope(args, payload), indent=2, sort_keys=True) + "\n"
+            if args.output:
+                Path(args.output).write_text(text)
+            else:
+                sys.stdout.write(text)
+        return 0
+    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         err: dict = {"type": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "line", None) is not None:
             err["line"] = exc.line

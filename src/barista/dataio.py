@@ -76,8 +76,9 @@ class IngestError(ValueError):
     """A data problem, carrying the 1-based CSV record number when known.
 
     Records are counted as csv reads them: comment and blank lines count, and
-    a quoted field holding a newline does not start another.  Header and
-    layout errors carry no record number.
+    a quoted field holding a newline does not start another.  A record csv
+    refuses (a field over its size limit) carries its number; header and
+    layout errors carry none.
     """
 
     def __init__(self, message: str, line: int | None = None) -> None:
@@ -218,20 +219,23 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
         if rows is not None:
             k = len(columns)
             fields: list[str] = []
-            for raw in rows:
-                # only a row whose first field holds '#' can be a comment
-                if len(raw) != width or "#" in raw[0]:
-                    if not raw or raw[0].lstrip().startswith("#"):
-                        skipped.append(n)
-                        continue
-                    if len(raw) != width:
-                        raise IngestError(f"expected {width} fields, got {len(raw)}",
-                                          header_record + 1 + n + len(skipped))
-                n += 1
-                fields += pick(raw)
-                if len(fields) >= _BLOCK_CHARS // 8:
-                    table.add(*(fields[j::k] for j in range(k)))
-                    fields = []
+            try:
+                for raw in rows:
+                    # only a row whose first field holds '#' can be a comment
+                    if len(raw) != width or "#" in raw[0]:
+                        if not raw or raw[0].lstrip().startswith("#"):
+                            skipped.append(n)
+                            continue
+                        if len(raw) != width:
+                            raise IngestError(f"expected {width} fields, got {len(raw)}",
+                                              header_record + 1 + n + len(skipped))
+                    n += 1
+                    fields += pick(raw)
+                    if len(fields) >= _BLOCK_CHARS // 8:
+                        table.add(*(fields[j::k] for j in range(k)))
+                        fields = []
+            except csv.Error as exc:
+                raise IngestError(str(exc), header_record + 1 + n + len(skipped)) from None
             table.add(*(fields[j::k] for j in range(k)))
     if layout_error is not None:
         raise layout_error
@@ -249,9 +253,12 @@ def _find_header(fh: IO[str], path: Path) -> tuple[int, list[str], Iterator[list
     for line in iter(fh.readline, ""):
         if '"' in line or "\r" in line:
             rows = csv.reader(itertools.chain([line], fh))
-            for record, raw in enumerate(rows, record + 1):
-                if raw and not raw[0].lstrip().startswith("#"):
-                    return record, raw, rows
+            try:
+                for record, raw in enumerate(rows, record + 1):
+                    if raw and not raw[0].lstrip().startswith("#"):
+                        return record, raw, rows
+            except csv.Error as exc:
+                raise IngestError(str(exc), record + 1) from None
             break
         record += 1
         raw = line.removesuffix("\n").split(",") if line != "\n" else []

@@ -67,7 +67,7 @@ def pool(samples: list[BidSample] | tuple[BidSample, ...]) -> BidSample:
     for i, s in enumerate(samples):
         if s.T != T:
             raise ValueError(f"sample {i} has horizon {s.T}, expected {T}")
-    times = np.concatenate([s.times for s in samples]) if samples else np.empty(0)
+    times = np.concatenate([s.times for s in samples])
     tagged = all(s.sources is not None for s in samples)
     if tagged:
         src = [x for s in samples for x in s.sources]  # type: ignore[union-attr]

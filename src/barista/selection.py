@@ -83,13 +83,12 @@ def lr_statistic(loglik_small: float, loglik_big: float) -> float:
     return max(0.0, -2.0 * (loglik_small - loglik_big))
 
 
-def lr_test(loglik_small: float, loglik_big: float, df: int = 2) -> LrTest:
+def lr_test(loglik_small: float, loglik_big: float) -> LrTest:
     raw = -2.0 * (loglik_small - loglik_big)
     stat = lr_statistic(loglik_small, loglik_big)
     return LrTest(
         statistic=stat,
         p_value=chi2_sf_2df(stat),
-        df=df,
         negative_flag=raw < _NEGATIVE_TOL,
     )
 

@@ -356,6 +356,47 @@ class TestErrors:
         assert rc == 1
         assert "frobnicate" in err["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["simulate", "fit", "select", "diagnose",
+                                         "ingest-check"])
+    @pytest.mark.parametrize("key", ["command", "func", "parser", "config"])
+    def test_names_besides_settings_are_unknown_config_keys(self, tmp_path, capsys,
+                                                            command, key):
+        cfg = tmp_path / "reserved.json"
+        cfg.write_text(json.dumps({key: 1}))
+        rc, err = run_json([command, "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert err["error"] == {"type": "ValueError",
+                                "message": f"unknown config keys [{key!r}]"}
+
+    def test_config_does_not_outlive_its_call(self, tmp_path, capsys):
+        out = tmp_path / "five.csv"
+        cfg = write_config(tmp_path, n=5)
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        rc, err = run_json(["simulate", "--horizon", "7"], capsys)
+        assert rc == 1
+        assert err["error"]["message"] == (
+            "missing required settings: alpha1, alpha2, alpha3, d1, d2")
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "select", "diagnose",
+                                         "ingest-check"])
+    def test_oversized_config_number_is_json_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"horizon": 10 ** 400}))
+        argv = [command, "--config", str(cfg)]
+        if command != "simulate":
+            argv += ["--input", simulate(tmp_path, n=30, seed=0)]
+        rc, err = run_json(argv, capsys)
+        assert rc == 1
+        assert err["error"] == {"type": "OverflowError",
+                                "message": "int too large to convert to float"}
+
+    def test_oversized_bootstrap_is_json_error(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=30, seed=0)
+        rc, err = run_json(["fit", "--input", data, "--horizon", "7",
+                            "--method", "closed-form", "--bootstrap", str(10 ** 30)], capsys)
+        assert rc == 1
+        assert err["error"]["type"] == "OverflowError"
+
     def test_malformed_inline_json(self, tmp_path, capsys):
         data = simulate(tmp_path, n=30, seed=0)
         rc, err = run_json(

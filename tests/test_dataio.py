@@ -339,6 +339,29 @@ class TestBlocks:
             ingest(IngestSpec(path=path, horizon=7.0))
         assert (str(err.value), err.value.line) == (f"line 43: {message}", 43)
 
+    def test_long_field_in_the_header_names_its_line(self, tmp_path):
+        # the '"' sends the header line to csv, which refuses the long field
+        path = write(tmp_path, '# seed=1\n"auction_id",' + "b" * 140_000 + "\na,1.5\n")
+        with pytest.raises(IngestError) as err:
+            ingest(IngestSpec(path=path, horizon=7.0))
+        limit = csv.field_size_limit()
+        assert (str(err.value), err.value.line) == (
+            f"line 2: field larger than field limit ({limit})", 2)
+
+    @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS])
+    def test_long_field_past_the_first_block_names_its_line(self, tmp_path, monkeypatch,
+                                                             block):
+        text = ("# seed=1\nauction_id,bid_time\n" + "a,1.5\n" * 30
+                + "b" * 140_000 + ",2.5\n" + "a,1.5\n")
+        path = write(tmp_path, text)
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", block)
+        for fn in (ingest, ingest_summary):
+            with pytest.raises(IngestError) as err:
+                fn(IngestSpec(path=path, horizon=7.0))
+            limit = csv.field_size_limit()
+            assert (str(err.value), err.value.line) == (
+                f"line 33: field larger than field limit ({limit})", 33)
+
     def test_changed_start_past_the_first_block(self, tmp_path, monkeypatch):
         rows = [(f"a{i % 3}", 0.25 * (i % 20)) for i in range(40)]
         path = _stamped(tmp_path, rows)
