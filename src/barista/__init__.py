@@ -46,6 +46,7 @@ from .estimate import (
     loglik_gradient,
     loglik_hessian,
     mle_nhpp1,
+    profile_fit,
     qc_alpha,
     qc_alpha3_survival,
     qc_changepoints,
@@ -91,7 +92,7 @@ __all__ = [
     "default_qc_config", "ecdf", "qc_alpha", "qc_alpha3_survival",
     "qc_changepoints", "qc_fit", "loglik", "loglik_gradient", "loglik_hessian",
     "mle_nhpp1", "estimate_c", "grid_search", "ga_fit", "default_bounds",
-    "bootstrap_se",
+    "profile_fit", "bootstrap_se",
     "LrTest", "SelectionResult", "lr_statistic", "lr_test", "chi2_sf_2df",
     "select_model",
     "KsResult", "QqData", "kolmogorov_sf", "ks_one_sample", "ks_two_sample",

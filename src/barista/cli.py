@@ -45,6 +45,7 @@ from .estimate import (
     default_qc_config,
     ga_fit,
     grid_search,
+    profile_fit,
     qc_fit,
 )
 from .process import FAMILIES, get_family, mean_count
@@ -53,7 +54,7 @@ from .selection import _default_configs, select_model
 from .simulate import sample_fixed_n, sample_poisson_count
 
 SCHEMA = "barista/1"
-_METHODS = ("ga", "grid", "quick-crude", "closed-form")
+_METHODS = ("ga", "grid", "quick-crude", "closed-form", "profile")
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +217,17 @@ def _qc_config_from(args: argparse.Namespace, T: float) -> QcConfig:
     )
 
 
-def _ga_config_from(args: argparse.Namespace, family: str, T: float) -> GaConfig:
+def _bounds_from(args: argparse.Namespace, family: str, T: float) -> tuple:
     bounds = _json_flag(args.bounds, "bounds")
     if bounds is None:
-        bounds = default_bounds(family, T)
-    elif not (isinstance(bounds, list) and all(_numbers(b) and len(b) == 2 for b in bounds)):
+        return default_bounds(family, T)
+    if not (isinstance(bounds, list) and all(_numbers(b) and len(b) == 2 for b in bounds)):
         raise ValueError(f"--bounds must be a JSON list of [lo, hi] number pairs, got {bounds!r}")
-    kwargs = {"bounds": tuple(tuple(b) for b in bounds), "seed": args.seed}
+    return tuple(tuple(b) for b in bounds)
+
+
+def _ga_config_from(args: argparse.Namespace, family: str, T: float) -> GaConfig:
+    kwargs = {"bounds": _bounds_from(args, family, T), "seed": args.seed}
     if args.generations is not None:
         kwargs["generations"] = args.generations
     return GaConfig(**kwargs)
@@ -245,7 +250,8 @@ def _grid_from(args: argparse.Namespace, family: str) -> dict[str, list]:
 
 
 # the one family a method fits; ga and grid fit any, three-stage by default
-_ONLY_FAMILY = {"closed-form": "one-stage", "quick-crude": "three-stage"}
+_ONLY_FAMILY = {"closed-form": "one-stage", "quick-crude": "three-stage",
+                "profile": "two-stage"}
 
 
 def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
@@ -264,6 +270,8 @@ def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
         return qc_fit(sample, _qc_config_from(args, sample.T))
     if method == "grid":
         return grid_search(sample, family, _grid_from(args, family))
+    if method == "profile":
+        return profile_fit(sample, family, _bounds_from(args, family, sample.T))
     return ga_fit(sample, family, _ga_config_from(args, family, sample.T))
 
 
@@ -371,7 +379,7 @@ def _add_method(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", choices=list(FAMILIES))
     sub.add_argument("--windows", help="JSON {stage1,stage2,stage3,safe} for quick-crude")
     sub.add_argument("--grid", help="JSON {param: [values]} for the grid method")
-    sub.add_argument("--bounds", help="JSON [[lo,hi],...] GA search box")
+    sub.add_argument("--bounds", help="JSON [[lo,hi],...] GA or profile search box")
     sub.add_argument("--generations", type=int, help="GA generations (default 500)")
 
 
@@ -383,12 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str, seed=0) -> argparse.ArgumentParser:
+    def command(name: str, func, summary: str, seeded: bool = True) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=summary)
         sub.set_defaults(func=func, parser=sub)
         sub.add_argument("--config", help="flat JSON object of settings; flags override")
         sub.add_argument("--output", help="write the report here instead of stdout")
-        sub.add_argument("--seed", type=int, default=seed, help="random seed (default 0)")
+        if seeded:
+            sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
         sub.add_argument("--no-timestamp", dest="no_timestamp", action="store_true",
                          help="omit generated_at for reproducible bytes")
         return sub
@@ -411,17 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--alpha-level", dest="alpha_level", type=float, default=0.05,
                      help="test level (default 0.05)")
     sel.add_argument("--generations", type=int,
-                     help="GA generations of the two-stage and three-stage fits "
-                          "(default 500); the one-stage fit is exact")
+                     help="GA generations of the three-stage fit (default 500); "
+                          "the one-stage and two-stage fits are exact")
 
     diag = command("diagnose", _cmd_diagnose, "fit, then KS/QQ against the fit")
     _add_ingest(diag)
     _add_method(diag)
     diag.add_argument("--qq-out", dest="qq_out", help="write QQ pairs CSV here")
 
-    # ingest-check takes --seed and ignores it; seed is not one of its settings
+    # ingest-check draws nothing, so it takes no seed
     _add_ingest(command("ingest-check", _cmd_ingest_check, "validate a CSV without fitting",
-                        seed=argparse.SUPPRESS))
+                        seeded=False))
     return parser
 
 
@@ -441,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(text)
         return 0
-    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError, MemoryError) as exc:
         err: dict = {"type": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "line", None) is not None:
             err["line"] = exc.line

@@ -78,7 +78,8 @@ class IngestError(ValueError):
     Records are counted as csv reads them: comment and blank lines count, and
     a quoted field holding a newline does not start another.  A record csv
     refuses (a field over its size limit) carries its number; header and
-    layout errors carry none.
+    layout errors carry none.  A byte the text layer cannot decode carries
+    the number of the line that holds it, counting every newline.
     """
 
     def __init__(self, message: str, line: int | None = None) -> None:
@@ -128,7 +129,10 @@ def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
     Each column is converted as it is read and checked as an array; a file
     that fails a check raises the error of its first bad row.
     """
-    table, record_of = _read_columns(spec)
+    try:
+        table, record_of = _read_columns(spec)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(Path(spec.path), exc) from None
     ids = table.ids
     values = [np.concatenate(blocks) if blocks else np.empty(0)
               for blocks in table.blocks.values()]
@@ -265,6 +269,22 @@ def _find_header(fh: IO[str], path: Path) -> tuple[int, list[str], Iterator[list
         if raw and not raw[0].lstrip().startswith("#"):
             return record, raw, None
     raise IngestError(f"no header row found in {path}")
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> IngestError:
+    """The error of the first byte of path that exc's codec cannot decode,
+    with the number of the line that holds it.
+
+    The text layer decodes the file in chunks, so exc's position is one
+    inside a chunk; the file's bytes give the position in the file.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as err:
+        return IngestError(f"cannot decode byte {data[err.start]:#04x} as {err.encoding} "
+                           f"({err.reason})", data.count(b"\n", 0, err.start) + 1)
+    return IngestError(str(exc))
 
 
 def _read_block(fh: IO[str]) -> str:

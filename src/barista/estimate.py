@@ -1,10 +1,13 @@
 """Estimation for the three-stage process.
 
-Four routes are implemented, in increasing cost:
+Five routes are implemented, in increasing cost:
 
 * a closed-form maximum-likelihood estimator for the one-stage special case,
 * a "quick and crude" method that reads exponents and changepoints off CDF
   differences at hand-picked safe evaluation points,
+* an exact profile fit of the two-stage family, whose one changepoint is
+  profiled over the gaps between event times, with Newton steps on the
+  exponents,
 * an exhaustive grid search of the conditional log-likelihood, and
 * a real-valued genetic algorithm over the same objective.
 
@@ -14,10 +17,10 @@ count to n (estimate_c).  Each family's free parameters, their place in the
 full parameter vector, its default GA box and how a fitted genome becomes a
 family instance all come from the family table, process.FAMILIES.
 
-Analytic first and second derivatives in the three exponents are provided for
-diagnostics and standard-error work; both are derived from the normalization
-constant written as A/B and are checked against finite differences in the
-test suite.
+Analytic first and second derivatives in the three exponents serve the
+profile fit's Newton steps, diagnostics and standard-error work; both are
+derived from the normalization constant written as A/B and are checked
+against finite differences in the test suite.
 """
 from __future__ import annotations
 
@@ -31,10 +34,11 @@ import numpy as np
 
 from .process import (
     BaristaParams,
+    Family,
     ModelFamily,
+    OneStage,
     ThreeStage,
     _denominator,
-    _ratios,
     get_family,
     mean_count,
 )
@@ -59,6 +63,7 @@ __all__ = [
     "grid_search",
     "ga_fit",
     "default_bounds",
+    "profile_fit",
     "bootstrap_se",
 ]
 
@@ -278,9 +283,10 @@ class _CondLoglik:
 
     The per-event terms only enter through the branch counts (n1, n3) and the
     branch sums of log(1 - x/T); caching the sorted cumulative sums makes
-    repeated evaluation at different parameters (grid, GA) cheap.  values()
-    takes whole parameter columns, so a GA generation, a block of grid points
-    or a set of refinement candidates is scored as one array in one call.
+    repeated evaluation at different parameters (grid, GA, Newton) cheap.
+    values() and derivatives() take whole parameter columns, so a GA
+    generation, a block of grid points or a set of Newton iterates is
+    handled as one array in one call.
     """
 
     def __init__(self, sample: BidSample) -> None:
@@ -296,18 +302,18 @@ class _CondLoglik:
         np.log1p(tail, out=tail)
         np.cumsum(tail, out=tail)
 
-    def values(self, a1, a2, a3, d1, d2) -> np.ndarray:
-        """Vectorized conditional log-likelihood; -inf where invalid.
+    @staticmethod
+    def _columns(cols) -> tuple[np.ndarray, ...]:
+        """Equal-length 1-d float arrays are used as given; anything else
+        (scalars, lists, other dtypes) is broadcast to 1-d float arrays."""
+        if all(type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
+               and x.shape == cols[0].shape for x in cols):
+            return cols
+        return np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in cols))
 
-        Equal-length 1-d float arrays are used as given; anything else
-        (scalars, lists, other dtypes) is broadcast to 1-d float arrays first.
-        """
-        cols = (a1, a2, a3, d1, d2)
-        if not all(type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
-                   and x.shape == a1.shape for x in cols):
-            cols = np.broadcast_arrays(
-                *(np.atleast_1d(np.asarray(x, dtype=float)) for x in cols))
-        a1, a2, a3, d1, d2 = cols
+    def values(self, a1, a2, a3, d1, d2) -> np.ndarray:
+        """Vectorized conditional log-likelihood; -inf where invalid."""
+        a1, a2, a3, d1, d2 = self._columns((a1, a2, a3, d1, d2))
         T, n, prefix = self.T, self.n, self.prefix
         # rows off the valid set compute garbage (nan, inf, clamped indices)
         # under the silenced errors and are replaced by -inf at the end
@@ -341,17 +347,35 @@ class _CondLoglik:
     def value(self, a1: float, a2: float, a3: float, d1: float, d2: float) -> float:
         return float(self.values(a1, a2, a3, d1, d2)[0])
 
-    def parts(self, d1: float, d2: float) -> tuple[int, int, float, float, float]:
-        """(n1, n3, S1, S2, S3) for the branch split at (d1, T - d2)."""
-        i1 = int(np.searchsorted(self.times, d1, side="right"))
-        i2 = int(np.searchsorted(self.times, self.T - d2, side="right"))
-        return (
-            i1,
-            self.n - i2,
-            float(self.prefix[i1]),
-            float(self.prefix[i2] - self.prefix[i1]),
-            float(self.prefix[self.n] - self.prefix[i2]),
-        )
+    def derivatives(self, a1, a2, a3, d1, d2) -> tuple[np.ndarray, np.ndarray]:
+        """First and second partial derivatives in (alpha1, alpha2, alpha3),
+        (k, 3) and (k, 3, 3), one per column of valid parameters.
+
+        With C = A/B and A = a1 a2 a3 / T, d(log C)/d(a_j) = 1/a_j - B_j/B, so
+        the j-th gradient component is n (1/a_j - B_j/B) plus the branch data
+        terms.  The data terms are linear in the alphas, so the Hessian is n
+        times the Hessian of log C: H_jk = n (-delta_jk/a_j^2 - B_jk/B + B_j B_k/B^2).
+        """
+        a1, a2, a3, d1, d2 = self._columns((a1, a2, a3, d1, d2))
+        T, n, prefix = self.T, self.n, self.prefix
+        i1 = self.times.searchsorted(d1, side="right")
+        i2 = self.times.searchsorted(T - d2, side="right")
+        n3 = n - i2
+        q1 = 1.0 - d1 / T
+        q2 = d2 / T
+        B, Bg, Bh = _B_derivatives(a1, a2, a3, q1, q2)
+        L1 = np.log(q1)
+        L2 = np.where((q2 > 0) & (n3 > 0), np.log(np.where(q2 > 0, q2, 1.0)), 0.0)
+        S1 = prefix[i1]
+        S2 = prefix[i2] - S1
+        S3 = prefix[n] - prefix[i2]
+        data = np.stack([-i1 * L1 + S1, i1 * L1 + n3 * L2 + S2, -n3 * L2 + S3], axis=-1)
+        alphas = np.stack([a1, a2, a3], axis=-1)
+        grad = n * (1.0 / alphas - Bg / B[:, None]) + data
+        B = B[:, None, None]
+        hess = n * (-(np.eye(3) / alphas[:, None, :] ** 2) - Bh / B
+                    + Bg[:, :, None] * Bg[:, None, :] / B ** 2)
+        return grad, hess
 
 
 def _check_horizon(sample: BidSample, p: BaristaParams) -> None:
@@ -371,16 +395,16 @@ def loglik(sample: BidSample, p: BaristaParams) -> float:
     return _CondLoglik(sample).value(p.alpha1, p.alpha2, p.alpha3, p.d1, p.d2)
 
 
-def _B_derivatives(p: BaristaParams) -> tuple[float, np.ndarray, np.ndarray]:
-    """B and its first/second derivatives in (alpha1, alpha2, alpha3).
+def _B_derivatives(a1, a2, a3, q1, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B and its first/second derivatives in (alpha1, alpha2, alpha3), per column.
 
-    B is the shape-only denominator with m(T) = T c B/(a1 a2 a3).  Terms in
-    q2^a2 * log(q2) vanish as d2 -> 0 and are forced to 0 there.
+    B is the shape-only denominator with m(T) = T c B/(a1 a2 a3).  Arguments
+    are equal-length arrays; the results have shapes (k,), (k, 3) and
+    (k, 3, 3).  Terms in q2^a2 * log(q2) vanish as d2 -> 0 and are forced to
+    0 there.
     """
-    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    q1, q2 = _ratios(p)
-    L1 = math.log(q1)
-    L2 = math.log(q2) if q2 > 0 else 0.0
+    L1 = np.log(q1)
+    L2 = np.log(np.where(q2 > 0, q2, 1.0))
     p1 = q1 ** (a2 - a1)
     p2 = q1 ** a2
     p3 = q2 ** a2
@@ -402,40 +426,22 @@ def _B_derivatives(p: BaristaParams) -> tuple[float, np.ndarray, np.ndarray]:
         + a1 * L2 * p3 * (2.0 + (a2 - a3) * L2)
     )
     B23 = (1.0 + a2 * L1) * p1 + ((a1 - a2) * L1 - 1.0) * p2 - a1 * L2 * p3
-    B33 = 0.0
-    grad = np.array([B1, B2, B3])
-    hess = np.array([[B11, B12, B13], [B12, B22, B23], [B13, B23, B33]])
+    B33 = np.zeros_like(B)
+    grad = np.stack([B1, B2, B3], axis=-1)
+    hess = np.stack([B11, B12, B13, B12, B22, B23, B13, B23, B33], axis=-1).reshape(-1, 3, 3)
     return B, grad, hess
 
 
 def loglik_gradient(sample: BidSample, p: BaristaParams) -> np.ndarray:
-    """Partial derivatives of loglik in (alpha1, alpha2, alpha3).
-
-    With C = A/B and A = a1 a2 a3 / T, d(log C)/d(a_j) = 1/a_j - B_j/B, so the
-    j-th component is n (1/a_j - B_j/B) plus the branch data terms.
-    """
+    """Partial derivatives of loglik in (alpha1, alpha2, alpha3)."""
     _check_horizon(sample, p)
-    cache = _CondLoglik(sample)
-    n1, n3, S1, S2, S3 = cache.parts(p.d1, p.d2)
-    n = cache.n
-    B, Bg, _ = _B_derivatives(p)
-    dlogC = 1.0 / np.array([p.alpha1, p.alpha2, p.alpha3]) - Bg / B
-    L1 = math.log(1.0 - p.d1 / p.T)
-    L2 = math.log(p.d2 / p.T) if (p.d2 > 0 and n3 > 0) else 0.0
-    return n * dlogC + np.array([-n1 * L1 + S1, n1 * L1 + n3 * L2 + S2, -n3 * L2 + S3])
+    return _CondLoglik(sample).derivatives(p.alpha1, p.alpha2, p.alpha3, p.d1, p.d2)[0][0]
 
 
 def loglik_hessian(sample: BidSample, p: BaristaParams) -> np.ndarray:
-    """Second derivatives of loglik in the exponents.
-
-    The data terms are linear in the alphas, so the Hessian is n times the
-    Hessian of log C:  H_jk = n (-delta_jk / a_j^2 - B_jk/B + B_j B_k / B^2).
-    """
+    """Second derivatives of loglik in the exponents."""
     _check_horizon(sample, p)
-    n = sample.n
-    B, Bg, Bh = _B_derivatives(p)
-    alphas = np.array([p.alpha1, p.alpha2, p.alpha3])
-    return n * (-np.diag(1.0 / alphas**2) - Bh / B + np.outer(Bg, Bg) / B**2)
+    return _CondLoglik(sample).derivatives(p.alpha1, p.alpha2, p.alpha3, p.d1, p.d2)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +489,7 @@ class FitResult:
 
     family: ModelFamily
     loglik: float
-    method: str  # "quick-crude" | "grid" | "ga" | "closed-form"
+    method: str  # "quick-crude" | "grid" | "ga" | "closed-form" | "profile"
     c_hat: float
     history: tuple[float, ...] | None = None  # GA best-so-far per generation
 
@@ -512,7 +518,8 @@ def _finish_fit(tag: str, genes: Sequence[float], ll: float, method: str,
 # grid search
 # ---------------------------------------------------------------------------
 
-# grid points scored per likelihood call; bounds the memory of a large grid
+# grid points or profile rows handled per likelihood call; bounds the memory
+# of a large grid or sample
 _GRID_BLOCK = 4096
 
 
@@ -673,6 +680,240 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
         raise EstimationError("no feasible genome found", stage="ga_fit")
     return _finish_fit(family, tuple(genes[0]), float(pool_fit[0]), "ga", sample,
                        history=tuple(history))
+
+
+# ---------------------------------------------------------------------------
+# exact two-stage fit
+# ---------------------------------------------------------------------------
+
+# a round of the ascent that gains less than this many nats ends its column
+_ASCENT_TOL = 1e-10
+_MAX_ROUNDS = 500
+_MAX_HALVINGS = 40
+
+
+def _exponent_jacobian(spec: Family) -> np.ndarray:
+    """(3, m) matrix J such that the derivatives of the log-likelihood in a
+    family's m exponent genes are those in (alpha1, alpha2, alpha3) times J.
+
+    J[s, j] is 1 where the family's gene map fills exponent slot s with its
+    j-th exponent gene, so a gene tied into several slots (the two-stage
+    alpha2 fills alpha1 too) sums their derivatives, by the chain rule.
+    """
+    slots = spec.gene_map[:3]
+    return (slots[:, None] == sorted(set(slots.tolist()))).astype(float)
+
+
+def _box_newton_step(g: np.ndarray, H: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the step p with lo <= p <= hi that maximizes the concave
+    quadratic model g.p + p.H.p / 2 in two variables, and the model's gain.
+
+    The maximizer is the Newton step when that lies in the box.  Otherwise
+    it lies on a face, where the maximizer along the face clipped to its
+    ends is exact, and a corner is such a clipped face maximizer.  So the
+    best of the Newton step and the four face candidates is the answer.
+    """
+    g1, g2 = g[:, 0], g[:, 1]
+    h11, h12, h22 = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+    with np.errstate(all="ignore"):
+        det = h11 * h22 - h12 * h12
+        newton = np.stack([(h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det], axis=-1)
+        candidates = [np.where(((newton >= lo) & (newton <= hi)).all(axis=-1)[:, None],
+                               newton, np.nan)]
+        for fixed in (lo, hi):
+            free2 = np.clip(-(g2 + h12 * fixed[:, 0]) / h22, lo[:, 1], hi[:, 1])
+            candidates.append(np.stack([fixed[:, 0], free2], axis=-1))
+            free1 = np.clip(-(g1 + h12 * fixed[:, 1]) / h11, lo[:, 0], hi[:, 0])
+            candidates.append(np.stack([free1, fixed[:, 1]], axis=-1))
+        p = np.stack(candidates, axis=1)  # (k, 5, 2)
+        p1, p2 = p[..., 0], p[..., 1]
+        gain = (p1 * g1[:, None] + p2 * g2[:, None]
+                + 0.5 * (h11[:, None] * p1 * p1 + 2.0 * h12[:, None] * p1 * p2
+                         + h22[:, None] * p2 * p2))
+        gain = np.where(np.isfinite(gain), gain, -np.inf)
+    best = np.argmax(gain, axis=1)
+    rows = np.arange(len(g))
+    step = np.where(np.isfinite(gain[rows, best])[:, None], p[rows, best], 0.0)
+    return step, np.maximum(gain[rows, best], 0.0)
+
+
+def _ascend(cache: _CondLoglik, spec: Family, genes: np.ndarray,
+            box: tuple[tuple[float, float], ...],
+            span: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Block coordinate ascent of the two-stage log-likelihood, row by row.
+
+    genes holds (k, 3) rows (alpha2, alpha3, d2) inside box, and each row's
+    d2 stays inside its span[0] <= d2 <= span[1], an interval that holds no
+    reversed event time T - t inside it, so the late-stage count n3 is fixed
+    there.  A round takes one box-constrained Newton step on the exponents,
+    backtracking until it does not lose, then moves d2 to the best of its
+    current value, the span's ends and the stationary point of the d2 closed
+    form,
+
+        (d2/T)^alpha2 = n3 alpha3 / (n alpha2 - n3 (alpha2 - alpha3)),
+
+    a maximum when alpha2 > alpha3 and a minimum otherwise.  For fixed d2
+    the log-likelihood is concave in the exponents (an exponential family),
+    and for fixed exponents one of those d2 values is the best in the span.
+    Every round is an ascent; a row ends when a round gains less than
+    _ASCENT_TOL.  Rows go _GRID_BLOCK at a time, which bounds the memory
+    of a large sample.  Returns the rows and their log-likelihoods.
+    """
+    genes = genes.copy()
+    J = _exponent_jacobian(spec)
+    ex_lo = np.array([b[0] for b in box[:2]])
+    ex_hi = np.array([b[1] for b in box[:2]])
+    T, n = cache.T, cache.n
+    lo, hi = span
+    n3 = n - cache.times.searchsorted(T - 0.5 * (lo + hi), side="right")
+    ll = np.empty(len(genes))
+    for start in range(0, len(genes), _GRID_BLOCK):
+        ll[start:start + _GRID_BLOCK] = cache.values(
+            *spec.vectors(genes[start:start + _GRID_BLOCK]).T)
+    active = np.flatnonzero(np.isfinite(ll))
+    for _ in range(_MAX_ROUNDS):
+        if active.size == 0:
+            break
+        ascending = []
+        for rows in np.array_split(active, -(-active.size // _GRID_BLOCK)):
+            g = genes[rows]
+            before = ll[rows]
+            full = spec.vectors(g).T
+            grad, hess = cache.derivatives(*full)
+            grad, hess = grad @ J, J.T @ hess @ J
+            x = g[:, :2]
+            step, gain = _box_newton_step(grad, hess, ex_lo - x, ex_hi - x)
+            # halve each step until it does not lose, or its model gain is noise
+            t = np.where(gain >= _ASCENT_TOL, 1.0, 0.0)
+            now = before.copy()
+            todo = np.flatnonzero(t)
+            for _ in range(_MAX_HALVINGS):
+                if todo.size == 0:
+                    break
+                trial = x[todo] + t[todo, None] * step[todo]
+                got = cache.values(*spec.vectors(np.column_stack([trial, g[todo, 2]])).T)
+                ok = got >= before[todo]
+                g[todo[ok], :2] = trial[ok]
+                now[todo[ok]] = got[ok]
+                todo = todo[~ok]
+                t[todo] *= 0.5
+                todo = todo[t[todo] * gain[todo] >= _ASCENT_TOL]
+
+            # d2 moves only in rows whose span is an interval
+            free = np.flatnonzero(hi[rows] > lo[rows])
+            if free.size:
+                gf, lo_f, hi_f = g[free], lo[rows[free]], hi[rows[free]]
+                a2, a3, m = gf[:, 0], gf[:, 1], n3[rows[free]]
+                with np.errstate(all="ignore"):
+                    stationary = T * (m * a3 / (n * a2 - m * (a2 - a3))) ** (1.0 / a2)
+                d2 = np.column_stack([gf[:, 2], lo_f, hi_f, np.clip(stationary, lo_f, hi_f)])
+                k = d2.shape[1]
+                tried = np.column_stack([np.repeat(gf[:, :2], k, axis=0), d2.ravel()])
+                scores = cache.values(*spec.vectors(tried).T).reshape(-1, k)
+                scores[:, 0] = now[free]  # keep the current d2 on ties
+                pick = np.argmax(scores, axis=1)
+                r = np.arange(free.size)
+                g[free, 2] = d2[r, pick]
+                now[free] = scores[r, pick]
+            genes[rows] = g
+            ll[rows] = now
+            ascending.append(rows[now - before >= _ASCENT_TOL])
+        active = np.concatenate(ascending)
+    return genes, ll
+
+
+def profile_fit(sample: BidSample, family: str = "two-stage",
+                bounds: Sequence[tuple[float, float]] | None = None) -> FitResult:
+    """Exact maximum of the two-stage conditional log-likelihood over a box.
+
+    bounds is one (lo, hi) pair per free parameter (alpha2, alpha3, d2),
+    default_bounds by default, the GA's box.  The two-stage family has one
+    changepoint, so the fit is a profile over it (Hinkley 1970).  The
+    reversed event times T - t inside the d2 box split it into gaps, and in
+    each gap the late-stage count and the branch sums are constant.  First
+    the exponents are maximized with d2 held at each gap's ends and at
+    points inside it, less than a factor 2 apart; every 16th point is fitted
+    first, and those fits start the rest.  For fixed exponents with alpha2 <= alpha3, the best
+    d2 of a gap is one of its ends, so only the points where alpha2 > alpha3
+    then ascend inside their gap, with Newton steps on the exponents
+    alternating with the closed-form best d2 (see _ascend).  Each stage runs
+    over all its points in one array pass.  The exact one-stage fit,
+    embedded as (alpha, alpha, 0), is a candidate too, so the fit never
+    falls below it; it may lie outside the box.  The reported
+    log-likelihood is that of _CondLoglik.values at the returned genes.
+    """
+    if family != "two-stage":
+        raise ValueError(f"the profile fit covers only the two-stage family, got {family!r}")
+    if sample.n == 0:
+        raise EstimationError("cannot fit an empty sample", stage="profile_fit")
+    T = sample.T
+    box = default_bounds(family, T) if bounds is None else tuple(map(tuple, bounds))
+    if len(box) != 3:
+        raise ValueError(f"{family} needs 3 bounds, got {len(box)}")
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"bad bound ({lo}, {hi})")
+    (a2_lo, a2_hi), (a3_lo, a3_hi), (d_lo, d_hi) = box
+    if a2_lo <= 0 or a3_lo <= 0:
+        raise ValueError(f"exponent bounds must be positive, got {box[:2]}")
+    if not 0.0 <= d_lo <= d_hi < T:
+        raise ValueError(f"d2 bounds must lie in [0, T) with T = {T}, got ({d_lo}, {d_hi})")
+
+    spec = get_family(family)
+    cache = _CondLoglik(sample)
+    alpha, _ = mle_nhpp1(sample)
+    embedded = np.array([spec.embed(OneStage(alpha, 1.0, T))])
+
+    # the reversed times of the latest events ascend, and ties give one edge
+    late = T - sample.times[sample.times.searchsorted(T - d_hi, side="left"):][::-1]
+    inside = late[(late > d_lo) & (late < d_hi)]
+    edges = np.concatenate([[d_lo], inside, [d_hi]])
+    edges = edges[np.concatenate([[True], np.diff(edges) > 0])]
+    lo, hi = edges[:-1], edges[1:]
+    # the points the ascent starts from: every gap end but d2 = 0, where
+    # alpha3 has no stage, and, inside each gap whose late stage holds
+    # events, points spaced geometrically less than a factor 2 apart
+    ends = edges[edges > 0]
+    off = edges.size - ends.size  # the row of edges[i] is i - off
+    gaps = np.arange(lo.size)
+    n3 = cache.n - cache.times.searchsorted(T - 0.5 * (lo + hi), side="right")
+    with np.errstate(divide="ignore"):
+        count = np.where((lo > 0) & (n3 > 0), np.maximum(np.ceil(np.log2(hi / lo)), 1), 0)
+    count = count.astype(int)
+    inner_gap = np.repeat(gaps, count)
+    k = count[inner_gap] + 1
+    i = np.arange(inner_gap.size) - np.repeat(np.cumsum(count) - count, count) + 1
+    d2 = np.concatenate([ends, lo[inner_gap] * (hi[inner_gap] / lo[inner_gap]) ** (i / k)])
+    # the exponents with d2 held at every 16th point in d2 order, started
+    # from the one-stage exponent and the late-stage MLE given d2; their
+    # fits, interpolated in log d2, start the exponents at every point
+    coarse = np.sort(d2)[::16]
+    i2 = cache.times.searchsorted(T - coarse, side="right")
+    m = cache.n - i2
+    with np.errstate(all="ignore"):
+        a3 = m / (m * np.log(coarse / T) - (cache.prefix[-1] - cache.prefix[i2]))
+    start = np.column_stack([np.full(coarse.size, np.clip(alpha, a2_lo, a2_hi)),
+                             np.clip(np.where(m > 0, a3, a3_hi), a3_lo, a3_hi), coarse])
+    fitted, _ = _ascend(cache, spec, start, box, (coarse, coarse))
+    genes = np.column_stack([np.interp(np.log(d2), np.log(coarse), fitted[:, j])
+                             for j in (0, 1)] + [d2]) if d2.size else start
+    genes, ll = _ascend(cache, spec, genes, box, (d2, d2))
+    # then each gap from each of its points; from a point where alpha2 <=
+    # alpha3 the best d2 in the gap is an end, already scored, so only the
+    # other points ascend further
+    rows = np.concatenate([gaps - off, gaps + 1 - off, ends.size + np.arange(inner_gap.size)])
+    gap = np.concatenate([gaps, gaps, inner_gap])
+    keep = np.concatenate([lo > 0, np.ones(lo.size + inner_gap.size, dtype=bool)])
+    rows, gap = rows[keep], gap[keep]
+    up = genes[rows, 0] > genes[rows, 1]
+    inner, inner_ll = _ascend(cache, spec, genes[rows[up]], box, (lo[gap[up]], hi[gap[up]]))
+
+    # ties keep the embedding
+    genes = np.concatenate([embedded, genes, inner])
+    ll = np.concatenate([cache.values(*spec.vectors(embedded).T), ll, inner_ll])
+    best = int(np.argmax(ll))
+    return _finish_fit(family, tuple(genes[best]), float(ll[best]), "profile", sample)
 
 
 # ---------------------------------------------------------------------------

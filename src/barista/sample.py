@@ -37,7 +37,10 @@ class BidSample:
             if np.any(t[1:] < t[:-1]):
                 raise ValueError("times must be sorted nondecreasing")
         if self.sources is not None:
-            object.__setattr__(self, "sources", tuple(str(s) for s in self.sources))
+            # a tuple of str is kept as given: checking the types of its
+            # items costs less than copying it
+            if not (type(self.sources) is tuple and set(map(type, self.sources)) <= {str}):
+                object.__setattr__(self, "sources", tuple(str(s) for s in self.sources))
             if len(self.sources) != t.size:
                 raise ValueError("sources must align with times")
 

@@ -6,17 +6,19 @@ to a chi-squared distribution with 2 degrees of freedom at both steps.
 Selection runs forward: stop at the first test whose p-value exceeds the
 level, otherwise move to the richer family.
 
-The one-stage fit is exact: its maximum-likelihood exponent has a closed form
-(mle_nhpp1), so no search runs for it.  The two-stage and three-stage fits
-are genetic searches (ga_fit), and only they take a GA budget.
+The one-stage and two-stage fits are exact.  The one-stage exponent has a
+closed form (mle_nhpp1).  The two-stage family has one changepoint, so its
+fit is an exact profile over it within the default box (profile_fit), which
+also keeps the one-stage fit as a candidate.  Only the three-stage fit is a
+genetic search (ga_fit), and only it takes a GA budget.
 
 The families nest exactly, and the family table (process.FAMILIES) gives
 each richer family's embedding of the next-smaller fit: a one-stage process
 is a two-stage process with d2 = 0, and a two-stage process is a three-stage
-one with the early exponent tied and d1 arbitrary.  A richer family's search
-can still return a worse optimum than the smaller family's (finite search
+one with the early exponent tied and d1 arbitrary.  The three-stage search
+can still return a worse optimum than the two-stage fit (finite search
 budget), which would make the statistic negative; the fitted value is
-floored at the embedded smaller model and, if the flag persists, refined
+floored at the embedded two-stage fit and, if the flag persists, refined
 once on a local grid around that embedding before giving up and clamping.
 """
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .estimate import (
     _one_stage_fit,
     default_bounds,
     ga_fit,
+    profile_fit,
 )
 from .process import _STAGE_LENGTH, ModelFamily, get_family
 from .sample import BidSample
@@ -132,13 +135,11 @@ def _fit_with_floor(sample: BidSample, tag: str, cfg: GaConfig, smaller: FitResu
 
 
 def _default_configs(sample: BidSample, seed: int) -> dict[str, GaConfig]:
-    # three seeds are drawn, the first once fed a one-stage GA, so the
-    # two-stage and three-stage searches keep the seeds they always had
-    _, seed2, seed3 = np.random.SeedSequence(seed).generate_state(3)
-    return {
-        tag: GaConfig(bounds=default_bounds(tag, sample.T), seed=int(s))
-        for tag, s in (("two-stage", seed2), ("three-stage", seed3))
-    }
+    # three seeds are drawn, the first two once fed one-stage and two-stage
+    # GAs, so the three-stage search keeps the seed it always had
+    seed3 = np.random.SeedSequence(seed).generate_state(3)[2]
+    return {"three-stage": GaConfig(bounds=default_bounds("three-stage", sample.T),
+                                    seed=int(seed3))}
 
 
 def select_model(
@@ -149,11 +150,12 @@ def select_model(
 ) -> SelectionResult:
     """Forward stepwise selection: one stage, then two, then three.
 
-    The one-stage fit is the exact closed-form MLE.  configs may override the
-    GA settings of "two-stage" and "three-stage"; missing tags fall back to
-    defaults derived from `seed`.  A "one-stage" entry is rejected, since no
-    search runs for that family.  At each step the richer family is adopted
-    only when the LR test rejects at alpha_level.
+    The one-stage fit is the exact closed-form MLE and the two-stage fit the
+    exact profile fit.  configs may override the GA settings of
+    "three-stage"; without it the defaults derive from `seed`.  A
+    "one-stage" or "two-stage" entry is rejected, since no search runs for
+    those families.  At each step the richer family is adopted only when the
+    LR test rejects at alpha_level.
     """
     if not (0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
@@ -161,13 +163,15 @@ def select_model(
     if configs:
         if "one-stage" in configs:
             raise ValueError("the one-stage fit is the closed-form MLE and takes no GA config")
+        if "two-stage" in configs:
+            raise ValueError("the two-stage fit is the exact profile fit and takes no GA config")
         unknown = set(configs) - set(defaults)
         if unknown:
             raise ValueError(f"unknown family tags {sorted(unknown)}")
         defaults.update(configs)
 
     fit1 = _one_stage_fit(sample)
-    fit2 = _fit_with_floor(sample, "two-stage", defaults["two-stage"], fit1)
+    fit2 = profile_fit(sample, "two-stage")
     test12 = lr_test(fit1.loglik, fit2.loglik)
     fits = {"one-stage": fit1, "two-stage": fit2}
     if test12.p_value > alpha_level:

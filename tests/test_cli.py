@@ -1,4 +1,7 @@
 import json
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from barista import (
     __version__,
     default_bounds,
     ingest,
+    profile_fit,
     qq_points,
     select_model,
 )
@@ -106,6 +110,26 @@ class TestSimulate:
               "--output", str(out2), "--no-timestamp"])
         assert out1.read_text() != out2.read_text()
 
+    def test_unallocatable_n_is_json_error(self, tmp_path):
+        # under a 2 GiB address-space limit, the 800 GB of 10^11 times cannot
+        # be allocated; the child alone carries the limit
+        limit = 2 << 30
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        cfg = write_config(tmp_path)
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "barista", "simulate", "--config", cfg,
+             "--n", str(10 ** 11)],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        err = json.loads(done.stdout)["error"]
+        assert err["type"].endswith("MemoryError")
+        assert "Unable to allocate" in err["message"]
+
     def test_missing_model_settings_reported(self, tmp_path, capsys):
         rc, err = run_json(
             ["simulate", "--family", "one-stage", "--horizon", "7"], capsys)
@@ -173,6 +197,7 @@ class TestFit:
     @pytest.mark.parametrize("method, family, only", [
         ("closed-form", "three-stage", "one-stage"),
         ("quick-crude", "one-stage", "three-stage"),
+        ("profile", "three-stage", "two-stage"),
     ])
     def test_family_the_method_cannot_fit_is_json_error(self, tmp_path, capsys,
                                                         method, family, only):
@@ -184,6 +209,21 @@ class TestFit:
         assert err["error"]["type"] == "ValueError"
         assert err["error"]["message"] == (
             f"--method {method} fits only --family {only}, got {family!r}")
+
+    def test_profile_method_fits_two_stage(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=800, seed=4)
+        argv = ["fit", "--input", data, "--horizon", "7", "--method", "profile",
+                "--no-timestamp"]
+        rc, rep = run_json(argv, capsys)
+        assert rc == 0
+        assert (rep["family"], rep["method"]) == ("two-stage", "profile")
+        ref = profile_fit(ingest(IngestSpec(path=data, horizon=7.0)))
+        assert rep["params"] == ref.params and rep["loglik"] == ref.loglik
+        # --bounds sets the box: here one that holds a single d2
+        box = json.dumps([[0.1, 1.0], [0.5, 15.0], [0.001, 0.001]])
+        rc, rep = run_json([*argv, "--bounds", box], capsys)
+        assert rc == 0
+        assert rep["params"]["d2"] in (0.0, 0.001)
 
     def test_grid_method(self, tmp_path, capsys):
         data = simulate(tmp_path, n=400, seed=6)
@@ -264,10 +304,11 @@ class TestSelect:
              "--seed", "4", "--no-timestamp"], capsys)
         assert rc == 0
         sample = ingest(IngestSpec(path=data, horizon=7.0))
-        seeds = np.random.SeedSequence(4).generate_state(3)
-        configs = {tag: GaConfig(bounds=default_bounds(tag, 7.0), generations=30, seed=int(s))
-                   for tag, s in zip(("two-stage", "three-stage"), seeds[1:])}
+        seed3 = np.random.SeedSequence(4).generate_state(3)[2]
+        configs = {"three-stage": GaConfig(bounds=default_bounds("three-stage", 7.0),
+                                           generations=30, seed=int(seed3))}
         res = select_model(sample, configs=configs, seed=4)
+        assert "three-stage" in res.fits
         assert rep["chosen"] == res.chosen.tag
         assert set(rep["fits"]) == set(res.fits)
         for tag, fit in res.fits.items():
@@ -321,6 +362,28 @@ class TestIngestCheck:
         assert rep["n_bids"] == 120
         assert rep["n_auctions"] >= 1
         assert rep["clamp_policy"] == "reject"
+
+    def test_seed_flag_is_not_taken(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=20, seed=14)
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest-check", "--input", data, "--horizon", "7", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_config_seed_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        rc, err = run_json(["ingest-check", "--config", str(cfg), "--input",
+                            simulate(tmp_path, n=20, seed=14), "--horizon", "7"], capsys)
+        assert rc == 1
+        assert err["error"] == {"type": "ValueError", "message": "unknown config keys ['seed']"}
+
+    def test_help_lists_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest-check", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--horizon" in out and "--seed" not in out
 
     def test_clamp_policy_flag(self, tmp_path, capsys):
         csv_path = tmp_path / "dirty.csv"

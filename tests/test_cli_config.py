@@ -62,7 +62,7 @@ def typed(key: str, csv: str, tmp: str):
         "horizon": st.sampled_from([7, 7.0, 8.5]),
         "unit": st.sampled_from(sorted(MINUTES_PER_UNIT)),
         "clamp_policy": st.sampled_from(["reject", "clamp-epsilon"]),
-        "method": st.sampled_from(["ga", "grid", "quick-crude", "closed-form"]),
+        "method": st.sampled_from(["ga", "grid", "quick-crude", "closed-form", "profile"]),
         "family": st.sampled_from(list(FAMILIES)),
         "seed": st.integers(0, 5),
         # generations, bootstrap and n set how long a run takes

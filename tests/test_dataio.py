@@ -297,16 +297,27 @@ class TestBlocks:
                 fn(IngestSpec(path=path, horizon=7.0))
         assert opened == [clean, quoted] * 2
 
-    def test_undecodable_byte_fails_as_under_csv(self, tmp_path):
-        # two bytes a character in the ids, so bytes and characters differ
-        text = ("auction_id,bid_time\n" + "\u00e9\u00e8,1.5\n" * 5000).encode()
+    @pytest.mark.parametrize("rows, line", [
+        (10, 1),  # a metadata line before the header
+        (10, 2),  # the header
+        (5000, 2500),  # the first block
+        (150_000, 140_000),  # past the first block
+    ], ids=["metadata", "header", "first-block", "past-first-block"])
+    @pytest.mark.parametrize("label", ["\u00e9\u00e8", '"\u00e9\u00e8"'], ids=["split", "csv"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, rows, line, label):
+        # two bytes a character in the ids, so bytes and characters differ;
+        # a quoted id sends the data rows to csv
+        lines = [b"# source=test\n", b"auction_id,bid_time\n"]
+        lines += [f"{label},1.5\n".encode()] * rows
+        lines[line - 1] = b"\xff" + lines[line - 1]
         path = tmp_path / "bids.csv"
-        path.write_bytes(text[:20_000] + b"\xff" + text[20_000:])
-        with pytest.raises(UnicodeDecodeError) as want, path.open(newline="") as fh:
-            list(csv.reader(fh))
-        with pytest.raises(UnicodeDecodeError) as got:
-            ingest(IngestSpec(path=path, horizon=7.0))
-        assert str(got.value) == str(want.value)
+        path.write_bytes(b"".join(lines))
+        for fn in (ingest, ingest_summary):
+            with pytest.raises(IngestError) as err:
+                fn(IngestSpec(path=path, horizon=7.0))
+            assert err.value.line == line
+            assert str(err.value) == (f"line {line}: cannot decode byte 0xff as utf-8 "
+                                      "(invalid start byte)")
 
     @pytest.mark.parametrize("text, error", [
         # csv ends a line at a lone CR, so a field count is off by a line

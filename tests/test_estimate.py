@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from barista import (
     BaristaParams,
@@ -10,6 +11,7 @@ from barista import (
     GaConfig,
     OneStage,
     QcConfig,
+    TwoStage,
     bootstrap_se,
     cdf,
     default_bounds,
@@ -25,13 +27,16 @@ from barista import (
     mle_nhpp1,
     normalization_constant,
     pdf,
+    profile_fit,
     qc_alpha,
     qc_alpha3_survival,
     qc_changepoints,
     qc_fit,
     sample_fixed_n,
 )
-from conftest import random_params
+from barista import estimate
+from barista.estimate import _CondLoglik
+from conftest import P_STAR, random_params
 
 
 def perturbed(p: BaristaParams, a1=None, a2=None, a3=None) -> BaristaParams:
@@ -265,6 +270,68 @@ class TestGradient:
         assert float(np.sum(g)) == pytest.approx(0.0, abs=1e-6 * s.n)
 
 
+def ref_B_derivatives(p: BaristaParams):
+    """B and its derivatives in the exponents at one vector, one scalar at a
+    time: the earlier form of estimate._B_derivatives."""
+    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
+    q1, q2 = 1.0 - p.d1 / p.T, p.d2 / p.T
+    L1 = math.log(q1)
+    L2 = math.log(q2) if q2 > 0 else 0.0
+    p1 = q1 ** (a2 - a1)
+    p2 = q1 ** a2
+    p3 = q2 ** a2
+    B = a2 * a3 * p1 + a3 * (a1 - a2) * p2 + a1 * (a2 - a3) * p3
+    B1 = -a2 * a3 * L1 * p1 + a3 * p2 + (a2 - a3) * p3
+    B2 = (a3 * p1 * (1.0 + a2 * L1) + a3 * p2 * ((a1 - a2) * L1 - 1.0)
+          + a1 * p3 * (1.0 + (a2 - a3) * L2))
+    B3 = a2 * p1 + (a1 - a2) * p2 - a1 * p3
+    B11 = a2 * a3 * L1 * L1 * p1
+    B12 = -a3 * L1 * p1 * (1.0 + a2 * L1) + a3 * L1 * p2 + p3 * (1.0 + (a2 - a3) * L2)
+    B13 = -a2 * L1 * p1 + p2 - p3
+    B22 = (a3 * L1 * p1 * (2.0 + a2 * L1) + a3 * L1 * p2 * ((a1 - a2) * L1 - 2.0)
+           + a1 * L2 * p3 * (2.0 + (a2 - a3) * L2))
+    B23 = (1.0 + a2 * L1) * p1 + ((a1 - a2) * L1 - 1.0) * p2 - a1 * L2 * p3
+    return (B, np.array([B1, B2, B3]),
+            np.array([[B11, B12, B13], [B12, B22, B23], [B13, B23, 0.0]]))
+
+
+def ref_gradient_and_hessian(sample: BidSample, p: BaristaParams):
+    """loglik_gradient and loglik_hessian in their earlier, scalar form."""
+    times = sample.times
+    prefix = np.concatenate([[0.0], np.cumsum(np.log1p(-times / p.T))])
+    i1 = int(np.searchsorted(times, p.d1, side="right"))
+    i2 = int(np.searchsorted(times, p.T - p.d2, side="right"))
+    n, n3 = sample.n, sample.n - i2
+    S1, S2, S3 = (float(prefix[i1]), float(prefix[i2] - prefix[i1]),
+                  float(prefix[n] - prefix[i2]))
+    B, Bg, Bh = ref_B_derivatives(p)
+    alphas = np.array([p.alpha1, p.alpha2, p.alpha3])
+    L1 = math.log(1.0 - p.d1 / p.T)
+    L2 = math.log(p.d2 / p.T) if (p.d2 > 0 and n3 > 0) else 0.0
+    grad = n * (1.0 / alphas - Bg / B) + np.array(
+        [-i1 * L1 + S1, i1 * L1 + n3 * L2 + S2, -n3 * L2 + S3])
+    hess = n * (-np.diag(1.0 / alphas ** 2) - Bh / B + np.outer(Bg, Bg) / B ** 2)
+    return grad, hess
+
+
+class TestDerivativesMatchScalarReference:
+    """The column form of the derivatives does the scalar form's arithmetic,
+    but numpy's pow and log may differ from libm's in the last bit.  So the
+    results agree to 1e-12 relative to the larger of their largest entry
+    and n, the size of the terms that cancel in a gradient near zero."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_vectors(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            p = random_params(rng)
+            s = sample_fixed_n(p, int(rng.integers(50, 800)), seed=int(rng.integers(1 << 31)))
+            grad, hess = ref_gradient_and_hessian(s, p)
+            for got, want in ((loglik_gradient(s, p), grad), (loglik_hessian(s, p), hess)):
+                scale = max(np.max(np.abs(want)), s.n)
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 class TestHessian:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_differenced_gradient(self, seed):
@@ -413,6 +480,124 @@ class TestGa:
             GaConfig(bounds=((1.0, 0.5),))
         with pytest.raises(ValueError):
             GaConfig(bounds=((0.1, 1.0),), mutation_scale=(0.1, 0.2))
+
+
+# the two-stage truth of acceptance criterion 9
+C9_TWO = TwoStage(alpha2=0.3, alpha3=7.7, d2=1.0 / 1440, c=1.0, T=5.0).as_barista()
+
+
+def profile_oracle(sample: BidSample, starts: int = 3, seed: int = 0) -> float:
+    """The best two-stage log-likelihood that multi-start L-BFGS-B finds in
+    every gap of the default d2 box between reversed event times, or the
+    one-stage fit's, if higher."""
+    T = sample.T
+    (a2_lo, a2_hi), (a3_lo, a3_hi), (d_lo, d_hi) = default_bounds("two-stage", T)
+    r = np.sort(T - sample.times)
+    edges = np.unique(np.concatenate([[d_lo], r[(r > d_lo) & (r < d_hi)], [d_hi]]))
+    rng = np.random.default_rng(seed)
+    cache = _CondLoglik(sample)
+
+    def neg(v):
+        return -cache.value(v[0], v[0], v[1], 0.0, v[2])
+
+    best = loglik(sample, OneStage(mle_nhpp1(sample)[0], 1.0, T).as_barista())
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for _ in range(starts):
+            res = scipy.optimize.minimize(
+                neg, rng.uniform((a2_lo, a3_lo, lo), (a2_hi, a3_hi, hi)), method="L-BFGS-B",
+                bounds=[(a2_lo, a2_hi), (a3_lo, a3_hi), (lo, hi)],
+                options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 2000})
+            best = max(best, -res.fun)
+    return best
+
+
+class TestProfileFit:
+    @pytest.mark.parametrize("truth, seed", [
+        (P_STAR, 300), (P_STAR, 301), (C9_TWO, 300), (C9_TWO, 301),
+        # the best point of a gap lies inside it, with alpha3 < alpha2, while
+        # the fits at both its ends hold alpha3 far above alpha2
+        (OneStage(0.6, 1.0, 7.0).as_barista(), 303),
+    ])
+    def test_reaches_the_oracle(self, truth, seed):
+        s = sample_fixed_n(truth, 300, seed=seed)
+        assert profile_fit(s).loglik >= profile_oracle(s) - 1e-6
+
+    def test_not_below_the_ga_nor_the_one_stage_fit(self):
+        # criterion-2 data, then two 5k samples from each criterion-9 truth
+        truths = [OneStage(1.0, 1.0, 7.0).as_barista(), P_STAR, C9_TWO]
+        data = [sample_fixed_n(P_STAR, 5000, seed=23)]
+        data += [sample_fixed_n(t, 5000, seed=k) for t in truths for k in (1, 2)]
+        for s in data:
+            fit = profile_fit(s)
+            ga = ga_fit(s, "two-stage", GaConfig(bounds=default_bounds("two-stage", s.T)))
+            one = loglik(s, OneStage(mle_nhpp1(s)[0], 1.0, s.T).as_barista())
+            assert fit.method == "profile"
+            assert fit.loglik >= ga.loglik - 1e-9
+            assert fit.loglik >= one
+            assert fit.loglik == pytest.approx(loglik(s, fit.family.as_barista()), rel=1e-9)
+
+    def test_blocks_of_rows_change_nothing(self, monkeypatch):
+        s = sample_fixed_n(C9_TWO, 2000, seed=4)
+        whole = profile_fit(s)
+        monkeypatch.setattr(estimate, "_GRID_BLOCK", 7)
+        blocked = profile_fit(s)
+        assert blocked.params == whole.params and blocked.loglik == whole.loglik
+
+    def test_exponent_gradient_vanishes_inside_the_box(self):
+        (a2_lo, a2_hi), (a3_lo, a3_hi), _ = default_bounds("two-stage", 7.0)
+        inside = 0
+        for seed in range(4):
+            s = sample_fixed_n(P_STAR, 3000, seed=seed)
+            fit = profile_fit(s)
+            a2, a3 = fit.params["alpha2"], fit.params["alpha3"]
+            if not (a2_lo < a2 < a2_hi and a3_lo < a3 < a3_hi):
+                continue
+            inside += 1
+            # alpha2 fills the alpha1 and alpha2 slots; a Newton step from the
+            # fit would gain g.H^-1.g / 2 nats
+            J = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+            g = loglik_gradient(s, fit.family.as_barista()) @ J
+            H = J.T @ loglik_hessian(s, fit.family.as_barista()) @ J
+            assert -0.5 * g @ np.linalg.solve(H, g) < 1e-9
+        assert inside > 0
+
+    def test_embedding_wins_when_the_box_cannot_beat_it(self):
+        # exponent MLE above the box's alpha2 range and no late events
+        s = BidSample(times=np.linspace(0.0, 6.0, 200) ** 0.5 * (6.0 ** 0.5), T=7.0)
+        alpha, _ = mle_nhpp1(s)
+        fit = profile_fit(s, bounds=((0.1, 0.2), (0.5, 15.0), (0.0, 0.01)))
+        assert fit.params["d2"] == 0.0
+        assert fit.params["alpha2"] == fit.params["alpha3"] == alpha
+        # a box that holds only d2 = 0 leaves the embedding alone
+        fit = profile_fit(s, bounds=((0.1, 1.0), (0.5, 15.0), (0.0, 0.0)))
+        assert (fit.params["alpha2"], fit.params["alpha3"], fit.params["d2"]) == (alpha, alpha, 0.0)
+
+    def test_box_of_one_point(self):
+        # a box holding only the truth, which beats the embedding
+        s = sample_fixed_n(C9_TWO, 500, seed=2)
+        box = ((0.3, 0.3), (7.7, 7.7), (C9_TWO.d2, C9_TWO.d2))
+        fit = profile_fit(s, bounds=box)
+        embedded = loglik(s, OneStage(mle_nhpp1(s)[0], 1.0, s.T).as_barista())
+        assert loglik(s, C9_TWO) > embedded
+        assert (fit.params["alpha2"], fit.params["alpha3"], fit.params["d2"]) == (
+            0.3, 7.7, C9_TWO.d2)
+        assert fit.loglik == loglik(s, C9_TWO)
+
+    @pytest.mark.parametrize("family, bounds, match", [
+        ("three-stage", None, "only the two-stage"),
+        ("two-stage", ((0.1, 1.0), (0.5, 15.0)), "needs 3 bounds"),
+        ("two-stage", ((0.0, 1.0), (0.5, 15.0), (0.0, 0.01)), "positive"),
+        ("two-stage", ((0.1, 1.0), (0.5, 15.0), (0.0, 7.0)), "d2 bounds"),
+        ("two-stage", ((0.1, 1.0), (15.0, 0.5), (0.0, 0.01)), "bad bound"),
+    ])
+    def test_rejects_bad_settings(self, p_star, family, bounds, match):
+        s = sample_fixed_n(p_star, 50, seed=0)
+        with pytest.raises(ValueError, match=match):
+            profile_fit(s, family, bounds)
+
+    def test_empty_sample(self):
+        with pytest.raises(EstimationError):
+            profile_fit(BidSample(times=np.array([]), T=7.0))
 
 
 class TestDefaultBounds:

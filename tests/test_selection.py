@@ -21,6 +21,7 @@ from barista import (
     lr_statistic,
     lr_test,
     mle_nhpp1,
+    profile_fit,
     sample_fixed_n,
     sample_poisson_count,
     select_model,
@@ -86,11 +87,8 @@ class TestEmbeddings:
 
 def _fast_configs(T, seed, generations=120):
     root = np.random.SeedSequence(seed).generate_state(3)
-    return {
-        tag: GaConfig(bounds=default_bounds(tag, T), generations=generations,
-                      seed=int(root[i]))
-        for i, tag in ((1, "two-stage"), (2, "three-stage"))
-    }
+    return {"three-stage": GaConfig(bounds=default_bounds("three-stage", T),
+                                    generations=generations, seed=int(root[2]))}
 
 
 def bits(x) -> bytes:
@@ -115,7 +113,13 @@ class TestOneStageClosedForm:
         cfg = GaConfig(bounds=default_bounds("one-stage", 7.0))
         with pytest.raises(ValueError, match="one-stage"):
             select_model(s, configs={"one-stage": cfg})
-        assert set(_default_configs(s, 0)) == {"two-stage", "three-stage"}
+        assert set(_default_configs(s, 0)) == {"three-stage"}
+
+    def test_two_stage_config_rejected(self, p_star):
+        s = sample_fixed_n(p_star, 50, seed=0)
+        cfg = GaConfig(bounds=default_bounds("two-stage", 7.0))
+        with pytest.raises(ValueError, match="two-stage fit is the exact profile fit"):
+            select_model(s, configs={"two-stage": cfg})
 
     def test_all_times_zero_raises(self, tmp_path, capsys):
         s = BidSample(times=np.zeros(40), T=7.0)
@@ -131,20 +135,23 @@ class TestOneStageClosedForm:
 
 
 def test_ga_fits_keep_their_default_seeds(p_star):
-    # the richer fits are the GA searches they were: seeded by the second and
-    # third of three states drawn from the selection seed
+    # the three-stage fit is the GA search it was, seeded by the third of
+    # three states drawn from the selection seed; the two-stage fit is the
+    # profile fit
     s = sample_fixed_n(p_star, 3000, seed=7)
     res = select_model(s, seed=5)
     assert res.chosen.tag == "three-stage"
     seeds = np.random.SeedSequence(5).generate_state(3)
     configs = _default_configs(s, 5)
-    for tag, want in (("two-stage", seeds[1]), ("three-stage", seeds[2])):
-        assert configs[tag] == GaConfig(bounds=default_bounds(tag, 7.0), seed=int(want))
-        ref = ga_fit(s, tag, configs[tag])
+    assert configs == {"three-stage": GaConfig(bounds=default_bounds("three-stage", 7.0),
+                                               seed=int(seeds[2]))}
+    for tag, ref in (("two-stage", profile_fit(s, "two-stage")),
+                     ("three-stage", ga_fit(s, "three-stage", configs["three-stage"]))):
         fit = res.fits[tag]
-        assert fit.family == ref.family and fit.method == "ga"
+        assert fit.family == ref.family and fit.method == ref.method
         assert bits(list(fit.params.values())) == bits(list(ref.params.values()))
         assert bits(fit.loglik) == bits(ref.loglik)
+    assert res.fits["two-stage"].method == "profile"
 
 
 class TestSelectModel:
@@ -202,15 +209,18 @@ class TestSelectModel:
 
 
 @pytest.mark.parametrize("data_seed, seed", [(1008, 8), (1014, 14)])
-def test_refinement_leaves_an_empty_stage_exponent_alone(data_seed, seed):
-    # criterion-9 one-stage samples on which the two-stage GA ends below the
-    # exact one-stage fit, so the fit is refined around the embedding with
-    # d2 = 0; alpha3 then has no stage and must keep the embedded value
+def test_profile_fit_leaves_an_empty_stage_exponent_alone(data_seed, seed):
+    # criterion-9 one-stage samples whose exponent MLE lies above the
+    # two-stage box, so no point of the box beats the exact one-stage fit
+    # and the profile fit is its embedding with d2 = 0; alpha3 then has no
+    # stage and must keep the embedded value
     s = sample_poisson_count(OneStage(1.0, 143.0, 7.0).as_barista(), seed=data_seed)
     res = select_model(s, seed=seed)
     one, two = res.fits["one-stage"], res.fits["two-stage"]
-    assert ga_fit(s, "two-stage", _default_configs(s, seed)["two-stage"]).loglik < one.loglik
+    assert one.params["alpha"] > default_bounds("two-stage", 7.0)[0][1]
+    assert two.method == "profile"
     assert two.params["d2"] == 0.0
     assert two.params["alpha3"] == two.params["alpha2"] == one.params["alpha"]
+    assert bits(two.loglik) == bits(one.loglik)
     assert res.lr_one_two.statistic == 0.0
     assert res.chosen.tag == "one-stage"
