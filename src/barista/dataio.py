@@ -18,7 +18,9 @@ has one comma fewer than the header has fields, is split at commas, which
 then yields the fields csv would; from the first block that fails these
 tests, csv reads the rest of the file.  Either way each numeric column is
 converted block by block, and only auction ids and the raw fields of
-non-finite values are kept as strings.  Results, errors and record numbers
+non-finite values are kept as strings.  Auction ids are stripped, and the
+rows of one auction share one label object, so label memory grows with the
+number of auctions, not of bids.  Results, errors and record numbers
 are those of csv alone.  Only when a check of the whole columns fails are
 per-check masks built, to name the first bad row.
 """
@@ -38,7 +40,7 @@ from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping
 
 import numpy as np
 
-from .sample import BidSample
+from .sample import BidSample, _reordered
 
 if TYPE_CHECKING:
     from .diagnostics import QqData
@@ -158,20 +160,35 @@ def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
     return times, ids, clamped
 
 
+class _Labels(dict):
+    """Raw auction id field -> its stripped label, one str object per label.
+
+    A field seen for the first time is stripped, and every field that strips
+    to the same label gets that label's one object, so a file holds as many
+    label strings as it has auctions, however many bids each has.
+    """
+
+    def __missing__(self, raw: str) -> str:
+        stripped = raw.strip()
+        label = self[raw] = self.setdefault(stripped, stripped)
+        return label
+
+
 class _Table:
-    """The data rows read so far: stripped auction ids, one float array per
-    block for each numeric column, and per column the raw field of each row
-    whose value is not a finite number."""
+    """The data rows read so far: auction ids (stripped, each label one
+    shared object), one float array per block for each numeric column, and
+    per column the raw field of each row whose value is not a finite number."""
 
     def __init__(self, names: list[str]) -> None:
         self.ids: list[str] = []
+        self.labels = _Labels()
         self.blocks: dict[str, list[np.ndarray]] = {name: [] for name in names}
         self.raw: dict[str, dict[int, str]] = {name: {} for name in names}
 
     def add(self, ids: list[str], *columns: list[str]) -> None:
         """Append a block of rows given as raw fields, auction ids first."""
         start = len(self.ids)
-        self.ids.extend(map(str.strip, ids))
+        self.ids.extend(map(self.labels.__getitem__, ids))
         for (name, blocks), col in zip(self.blocks.items(), columns):
             try:
                 v = np.fromiter(map(float, col), float, len(col))
@@ -385,11 +402,7 @@ def ingest(spec: IngestSpec) -> BidSample:
     if not ids:
         raise IngestError(f"no bid rows in {spec.path}")
     order = np.argsort(times, kind="stable")
-    return BidSample(
-        times=times[order],
-        T=spec.horizon,
-        sources=tuple(np.array(ids, dtype=object)[order]),
-    )
+    return BidSample(times=times[order], T=spec.horizon, sources=_reordered(ids, order))
 
 
 def ingest_summary(spec: IngestSpec) -> dict:

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -52,10 +54,13 @@ class BidSample:
         """Bid counts keyed by auction identifier ({'': n} when untagged)."""
         if self.sources is None:
             return {"": self.n}
-        counts: dict[str, int] = {}
-        for s in self.sources:
-            counts[s] = counts.get(s, 0) + 1
-        return counts
+        return dict(Counter(self.sources))
+
+
+def _reordered(labels: Sequence[str], order: np.ndarray) -> tuple[str, ...]:
+    """labels[order] as a tuple, gathered through one object array, so the
+    tuple holds the very objects of labels."""
+    return tuple(np.array(labels, dtype=object)[order])
 
 
 def pool(samples: list[BidSample] | tuple[BidSample, ...]) -> BidSample:
@@ -71,14 +76,9 @@ def pool(samples: list[BidSample] | tuple[BidSample, ...]) -> BidSample:
         if s.T != T:
             raise ValueError(f"sample {i} has horizon {s.T}, expected {T}")
     times = np.concatenate([s.times for s in samples])
-    tagged = all(s.sources is not None for s in samples)
-    if tagged:
-        src = [x for s in samples for x in s.sources]  # type: ignore[union-attr]
-    else:
-        src = None
     order = np.argsort(times, kind="stable")
-    return BidSample(
-        times=times[order],
-        T=T,
-        sources=tuple(src[i] for i in order) if src is not None else None,
-    )
+    sources = None
+    if all(s.sources is not None for s in samples):
+        labels = [x for s in samples for x in s.sources]  # type: ignore[union-attr]
+        sources = _reordered(labels, order)
+    return BidSample(times=times[order], T=T, sources=sources)

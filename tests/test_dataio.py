@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,3 +388,80 @@ class TestBlocks:
             ingest_summary(IngestSpec(path=path, horizon=7.0))
         assert str(err.value) == "line 38: auction 'a0' start changed from 19000.0 to 19000.5"
         assert err.value.line == 38
+
+
+def _spy_csv(monkeypatch):
+    """Count the csv readers dataio makes; each still reads as csv does."""
+    made = []
+    real = dataio.csv.reader
+
+    def reader(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dataio.csv, "reader", reader)
+    return made
+
+
+class TestSharedLabels:
+    """Each distinct auction label is one str object, whatever its padding."""
+
+    @pytest.mark.parametrize("layout", ["relative", "timestamped"])
+    @pytest.mark.parametrize("path_taken", ["split", "csv"])
+    def test_one_object_per_label(self, tmp_path, monkeypatch, layout, path_taken):
+        labels = ["a1", " a1", "a1 ", "b2", "\tb2", "c3"]
+        rows = [(labels[i % len(labels)], 0.01 * (i % 600)) for i in range(600)]
+        if layout == "relative":
+            text = "auction_id,bid_time\n" + "".join(f"{a},{t!r}\n" for a, t in rows)
+        else:
+            text = "auction_id,bid_timestamp,auction_start\n" + "".join(
+                f"{a},{100.0 + t!r},100.0\n" for a, t in rows)
+        if path_taken == "csv":
+            # a quoted label past the first block sends the rest to csv
+            text += '"c3",6.5\n' if layout == "relative" else '"c3",106.5,100.0\n'
+        path = write(tmp_path, text)
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 256)
+        made = _spy_csv(monkeypatch)
+        s = ingest(IngestSpec(path=path, horizon=7.0))
+        assert len(made) == (path_taken == "csv")
+        assert set(s.sources) == {"a1", "b2", "c3"}
+        assert len(set(map(id, s.sources))) == len(set(s.sources))
+        assert s.per_source_counts() == ingest_summary(
+            IngestSpec(path=path, horizon=7.0))["per_auction_counts"]
+
+    def test_padded_variants_are_one_label(self, tmp_path):
+        path = write(tmp_path, "auction_id,bid_time\n a1,0.5\na1 ,1.5\na1,2.5\n")
+        s = ingest(IngestSpec(path=path, horizon=7.0))
+        assert s.sources == ("a1",) * 3
+        assert len(set(map(id, s.sources))) == 1
+        summ = ingest_summary(IngestSpec(path=path, horizon=7.0))
+        assert (summ["n_auctions"], summ["per_auction_counts"]) == (1, {"a1": 3})
+
+    @pytest.mark.parametrize("blank", ["", "  ", "\t"])
+    def test_empty_label_fails_with_its_line(self, tmp_path, blank):
+        path = write(tmp_path, f"auction_id,bid_time\n a1,0.5\na1,1.5\n{blank},2.5\n")
+        for fn in (ingest, ingest_summary):
+            with pytest.raises(IngestError) as err:
+                fn(IngestSpec(path=path, horizon=7.0))
+            assert (str(err.value), err.value.line) == ("line 4: empty auction_id", 4)
+
+    def test_label_memory_scales_with_auctions(self, tmp_path, monkeypatch):
+        # 100k rows of 100 auctions; a str of its own per row costs over 50
+        # bytes, so a peak under 80 bytes a row leaves room for the times, the
+        # sort order and the label pointers, not for a label string per bid
+        n = 100_000
+        rng = np.random.default_rng(12)
+        labels = tuple(f"auction-{i % 100:03d}" for i in rng.permutation(n))
+        s = BidSample(times=np.sort(rng.uniform(0.0, 7.0, n)), T=7.0, sources=labels)
+        path = tmp_path / "bids.csv"
+        write_sample(s, path)
+        # small blocks keep the read buffers small beside the labels
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 1 << 16)
+        tracemalloc.start()
+        try:
+            back = ingest(IngestSpec(path=path, horizon=7.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.sources == labels
+        assert peak < 80 * n

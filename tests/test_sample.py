@@ -71,3 +71,37 @@ def test_pool_rejects_mixed_horizons():
 def test_pool_rejects_empty_list():
     with pytest.raises(ValueError):
         pool([])
+
+
+def _pool_by_generator(samples):
+    """The reference pool: labels taken one at a time in the sort order."""
+    times = np.concatenate([s.times for s in samples])
+    src = [x for s in samples for x in s.sources]
+    order = np.argsort(times, kind="stable")
+    return times[order], tuple(src[i] for i in order)
+
+
+def _counts_by_loop(sources):
+    counts = {}
+    for s in sources:
+        counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pool_matches_generator_construction(seed):
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(int(rng.integers(1, 5))):
+        n = int(rng.integers(0, 40))
+        # a coarse grid of times, so ties within and across samples are common
+        times = np.sort(rng.integers(0, 8, n) / 8.0)
+        labels = tuple(f"s{k}" for k in rng.integers(0, 4, n))
+        samples.append(BidSample(times=times, T=1.0, sources=labels))
+    merged = pool(samples)
+    times, sources = _pool_by_generator(samples)
+    np.testing.assert_array_equal(merged.times, times)
+    assert merged.sources == sources
+    assert all(a is b for a, b in zip(merged.sources, sources))
+    counts, want = merged.per_source_counts(), _counts_by_loop(sources)
+    assert (counts, list(counts)) == (want, list(want))
