@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -61,9 +62,36 @@ _METHODS = ("ga", "grid", "quick-crude", "closed-form", "profile")
 # plumbing
 # ---------------------------------------------------------------------------
 
+def _nonfinite(obj, name: str = "") -> tuple[str, float] | None:
+    """The dotted name and value of the first number in obj that JSON
+    cannot hold (inf or nan), or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (name, obj)
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        found = _nonfinite(value, f"{name}.{key}" if name else str(key))
+        if found:
+            return found
+    return None
+
+
 def _envelope(args: argparse.Namespace, payload: dict) -> dict:
     """schema and command, then the payload, then generated_at unless
-    --no-timestamp: every report, and the metadata of simulate's CSV."""
+    --no-timestamp: every report, and the metadata of simulate's CSV.
+
+    Every number must be finite, so that the report is strict JSON; the
+    horizon scales every time and rate in it, so a value that overflows
+    names --horizon.
+    """
+    bad = _nonfinite(payload)
+    if bad:
+        raise ValueError(f"report value {bad[0]} is {bad[1]}, which JSON cannot hold: "
+                         f"--horizon {args.horizon!r} is too large for this data")
     obj = {"schema": SCHEMA, "command": args.command, **payload}
     if not args.no_timestamp:
         obj["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -217,10 +245,19 @@ def _qc_config_from(args: argparse.Namespace, T: float) -> QcConfig:
     )
 
 
+def _default_box(family: str, T: float) -> tuple:
+    """default_bounds, which must be finite: they scale with --horizon."""
+    box = default_bounds(family, T)
+    if not all(math.isfinite(v) for pair in box for v in pair):
+        raise ValueError(f"--horizon {T!r} is too large: the default {family} search box "
+                         f"{box} overflows")
+    return box
+
+
 def _bounds_from(args: argparse.Namespace, family: str, T: float) -> tuple:
     bounds = _json_flag(args.bounds, "bounds")
     if bounds is None:
-        return default_bounds(family, T)
+        return _default_box(family, T)
     if not (isinstance(bounds, list) and all(_numbers(b) and len(b) == 2 for b in bounds)):
         raise ValueError(f"--bounds must be a JSON list of [lo, hi] number pairs, got {bounds!r}")
     return tuple(tuple(b) for b in bounds)
@@ -292,6 +329,9 @@ def _cmd_fit(args: argparse.Namespace) -> dict:
 
 def _cmd_select(args: argparse.Namespace) -> dict:
     sample, described = _ingested(args)
+    # select searches the default box of every family
+    for tag in FAMILIES:
+        _default_box(tag, sample.T)
     configs = None
     if args.generations is not None:
         configs = {
@@ -444,7 +484,8 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         payload = args.func(args)
         if payload is not None:
-            text = json.dumps(_envelope(args, payload), indent=2, sort_keys=True) + "\n"
+            text = json.dumps(_envelope(args, payload), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
             if args.output:
                 Path(args.output).write_text(text)
             else:

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _SERIES_TERMS = 100
+# CDF values per block of the KS statistic's running maximum
+_KS_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,19 @@ def ks_one_sample(sample: BidSample, p: BaristaParams) -> KsResult:
         raise ValueError(f"sample horizon {sample.T} != parameter horizon {p.T}")
     n = sample.n
     f = cdf(p, sample.times)
-    # steps[j] = j/n, bit-equal to the integer j over n
-    steps = np.arange(n + 1, dtype=float)
-    steps /= n
-    diff = np.subtract(steps[1:], f)
-    d_plus = np.max(diff)
-    np.subtract(f, steps[:-1], out=diff)
-    d_minus = np.max(diff)
-    d = float(max(d_plus, d_minus, 0.0))
+    # D+ = max(j/n - f[j-1]) and D- = max(f[j] - j/n), taken over blocks of
+    # f so that no other n-length buffer is made; steps[i] is the integer
+    # start + i over n
+    d_plus, d_minus = [], []
+    for start in range(0, n, _KS_BLOCK):
+        block = f[start:start + _KS_BLOCK]
+        steps = np.arange(start, start + block.size + 1, dtype=float)
+        steps /= n
+        diff = np.subtract(steps[1:], block)
+        d_plus.append(diff.max())
+        np.subtract(block, steps[:-1], out=diff)
+        d_minus.append(diff.max())
+    d = float(max(np.max(d_plus), np.max(d_minus), 0.0))
     return KsResult(d, kolmogorov_sf(math.sqrt(n) * d), float(n))
 
 

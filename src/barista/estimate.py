@@ -297,8 +297,7 @@ class _CondLoglik:
         self.prefix = np.empty(self.n + 1)
         self.prefix[0] = 0.0
         tail = self.prefix[1:]
-        np.negative(self.times, out=tail)
-        tail /= self.T
+        np.divide(self.times, -self.T, out=tail)
         np.log1p(tail, out=tail)
         np.cumsum(tail, out=tail)
 
@@ -920,6 +919,17 @@ def profile_fit(sample: BidSample, family: str = "two-stage",
 # bootstrap
 # ---------------------------------------------------------------------------
 
+def _resample(sample: BidSample, seed: np.random.SeedSequence) -> BidSample:
+    """n times drawn from the sample with replacement, in sorted order.
+
+    The times are sorted, so gathering at sorted indices sorts the draw; the
+    indices are dropped before the caller refits.
+    """
+    idx = np.random.default_rng(seed).integers(0, sample.n, size=sample.n)
+    idx.sort()
+    return BidSample(times=sample.times[idx], T=sample.T)
+
+
 def bootstrap_se(
     sample: BidSample,
     fitter: Callable[[BidSample], FitResult],
@@ -944,13 +954,9 @@ def bootstrap_se(
     draws: list[dict[str, float]] = []
     failed: Counter[str] = Counter()
     for child in children:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, sample.n, size=sample.n)
-        t = sample.times[idx]
-        t.sort()
-        boot = BidSample(times=t, T=sample.T)
+        # the resample lives only as long as its refit
         try:
-            draws.append(fitter(boot).params)
+            draws.append(fitter(_resample(sample, child)).params)
         except (EstimationError, ValueError) as exc:
             failed[getattr(exc, "stage", None) or type(exc).__name__] += 1
     failures = sum(failed.values())

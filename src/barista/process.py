@@ -21,6 +21,7 @@ families are described once, in the table FAMILIES.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Sequence
@@ -240,46 +241,163 @@ def _denominator(a1, a2, a3, q1, q2):
     return a2 * a3 * q1 ** (a2 - a1) + a3 * (a1 - a2) * q1 ** a2 + a1 * (a2 - a3) * q2 ** a2
 
 
-def _stage_masks(p: BaristaParams, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _runs(x: np.ndarray, first: float, last: float | None, side: str) -> tuple[int, int]:
+    """(i1, i2) splitting nondecreasing x into the branch runs [0, i1),
+    [i1, i2) and [i2, n).
+
+    On side "left" the first run holds x < first and the last run x >= last;
+    on side "right", x <= first and x > last.  last None leaves the last run
+    empty.  Should the two bounds cross, the last run takes their overlap.
+    """
+    i2 = x.size if last is None else int(x.searchsorted(last, side=side))
+    return min(int(x.searchsorted(first, side=side)), i2), i2
+
+
+def _time_runs(p: BaristaParams, s: np.ndarray) -> tuple[int, int]:
     # Half-open branches [0, d1), [d1, T-d2), [T-d2, T].  With d2 = 0 the last
     # stage is empty and s = T is evaluated on the middle branch, whose closed
     # form remains the correct limit there.
-    if p.d2 > 0:
-        m3 = s >= p.T - p.d2
-    else:
-        m3 = np.zeros(s.shape, dtype=bool)
-    m1 = s < p.d1
-    m2 = ~(m1 | m3)
-    return m1, m2, m3
+    return _runs(s, p.d1, p.T - p.d2 if p.d2 > 0 else None, "left")
 
 
-def _branch_power(p: BaristaParams, s: np.ndarray) -> np.ndarray:
-    """Power term b(s) with lambda = c*b and pdf = C*b."""
+def _remaining(p: BaristaParams, src: np.ndarray, dst: np.ndarray) -> None:
+    """dst <- 1 - src/T, the remaining time every branch starts from."""
+    np.divide(src, p.T, out=dst)
+    np.subtract(1.0, dst, out=dst)
+
+
+def _power_runs(p: BaristaParams, scale: float, src: np.ndarray, dst: np.ndarray) -> None:
+    """dst <- scale * b(src), b the power term with lambda = c*b and pdf = C*b."""
     q1, q2 = _ratios(p)
-    rem = 1.0 - s / p.T
-    m1, m2, m3 = _stage_masks(p, s)
-    out = np.empty_like(s, dtype=float)
+    i1, i2 = _time_runs(p, src)
+    _remaining(p, src, dst)
+    x1, x2, x3 = dst[:i1], dst[i1:i2], dst[i2:]
     with np.errstate(divide="ignore"):
         # 0^0 -> 1 and 0^negative -> inf are the intended limits at s = T.
-        out[m1] = q1 ** (p.alpha2 - p.alpha1) * rem[m1] ** (p.alpha1 - 1.0)
-        out[m2] = rem[m2] ** (p.alpha2 - 1.0)
-        if m3.any():
-            # the mask is nonempty only when d2 > 0, so q2 > 0 here
-            out[m3] = q2 ** (p.alpha2 - p.alpha3) * rem[m3] ** (p.alpha3 - 1.0)
-    return out
+        x1 **= p.alpha1 - 1.0
+        x1 *= q1 ** (p.alpha2 - p.alpha1)
+        x2 **= p.alpha2 - 1.0
+        if x3.size:
+            # the run is nonempty only when d2 > 0, so q2 > 0 here
+            x3 **= p.alpha3 - 1.0
+            x3 *= q2 ** (p.alpha2 - p.alpha3)
+    dst *= scale
 
 
-def _as_array(s, lo: float, hi: float, what: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.size and (np.any(arr < lo) or np.any(arr > hi) or not np.all(np.isfinite(arr))):
+def _cumulative_runs(p: BaristaParams, scale: float, top: float | None,
+                     src: np.ndarray, dst: np.ndarray) -> None:
+    """dst <- scale/T times the integral of b over [0, src].
+
+    scale = T c gives m(s) and scale = T C gives F(s).  The last branch is
+    written as top, the value at T (None: the sum of the three stages'
+    masses), minus its tail, via r = (1 - s/T)/q2 in [0, 1] to stay finite
+    for tiny q2.
+    """
+    q1, q2 = _ratios(p)
+    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
+    K1 = (scale / a1) * q1 ** (a2 - a1)
+    at_d1 = K1 * (1.0 - q1 ** a1)
+    K3 = (scale / a3) * q2 ** a2
+    if top is None:
+        top = at_d1 + (scale / a2) * (q1 ** a2 - q2 ** a2) + K3
+
+    i1, i2 = _time_runs(p, src)
+    _remaining(p, src, dst)
+    x = dst[:i1]
+    x **= a1
+    np.subtract(1.0, x, out=x)
+    x *= K1
+    x = dst[i1:i2]
+    x **= a2
+    np.subtract(q1 ** a2, x, out=x)
+    x *= scale / a2
+    x += at_d1
+    x = dst[i2:]
+    x /= q2
+    x **= a3
+    x *= K3
+    np.subtract(top, x, out=x)
+
+
+def _cdf_runs(p: BaristaParams, src: np.ndarray, dst: np.ndarray) -> None:
+    """dst <- F(src), clipped to [0, 1]."""
+    at_T = int(src.searchsorted(p.T))
+    _cumulative_runs(p, normalization_constant(p) * p.T, 1.0, src, dst)
+    # F(T) = 1 exactly; the branch algebra can drift by an ulp
+    dst[at_T:] = 1.0
+    np.clip(dst, 0.0, 1.0, out=dst)
+
+
+def _times_from_inner(x: np.ndarray, a: float, T: float) -> None:
+    """x <- T (1 - max(x, 0)^(1/a)) in place: the tail every branch shares."""
+    np.maximum(x, 0.0, out=x)
+    x **= 1.0 / a
+    np.subtract(1.0, x, out=x)
+    x *= T
+
+
+def _quantile_runs(p: BaristaParams, src: np.ndarray, dst: np.ndarray) -> None:
+    """dst <- F^{-1}(src), clipped to [0, T].
+
+    The branch is chosen by comparing u with F(d1) and F(T - d2); each branch
+    of F is a shifted power and inverts in closed form.
+    """
+    C = normalization_constant(p)
+    q1, q2 = _ratios(p)
+    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
+    CT = C * p.T
+    F1 = cdf(p, p.d1) if p.d1 > 0 else 0.0
+    F2 = cdf(p, p.T - p.d2) if p.d2 > 0 else 1.0
+
+    i1, i2 = _runs(src, F1, F2, "right")
+    x = np.multiply(src[:i1], a1 / CT, out=dst[:i1])
+    x *= q1 ** (a1 - a2)
+    np.subtract(1.0, x, out=x)
+    _times_from_inner(x, a1, p.T)
+    x = np.subtract(src[i1:i2], F1, out=dst[i1:i2])
+    x *= a2 / CT
+    np.subtract(q1 ** a2, x, out=x)
+    _times_from_inner(x, a2, p.T)
+    if i2 < src.size:
+        # u > F2 happens only when d2 > 0, so q2 > 0 here
+        x = np.subtract(1.0, src[i2:], out=dst[i2:])
+        x *= a3 / CT
+        x *= q2 ** (a3 - a2)
+        _times_from_inner(x, a3, p.T)
+    np.clip(dst, 0.0, p.T, out=dst)
+
+
+def _evaluate(x, lo: float, hi: float, what: str,
+              kernel: Callable[[np.ndarray, np.ndarray], None]):
+    """kernel over x, whose values must lie in [lo, hi]: a float for a
+    scalar x, else a fresh array of x's shape.
+
+    kernel(src, dst) writes its function of nondecreasing src into dst and
+    may be given dst as src.  Nondecreasing x is passed as it is, so its
+    range is checked at its two ends, and the caller's array is never
+    written.  Any other order goes through one stable argsort: the kernel
+    overwrites the sorted copy, which is then scattered back.
+    """
+    arr = np.asarray(x, dtype=float)
+    flat = arr.reshape(-1)
+    # a nan fails every comparison, so it makes a longer array unordered
+    ordered = bool(np.all(flat[1:] >= flat[:-1]))
+    if ordered:
+        bad = flat.size and not (lo <= flat[0] and flat[-1] <= hi)
+    else:
+        bad = np.any(flat < lo) or np.any(flat > hi) or not np.all(np.isfinite(flat))
+    if bad:
         raise ValueError(f"{what} must lie in [{lo}, {hi}]")
-    return arr, scalar
-
-
-def _ret(out: np.ndarray, scalar: bool):
-    return float(out[0]) if scalar else out
+    if ordered:
+        out = np.empty(flat.shape)
+        kernel(flat, out)
+    else:
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+        kernel(ranked, ranked)
+        out = np.empty(flat.shape)
+        out[order] = ranked
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -302,124 +420,37 @@ def intensity(p: BaristaParams, s):
     May return inf at s = T when the final exponent is below 1; the
     singularity is integrable.
     """
-    arr, scalar = _as_array(s, 0.0, p.T, "s")
-    return _ret(p.c * _branch_power(p, arr), scalar)
-
-
-def _cumulative(p: BaristaParams, s: np.ndarray, scale: float, top: float | None) -> np.ndarray:
-    """scale/T times the integral of b over [0, s], in a fresh buffer.
-
-    scale = T c gives m(s) and scale = T C gives F(s).  The remaining time
-    1 - s/T is computed once into the buffer; each branch gathers its part
-    once and applies its closed form in place.  The last branch is written as
-    top, the value at T (None: the sum of the three stages' masses), minus
-    its tail, via r = (1 - s/T)/q2 in [0, 1] to stay finite for tiny q2.
-    """
-    q1, q2 = _ratios(p)
-    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    K1 = (scale / a1) * q1 ** (a2 - a1)
-    at_d1 = K1 * (1.0 - q1 ** a1)
-    K3 = (scale / a3) * q2 ** a2
-    if top is None:
-        top = at_d1 + (scale / a2) * (q1 ** a2 - q2 ** a2) + K3
-
-    m1, m2, m3 = _stage_masks(p, s)
-    # a fresh buffer: s may be the caller's array
-    out = s / p.T
-    np.subtract(1.0, out, out=out)
-    x = out[m1]
-    x **= a1
-    np.subtract(1.0, x, out=x)
-    x *= K1
-    out[m1] = x
-    x = out[m2]
-    x **= a2
-    np.subtract(q1 ** a2, x, out=x)
-    x *= scale / a2
-    x += at_d1
-    out[m2] = x
-    if np.any(m3):
-        x = out[m3]
-        x /= q2
-        x **= a3
-        x *= K3
-        np.subtract(top, x, out=x)
-        out[m3] = x
-    return out
+    return _evaluate(s, 0.0, p.T, "s", functools.partial(_power_runs, p, p.c))
 
 
 def mean_count(p: BaristaParams, s):
     """Expected number of events in [0, s]: m(s) = integral of the intensity."""
-    arr, scalar = _as_array(s, 0.0, p.T, "s")
-    return _ret(_cumulative(p, arr, p.T * p.c, None), scalar)
+    return _evaluate(s, 0.0, p.T, "s", functools.partial(_cumulative_runs, p, p.T * p.c, None))
 
 
 def cdf(p: BaristaParams, s):
-    """Distribution function of a single event time, F(s) = m(s) / m(T)."""
-    arr, scalar = _as_array(s, 0.0, p.T, "s")
-    out = _cumulative(p, arr, normalization_constant(p) * p.T, 1.0)
-    # F(T) = 1 exactly; the branch algebra can drift by an ulp
-    out[arr == p.T] = 1.0
-    return _ret(np.clip(out, 0.0, 1.0, out=out), scalar)
+    """Distribution function of a single event time, F(s) = m(s) / m(T).
+
+    Sorted s is evaluated as it is; any other order costs one argsort.
+    """
+    return _evaluate(s, 0.0, p.T, "s", functools.partial(_cdf_runs, p))
 
 
 def pdf(p: BaristaParams, s):
     """Density of a single event time: f(s) = C * b(s) = lambda(s) / m(T)."""
-    arr, scalar = _as_array(s, 0.0, p.T, "s")
-    return _ret(normalization_constant(p) * _branch_power(p, arr), scalar)
-
-
-def _times_from_inner(x: np.ndarray, a: float, T: float) -> None:
-    """x <- T (1 - max(x, 0)^(1/a)) in place: the tail every branch shares."""
-    np.maximum(x, 0.0, out=x)
-    x **= 1.0 / a
-    np.subtract(1.0, x, out=x)
-    x *= T
+    return _evaluate(s, 0.0, p.T, "s",
+                     functools.partial(_power_runs, p, normalization_constant(p)))
 
 
 def inverse_cdf(p: BaristaParams, u):
     """Quantile function F^{-1}(u) for u in [0, 1], by branch-wise inversion.
 
-    The branch is chosen by comparing u with F(d1) and F(T - d2); each branch
-    of F is a shifted power and inverts in closed form, applied in place to
-    the branch's gathered uniforms.  Evaluation is element by element, so
-    sorting u first (as the samplers do, which makes each branch mask one
-    contiguous run) permutes the result and changes no value.
+    Each branch of F is a shifted power and inverts in closed form, applied
+    in place to the run of sorted u it covers.  Sorted u is evaluated as it
+    is; any other order costs one argsort, and the values do not depend on
+    the order.
     """
-    arr, scalar = _as_array(u, 0.0, 1.0, "u")
-    C = normalization_constant(p)
-    q1, q2 = _ratios(p)
-    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    CT = C * p.T
-    F1 = cdf(p, p.d1) if p.d1 > 0 else 0.0
-    F2 = cdf(p, p.T - p.d2) if p.d2 > 0 else 1.0
-
-    out = np.empty_like(arr, dtype=float)
-    m1 = arr <= F1
-    m3 = arr > F2
-    m2 = ~(m1 | m3)
-    if np.any(m1):
-        x = arr[m1]
-        x *= a1 / CT
-        x *= q1 ** (a1 - a2)
-        np.subtract(1.0, x, out=x)
-        _times_from_inner(x, a1, p.T)
-        out[m1] = x
-    if np.any(m2):
-        x = arr[m2]
-        x -= F1
-        x *= a2 / CT
-        np.subtract(q1 ** a2, x, out=x)
-        _times_from_inner(x, a2, p.T)
-        out[m2] = x
-    if np.any(m3):
-        x = arr[m3]
-        np.subtract(1.0, x, out=x)
-        x *= a3 / CT
-        x *= q2 ** (a3 - a2)
-        _times_from_inner(x, a3, p.T)
-        out[m3] = x
-    return _ret(np.clip(out, 0.0, p.T, out=out), scalar)
+    return _evaluate(u, 0.0, 1.0, "u", functools.partial(_quantile_runs, p))
 
 
 def restrict(p: BaristaParams, beta: float) -> BaristaParams:

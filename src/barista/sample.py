@@ -31,13 +31,19 @@ class BidSample:
             raise ValueError("times must be a 1-d array")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be finite and > 0, got {self.T}")
-        if t.size:
+        # a nan fails every comparison, so it makes a longer array unordered;
+        # in a sorted array only the ends can be infinite or out of range
+        if t.size and np.all(t[1:] >= t[:-1]):
+            if not (math.isfinite(t[0]) and math.isfinite(t[-1])):
+                raise ValueError("times must be finite")
+            if t[0] < 0 or t[-1] >= self.T:
+                raise ValueError("times must lie in [0, T)")
+        elif t.size:
             if not np.all(np.isfinite(t)):
                 raise ValueError("times must be finite")
             if np.any(t < 0) or np.any(t >= self.T):
                 raise ValueError("times must lie in [0, T)")
-            if np.any(t[1:] < t[:-1]):
-                raise ValueError("times must be sorted nondecreasing")
+            raise ValueError("times must be sorted nondecreasing")
         if self.sources is not None:
             # a tuple of str is kept as given: checking the types of its
             # items costs less than copying it

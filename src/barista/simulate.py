@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import BaristaParams, inverse_cdf, mean_count
+from .process import BaristaParams, _quantile_runs, mean_count
 from .sample import BidSample
 
 __all__ = [
@@ -36,18 +36,19 @@ _MAX_ATTEMPTS = 1_000_000
 
 
 def _iid_times(p: BaristaParams, rng: np.random.Generator, n: int) -> BidSample:
-    """n sorted iid event times by inverting sorted uniforms.
+    """n sorted iid event times by inverting sorted uniforms in place.
 
-    inverse_cdf is elementwise, so this equals np.sort(inverse_cdf(p, u)) for
-    the same draw u; sorted uniforms make each branch mask one contiguous run.
-    Rounding where two branches meet can leave the output out of order, so it
-    is sorted again only when a neighbouring pair says so.  A uniform within
-    rounding of 1 can map to exactly T; such times, a sorted tail, move to
-    the largest float below T, as ingest's clamp-epsilon does.
+    The quantile function is elementwise, so this equals
+    np.sort(inverse_cdf(p, u)) for the same draw u; the sorted uniforms fall
+    into the branches as three runs, each inverted in place.  Rounding where
+    two branches meet can leave the output out of order, so it is sorted
+    again only when a neighbouring pair says so.  A uniform within rounding
+    of 1 can map to exactly T; such times, a sorted tail, move to the largest
+    float below T, as ingest's clamp-epsilon does.
     """
-    u = rng.random(n)
-    u.sort()
-    times = inverse_cdf(p, u) if n else np.empty(0)
+    times = rng.random(n)
+    times.sort()
+    _quantile_runs(p, times, times)
     if np.any(times[1:] < times[:-1]):
         times.sort()
     times[np.searchsorted(times, p.T):] = np.nextafter(p.T, 0.0)
@@ -57,9 +58,10 @@ def _iid_times(p: BaristaParams, rng: np.random.Generator, n: int) -> BidSample:
 def sample_fixed_n(p: BaristaParams, n: int, seed: int) -> BidSample:
     """n event times conditioned on the count, i.e. iid draws from the CDF.
 
-    The uniforms are drawn in one call, sorted and inverted; the sample is
-    bit-identical to np.sort(inverse_cdf(p, u)) of the unsorted draw u,
-    except that a time equal to T becomes the largest float below T.
+    The uniforms are drawn in one call, sorted and inverted in their own
+    buffer; the sample is bit-identical to np.sort(inverse_cdf(p, u)) of the
+    unsorted draw u, except that a time equal to T becomes the largest float
+    below T.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -460,6 +460,32 @@ class TestErrors:
         assert rc == 1
         assert err["error"]["type"] == "OverflowError"
 
+    @pytest.mark.parametrize("argv, name, value", [
+        (["fit", "--method", "profile"], "d2_minutes", "inf"),
+        (["diagnose", "--method", "profile"], "d2_minutes", "inf"),
+        (["fit", "--method", "closed-form"], "loglik", "-inf"),
+    ])
+    def test_nonfinite_report_value_names_horizon(self, tmp_path, capsys, argv, name, value):
+        data = simulate(tmp_path, n=300, seed=0)
+        rc = main(argv + ["--input", data, "--horizon", "1e308", "--no-timestamp"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        err = json.loads(out, parse_constant=pytest.fail)["error"]
+        assert err == {"type": "ValueError",
+                       "message": f"report value {name} is {value}, which JSON cannot hold: "
+                                  "--horizon 1e+308 is too large for this data"}
+
+    @pytest.mark.parametrize("argv", [["fit", "--method", "ga"], ["diagnose", "--method", "ga"],
+                                      ["select"]])
+    def test_overflowing_default_box_names_horizon(self, tmp_path, capsys, argv):
+        data = simulate(tmp_path, n=300, seed=0)
+        rc, err = run_json(argv + ["--input", data, "--horizon", "1e308"], capsys)
+        assert rc == 1
+        assert err["error"]["message"].startswith(
+            "--horizon 1e+308 is too large: the default three-stage search box ")
+        assert err["error"]["message"].endswith(
+            "(1.4285714285714286e+307, inf), (0.0, 1.4285714285714286e+305)) overflows")
+
     def test_malformed_inline_json(self, tmp_path, capsys):
         data = simulate(tmp_path, n=30, seed=0)
         rc, err = run_json(

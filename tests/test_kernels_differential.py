@@ -1,14 +1,20 @@
 """The O(n) kernels of the sample -> fit -> KS loop against frozen references.
 
-cdf and inverse_cdf apply each branch's closed form in place to a gathered
-copy, the samplers invert sorted uniforms, ks_one_sample reuses one buffer,
-the likelihood prefix is written straight into its array, the conditional
-log-likelihood takes equal-length columns as given and skips sanitizing
-infeasible rows, and the bootstrap sorts its draw in place.  The references
-below are frozen copies of the earlier code, which built a fresh temporary for
-every operation and inverted the uniforms as drawn.  The float operations and
-their order are unchanged, so every result must be bit-identical.
+cdf, mean_count, pdf, intensity and inverse_cdf apply each branch's closed
+form in place to the run of sorted input it covers (other orders pass
+through one argsort), the samplers invert their sorted uniforms in place,
+ks_one_sample takes its maxima over blocks, the likelihood prefix is written
+straight into its array, the conditional log-likelihood takes equal-length
+columns as given and skips sanitizing infeasible rows, and the bootstrap
+gathers its draw at sorted indices.  The references below are frozen copies
+of the earlier code, which built a fresh temporary for every operation,
+selected branches by masks and inverted the uniforms as drawn.  The float
+operations and their order are unchanged, so every result must be
+bit-identical.  TestPeakMemory bounds what the faster kernels allocate.
 """
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,10 +25,14 @@ from barista import (
     OneStage,
     bootstrap_se,
     cdf,
+    default_qc_config,
+    intensity,
     inverse_cdf,
     ks_one_sample,
     mean_count,
     mle_nhpp1,
+    pdf,
+    qc_fit,
     sample_fixed_n,
     sample_poisson_count,
 )
@@ -81,6 +91,49 @@ def ref_cdf(p, s):
         out[m3] = 1.0 - (CT / a3) * q2 ** a2 * r ** a3
     out[arr == p.T] = 1.0
     return ref_ret(np.clip(out, 0.0, 1.0), scalar)
+
+
+def ref_mean_count(p, s):
+    arr, scalar = ref_as_array(s, 0.0, p.T, "s")
+    scale = p.T * p.c
+    q1, q2 = 1.0 - p.d1 / p.T, p.d2 / p.T
+    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
+    K1 = (scale / a1) * q1 ** (a2 - a1)
+    at_d1 = K1 * (1.0 - q1 ** a1)
+    K3 = (scale / a3) * q2 ** a2
+    top = at_d1 + (scale / a2) * (q1 ** a2 - q2 ** a2) + K3
+
+    rem = 1.0 - arr / p.T
+    m1, m2, m3 = ref_stage_masks(p, arr)
+    out = np.empty_like(arr, dtype=float)
+    out[m1] = K1 * (1.0 - rem[m1] ** a1)
+    out[m2] = (q1 ** a2 - rem[m2] ** a2) * (scale / a2) + at_d1
+    if np.any(m3):
+        out[m3] = top - K3 * (rem[m3] / q2) ** a3
+    return ref_ret(out, scalar)
+
+
+def ref_branch_power(p, arr):
+    q1, q2 = 1.0 - p.d1 / p.T, p.d2 / p.T
+    rem = 1.0 - arr / p.T
+    m1, m2, m3 = ref_stage_masks(p, arr)
+    out = np.empty_like(arr, dtype=float)
+    with np.errstate(divide="ignore"):
+        out[m1] = q1 ** (p.alpha2 - p.alpha1) * rem[m1] ** (p.alpha1 - 1.0)
+        out[m2] = rem[m2] ** (p.alpha2 - 1.0)
+        if m3.any():
+            out[m3] = q2 ** (p.alpha2 - p.alpha3) * rem[m3] ** (p.alpha3 - 1.0)
+    return out
+
+
+def ref_intensity(p, s):
+    arr, scalar = ref_as_array(s, 0.0, p.T, "s")
+    return ref_ret(p.c * ref_branch_power(p, arr), scalar)
+
+
+def ref_pdf(p, s):
+    arr, scalar = ref_as_array(s, 0.0, p.T, "s")
+    return ref_ret(normalization_constant(p) * ref_branch_power(p, arr), scalar)
 
 
 def ref_inverse_cdf(p, u):
@@ -297,6 +350,73 @@ def test_scalars_empty_and_lists(p):
     assert_bits(cdf(p, base[::3]), ref_cdf(p, kept[::3]))
     assert_bits(inverse_cdf(p, base[::3] / p.T), ref_inverse_cdf(p, kept[::3] / p.T))
     assert_bits(base, kept)
+
+
+TIME_KERNELS = {"cdf": (cdf, ref_cdf), "mean_count": (mean_count, ref_mean_count),
+                "pdf": (pdf, ref_pdf), "intensity": (intensity, ref_intensity)}
+
+# an empty early stage, an empty late stage, and both
+EDGE_VECTORS = [replace(P_STAR, d1=0.0), replace(P_STAR, d2=0.0), replace(P_STAR, d1=0.0, d2=0.0),
+                replace(P_STAR, alpha3=0.5, d1=0.0), replace(P_STAR, alpha1=0.5, alpha3=2.0, d2=0.0)]
+EDGE_VECTORS += [p for p in VECTORS if p.d1 == 0.0 or p.d2 == 0.0][:24]
+
+
+def arrangements(x, rng):
+    """x sorted, reversed, shuffled, and with every value repeated, sorted
+    and shuffled; then all one value, and a 2-d block."""
+    x = np.sort(x)
+    tied = np.repeat(x, 3)
+    yield x
+    yield x[::-1].copy()
+    yield x[rng.permutation(x.size)]
+    yield tied
+    yield tied[rng.permutation(tied.size)]
+    yield np.full(7, x[x.size // 2])
+    yield x[: x.size // 2 * 2].reshape(2, -1)[:, ::-1]
+
+
+def check_in_every_order(fn, ref, p, x, rng):
+    for arr in arrangements(x, rng):
+        kept = arr.copy()
+        want = ref(p, arr)
+        assert_bits(fn(p, arr), want)
+        assert_bits(arr, kept)
+        # a write into a read-only caller array raises
+        assert_bits(fn(p, frozen(arr)), want)
+
+
+@pytest.mark.parametrize("name", TIME_KERNELS)
+def test_time_kernels_bit_equal_in_every_order(name):
+    fn, ref = TIME_KERNELS[name]
+    rng = np.random.default_rng(300)
+    for p in EDGE_VECTORS + VECTORS[::6]:
+        marks = [0.0, p.d1, p.T - p.d2, p.T]
+        check_in_every_order(fn, ref, p, np.concatenate([times_for(p, rng, 40), marks]), rng)
+        for s in marks:
+            got, want = fn(p, s), ref(p, s)
+            assert isinstance(got, float) and got.hex() == want.hex()
+
+
+def test_inverse_cdf_bit_equal_in_every_order():
+    rng = np.random.default_rng(301)
+    for p in EDGE_VECTORS + VECTORS[::6]:
+        marks = [0.0, ref_cdf(p, p.d1), ref_cdf(p, p.T - p.d2), 1.0]
+        check_in_every_order(inverse_cdf, ref_inverse_cdf, p,
+                             np.concatenate([uniforms_for(p, rng, 40), marks]), rng)
+        for u in marks:
+            got, want = inverse_cdf(p, u), ref_inverse_cdf(p, u)
+            assert isinstance(got, float) and got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, 1.5])
+def test_out_of_range_input_rejected_in_any_order(bad):
+    # in sorted input only the ends are checked, and a nan leaves it unsorted
+    for fn, hi, what in ((cdf, P_STAR.T, "s"), (inverse_cdf, 1.0, "u")):
+        x = np.linspace(0.0, hi, 5)
+        for arr in ([bad * hi], np.append(x, bad * hi), np.insert(x, 0, bad * hi),
+                    np.insert(x, 2, bad * hi)):
+            with pytest.raises(ValueError, match=f"{what} must lie in"):
+                fn(P_STAR, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +640,37 @@ def test_bootstrap_resample_bit_equal(n):
     fits = [_recording_fitter([])(BidSample(times=t, T=P_STAR.T)).params for t in want]
     ref_se = {k: float(np.std([f[k] for f in fits], ddof=1)) for k in fits[0]}
     assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in ref_se.items()}
+
+
+class TestPeakMemory:
+    """tracemalloc peaks at n = 100k, in units of one n-length float array."""
+
+    n = 100_000
+
+    def peak(self, fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / (8 * self.n)
+        finally:
+            tracemalloc.stop()
+
+    def test_sample_fixed_n(self):
+        # the sample is the uniforms' own buffer, plus n bools for the order check
+        assert self.peak(lambda: sample_fixed_n(P_STAR, self.n, seed=6)) <= 1.25
+
+    def test_cdf_on_sorted_times(self):
+        times = sample_fixed_n(P_STAR, self.n, seed=7).times
+        assert self.peak(lambda: cdf(P_STAR, times)) <= 1.25
+
+    def test_ks_one_sample(self):
+        sample = sample_fixed_n(P_STAR, self.n, seed=8)
+        assert self.peak(lambda: ks_one_sample(sample, P_STAR)) <= 1.5
+
+    def test_bootstrap_replicate(self):
+        # two replicates, the fewest bootstrap_se runs: a resample and its
+        # refit's likelihood prefix are live at once, but not the previous
+        # resample nor the indices it was gathered at
+        sample = sample_fixed_n(P_STAR, self.n, seed=9)
+        cfg = default_qc_config(P_STAR.T)
+        assert self.peak(lambda: bootstrap_se(sample, lambda b: qc_fit(b, cfg), 2, seed=1)) <= 2.25
