@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -51,7 +50,7 @@ from .estimate import (
 )
 from .process import FAMILIES, get_family, mean_count
 from .sample import BidSample
-from .selection import _default_configs, select_model
+from .selection import select_model
 from .simulate import sample_fixed_n, sample_poisson_count
 
 SCHEMA = "barista/1"
@@ -80,18 +79,21 @@ def _nonfinite(obj, name: str = "") -> tuple[str, float] | None:
     return None
 
 
-def _envelope(args: argparse.Namespace, payload: dict) -> dict:
-    """schema and command, then the payload, then generated_at unless
-    --no-timestamp: every report, and the metadata of simulate's CSV.
-
-    Every number must be finite, so that the report is strict JSON; the
-    horizon scales every time and rate in it, so a value that overflows
-    names --horizon.
-    """
+def _check_finite(args: argparse.Namespace, payload: dict) -> None:
+    """Every number of a report must be finite, so that it is strict JSON;
+    the horizon scales every time and rate in it, so a value that overflows
+    names --horizon."""
     bad = _nonfinite(payload)
     if bad:
         raise ValueError(f"report value {bad[0]} is {bad[1]}, which JSON cannot hold: "
                          f"--horizon {args.horizon!r} is too large for this data")
+
+
+def _envelope(args: argparse.Namespace, payload: dict) -> dict:
+    """schema and command, then the payload, then generated_at unless
+    --no-timestamp: every report, and the metadata of simulate's CSV.
+    """
+    _check_finite(args, payload)
     obj = {"schema": SCHEMA, "command": args.command, **payload}
     if not args.no_timestamp:
         obj["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -264,10 +266,8 @@ def _bounds_from(args: argparse.Namespace, family: str, T: float) -> tuple:
 
 
 def _ga_config_from(args: argparse.Namespace, family: str, T: float) -> GaConfig:
-    kwargs = {"bounds": _bounds_from(args, family, T), "seed": args.seed}
-    if args.generations is not None:
-        kwargs["generations"] = args.generations
-    return GaConfig(**kwargs)
+    return GaConfig(bounds=_bounds_from(args, family, T), generations=args.generations,
+                    seed=args.seed)
 
 
 def _grid_from(args: argparse.Namespace, family: str) -> dict[str, list]:
@@ -332,17 +332,11 @@ def _cmd_select(args: argparse.Namespace) -> dict:
     # select searches the default box of every family
     for tag in FAMILIES:
         _default_box(tag, sample.T)
-    configs = None
-    if args.generations is not None:
-        configs = {
-            tag: replace(cfg, generations=args.generations)
-            for tag, cfg in _default_configs(sample, args.seed).items()
-        }
     result = select_model(
         sample,
-        configs=configs,
         alpha_level=float(args.alpha_level),
         seed=args.seed,
+        generations=args.generations,
     )
 
     def test_block(test):
@@ -374,15 +368,17 @@ def _cmd_select(args: argparse.Namespace) -> dict:
 def _cmd_diagnose(args: argparse.Namespace) -> dict:
     sample, described = _ingested(args)
     fit = _fit_once(sample, args)
+    report = {**_params_block(fit, args.unit), "method": fit.method, **described}
+    # a fit that overflows fails as fit's report would, before KS and QQ
+    # stumble on it
+    _check_finite(args, report)
     fitted = fit.family.as_barista()
     ks = ks_one_sample(sample, fitted)
     qq = qq_points(sample, fitted)
     if args.qq_out:
         write_qq(qq, args.qq_out)
     return {
-        **_params_block(fit, args.unit),
-        "method": fit.method,
-        **described,
+        **report,
         "ks": {
             "d_statistic": float(ks.d_statistic),
             "p_value": float(ks.p_value),
@@ -420,7 +416,8 @@ def _add_method(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--windows", help="JSON {stage1,stage2,stage3,safe} for quick-crude")
     sub.add_argument("--grid", help="JSON {param: [values]} for the grid method")
     sub.add_argument("--bounds", help="JSON [[lo,hi],...] GA or profile search box")
-    sub.add_argument("--generations", type=int, help="GA generations (default 500)")
+    sub.add_argument("--generations", type=int, default=GaConfig.generations,
+                     help="GA generations (default 500)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ingest(sel)
     sel.add_argument("--alpha-level", dest="alpha_level", type=float, default=0.05,
                      help="test level (default 0.05)")
-    sel.add_argument("--generations", type=int,
+    sel.add_argument("--generations", type=int, default=GaConfig.generations,
                      help="GA generations of the three-stage fit (default 500); "
                           "the one-stage and two-stage fits are exact")
 

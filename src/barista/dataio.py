@@ -66,7 +66,6 @@ MINUTES_PER_UNIT = {
 _RELATIVE_COLS = ("auction_id", "bid_time")
 _TIMESTAMPED_COLS = ("auction_id", "bid_timestamp", "auction_start")
 _POLICIES = ("reject", "clamp-epsilon")
-_FORMATS = ("auto", "relative", "timestamped")
 # rows formatted per write by _write_rows
 _BLOCK_ROWS = 65536
 # characters read per block by _read_columns; its csv path converts its
@@ -95,7 +94,6 @@ class IngestSpec:
     horizon: float
     unit: str = "days"
     clamp_policy: str = "reject"
-    fmt: str = "auto"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -104,25 +102,15 @@ class IngestSpec:
             raise ValueError(f"unit must be one of {sorted(MINUTES_PER_UNIT)}, got {self.unit!r}")
         if self.clamp_policy not in _POLICIES:
             raise ValueError(f"clamp_policy must be one of {_POLICIES}, got {self.clamp_policy!r}")
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"fmt must be one of {_FORMATS}, got {self.fmt!r}")
 
 
-def _layout(header: list[str], fmt: str) -> tuple[str, ...]:
-    """The columns a header must supply; raises when it cannot supply them."""
-    if fmt == "auto":
-        if set(_RELATIVE_COLS) <= set(header):
-            fmt = "relative"
-        elif set(_TIMESTAMPED_COLS) <= set(header):
-            fmt = "timestamped"
-        else:
-            raise IngestError(
-                f"header {header} matches neither {_RELATIVE_COLS} nor {_TIMESTAMPED_COLS}")
-    needed = _RELATIVE_COLS if fmt == "relative" else _TIMESTAMPED_COLS
-    missing = set(needed) - set(header)
-    if missing:
-        raise IngestError(f"{fmt} layout is missing columns {sorted(missing)}")
-    return needed
+def _layout(header: list[str]) -> tuple[str, ...]:
+    """The columns a header supplies, relative layout first; raises when it
+    supplies neither layout's."""
+    for needed in (_RELATIVE_COLS, _TIMESTAMPED_COLS):
+        if set(needed) <= set(header):
+            return needed
+    raise IngestError(f"header {header} matches neither {_RELATIVE_COLS} nor {_TIMESTAMPED_COLS}")
 
 
 def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
@@ -215,7 +203,7 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
         header = [h.strip().lower() for h in raw]
         width = len(header)
         try:
-            needed = _layout(header, spec.fmt)
+            needed = _layout(header)
         except IngestError as exc:
             # a wrong field count comes first, so every row is still read whole
             layout_error, needed, columns, pick = exc, header, range(width), tuple

@@ -28,7 +28,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -566,36 +566,26 @@ class GaConfig:
     """Settings for the real-valued genetic search.
 
     bounds is one (lo, hi) box per free parameter, in the family's parameter
-    order; mutation_scale defaults to (hi - lo)/20 per coordinate.  Exponent
-    bounds must stay positive, since a nonpositive exponent is outside the
-    model.
+    order.  Exponent bounds must stay positive, since a nonpositive exponent
+    is outside the model.  The population (100), the elite share (0.10), the
+    offspring pairs per generation (50) and the mutation step ((hi - lo)/20
+    per coordinate) are fixed.
     """
+
+    population_size: ClassVar[int] = 100
+    elite_fraction: ClassVar[float] = 0.10
+    offspring_pairs: ClassVar[int] = 50
 
     bounds: tuple[tuple[float, float], ...]
     generations: int = 500
-    population_size: int = 100
-    elite_fraction: float = 0.10
-    offspring_pairs: int = 50
-    mutation_scale: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if not (0.0 < self.elite_fraction <= 1.0):
-            raise ValueError("elite_fraction must lie in (0, 1]")
-        if self.offspring_pairs < 1:
-            raise ValueError("offspring_pairs must be >= 1")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         for lo, hi in self.bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bad bound ({lo}, {hi})")
-        if self.mutation_scale is not None:
-            if len(self.mutation_scale) != len(self.bounds):
-                raise ValueError("mutation_scale must match bounds length")
-            if any(s < 0 for s in self.mutation_scale):
-                raise ValueError("mutation_scale entries must be >= 0")
 
 
 def default_bounds(family: str, T: float) -> tuple[tuple[float, float], ...]:
@@ -632,11 +622,7 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
         raise ValueError(f"{family} needs {len(spec.free_names)} bounds, got {len(cfg.bounds)}")
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
-    scale = (
-        np.asarray(cfg.mutation_scale, dtype=float)
-        if cfg.mutation_scale is not None
-        else (hi - lo) / 20.0
-    )
+    scale = (hi - lo) / 20.0
     cache = _CondLoglik(sample)
     rng = np.random.default_rng(cfg.seed)
     pop = rng.uniform(lo, hi, size=(cfg.population_size, lo.size))
@@ -919,6 +905,10 @@ def profile_fit(sample: BidSample, family: str = "two-stage",
 # bootstrap
 # ---------------------------------------------------------------------------
 
+# the largest share of bootstrap replicates whose refit may fail
+_MAX_FAILURE_FRACTION = 0.2
+
+
 def _resample(sample: BidSample, seed: np.random.SeedSequence) -> BidSample:
     """n times drawn from the sample with replacement, in sorted order.
 
@@ -935,16 +925,15 @@ def bootstrap_se(
     fitter: Callable[[BidSample], FitResult],
     n_replicates: int,
     seed: int,
-    max_failure_fraction: float = 0.2,
 ) -> dict[str, float]:
     """Standard errors of a fitter's parameters over resampled event times.
 
     Each replicate resamples n times with replacement, refits, and the SE of
     each reported parameter is the ddof=1 standard deviation across the
-    replicates.  Replicates where the fitter raises are tolerated up to
-    max_failure_fraction of n_replicates; beyond that an error reports the
-    failure fraction and the failures per EstimationError stage (or error
-    type name).  Deterministic for a given seed.
+    replicates.  Replicates where the fitter raises are tolerated up to 20%
+    of n_replicates; beyond that an error reports the failure fraction and
+    the failures per EstimationError stage (or error type name).
+    Deterministic for a given seed.
     """
     if n_replicates < 2:
         raise ValueError("need at least 2 replicates")
@@ -961,11 +950,11 @@ def bootstrap_se(
             failed[getattr(exc, "stage", None) or type(exc).__name__] += 1
     failures = sum(failed.values())
     frac = failures / n_replicates
-    if frac > max_failure_fraction or len(draws) < 2:
+    if frac > _MAX_FAILURE_FRACTION or len(draws) < 2:
         stages = ", ".join(f"{stage} {count}" for stage, count in sorted(failed.items()))
         raise EstimationError(
             f"bootstrap refit failed on {failures}/{n_replicates} replicates "
-            f"({frac:.0%} > {max_failure_fraction:.0%} allowed); failures by stage: {stages}",
+            f"({frac:.0%} > {_MAX_FAILURE_FRACTION:.0%} allowed); failures by stage: {stages}",
             stage="bootstrap",
         )
     return {

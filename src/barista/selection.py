@@ -134,42 +134,27 @@ def _fit_with_floor(sample: BidSample, tag: str, cfg: GaConfig, smaller: FitResu
     return refined if refined.loglik > fit.loglik else fit
 
 
-def _default_configs(sample: BidSample, seed: int) -> dict[str, GaConfig]:
-    # three seeds are drawn, the first two once fed one-stage and two-stage
-    # GAs, so the three-stage search keeps the seed it always had
-    seed3 = np.random.SeedSequence(seed).generate_state(3)[2]
-    return {"three-stage": GaConfig(bounds=default_bounds("three-stage", sample.T),
-                                    seed=int(seed3))}
-
-
 def select_model(
     sample: BidSample,
-    configs: dict[str, GaConfig] | None = None,
     alpha_level: float = 0.05,
     seed: int = 0,
+    generations: int = GaConfig.generations,
 ) -> SelectionResult:
     """Forward stepwise selection: one stage, then two, then three.
 
     The one-stage fit is the exact closed-form MLE and the two-stage fit the
-    exact profile fit.  configs may override the GA settings of
-    "three-stage"; without it the defaults derive from `seed`.  A
-    "one-stage" or "two-stage" entry is rejected, since no search runs for
-    those families.  At each step the richer family is adopted only when the
-    LR test rejects at alpha_level.
+    exact profile fit.  The three-stage fit is a GA search of its default box
+    for `generations` generations, seeded by the third of three states drawn
+    from `seed`.  At each step the richer family is adopted only when the LR
+    test rejects at alpha_level.
     """
     if not (0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
-    defaults = _default_configs(sample, seed)
-    if configs:
-        if "one-stage" in configs:
-            raise ValueError("the one-stage fit is the closed-form MLE and takes no GA config")
-        if "two-stage" in configs:
-            raise ValueError("the two-stage fit is the exact profile fit and takes no GA config")
-        unknown = set(configs) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown family tags {sorted(unknown)}")
-        defaults.update(configs)
-
+    # three seeds are drawn, the first two once fed one-stage and two-stage
+    # GAs, so the three-stage search keeps the seed it always had
+    seed3 = np.random.SeedSequence(seed).generate_state(3)[2]
+    cfg = GaConfig(bounds=default_bounds("three-stage", sample.T), generations=generations,
+                   seed=int(seed3))
     fit1 = _one_stage_fit(sample)
     fit2 = profile_fit(sample, "two-stage")
     test12 = lr_test(fit1.loglik, fit2.loglik)
@@ -177,7 +162,7 @@ def select_model(
     if test12.p_value > alpha_level:
         return SelectionResult(fit1.family, fits, test12, None, alpha_level)
 
-    fit3 = _fit_with_floor(sample, "three-stage", defaults["three-stage"], fit2)
+    fit3 = _fit_with_floor(sample, "three-stage", cfg, fit2)
     fits["three-stage"] = fit3
     test23 = lr_test(fit2.loglik, fit3.loglik)
     chosen = fit2.family if test23.p_value > alpha_level else fit3.family

@@ -8,10 +8,8 @@ import pytest
 
 from barista import (
     BaristaParams,
-    GaConfig,
     IngestSpec,
     __version__,
-    default_bounds,
     ingest,
     profile_fit,
     qq_points,
@@ -304,10 +302,7 @@ class TestSelect:
              "--seed", "4", "--no-timestamp"], capsys)
         assert rc == 0
         sample = ingest(IngestSpec(path=data, horizon=7.0))
-        seed3 = np.random.SeedSequence(4).generate_state(3)[2]
-        configs = {"three-stage": GaConfig(bounds=default_bounds("three-stage", 7.0),
-                                           generations=30, seed=int(seed3))}
-        res = select_model(sample, configs=configs, seed=4)
+        res = select_model(sample, seed=4, generations=30)
         assert "three-stage" in res.fits
         assert rep["chosen"] == res.chosen.tag
         assert set(rep["fits"]) == set(res.fits)
@@ -464,6 +459,8 @@ class TestErrors:
         (["fit", "--method", "profile"], "d2_minutes", "inf"),
         (["diagnose", "--method", "profile"], "d2_minutes", "inf"),
         (["fit", "--method", "closed-form"], "loglik", "-inf"),
+        # checked before KS and QQ, which would fail on this fit without naming --horizon
+        (["diagnose", "--method", "closed-form"], "loglik", "-inf"),
     ])
     def test_nonfinite_report_value_names_horizon(self, tmp_path, capsys, argv, name, value):
         data = simulate(tmp_path, n=300, seed=0)

@@ -72,13 +72,6 @@ class TestLayouts:
         s = ingest(IngestSpec(path=write(tmp_path, text), horizon=7.0))
         assert s.n == 1
 
-    def test_explicit_format_override(self, tmp_path):
-        path = write(tmp_path, RELATIVE)
-        s = ingest(IngestSpec(path=path, horizon=7.0, fmt="relative"))
-        assert s.n == 3
-        with pytest.raises(IngestError):
-            ingest(IngestSpec(path=path, horizon=7.0, fmt="timestamped"))
-
 
 class TestErrors:
     def test_unknown_header(self, tmp_path):
@@ -180,10 +173,6 @@ class TestSpecValidation:
             IngestSpec(path=tmp_path / "x.csv", horizon=1.0, unit="fortnights")
         for unit in MINUTES_PER_UNIT:
             IngestSpec(path=tmp_path / "x.csv", horizon=1.0, unit=unit)
-
-    def test_fmt_known(self, tmp_path):
-        with pytest.raises(ValueError):
-            IngestSpec(path=tmp_path / "x.csv", horizon=1.0, fmt="wide")
 
     def test_minutes_conversion_table(self):
         assert MINUTES_PER_UNIT["days"] == 1440.0

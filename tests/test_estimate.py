@@ -473,13 +473,7 @@ class TestGa:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GaConfig(bounds=((0.1, 1.0),), population_size=1)
-        with pytest.raises(ValueError):
-            GaConfig(bounds=((0.1, 1.0),), elite_fraction=0.0)
-        with pytest.raises(ValueError):
             GaConfig(bounds=((1.0, 0.5),))
-        with pytest.raises(ValueError):
-            GaConfig(bounds=((0.1, 1.0),), mutation_scale=(0.1, 0.2))
 
 
 # the two-stage truth of acceptance criterion 9

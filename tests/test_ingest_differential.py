@@ -60,19 +60,13 @@ def reference_parse(spec):
     if header is None:
         raise IngestError(f"no header row found in {spec.path}")
 
-    fmt = spec.fmt
-    if fmt == "auto":
-        if set(_RELATIVE_COLS) <= set(header):
-            fmt = "relative"
-        elif set(_TIMESTAMPED_COLS) <= set(header):
-            fmt = "timestamped"
-        else:
-            raise IngestError(
-                f"header {header} matches neither {_RELATIVE_COLS} nor {_TIMESTAMPED_COLS}")
-    needed = _RELATIVE_COLS if fmt == "relative" else _TIMESTAMPED_COLS
-    missing = set(needed) - set(header)
-    if missing:
-        raise IngestError(f"{fmt} layout is missing columns {sorted(missing)}")
+    if set(_RELATIVE_COLS) <= set(header):
+        fmt = "relative"
+    elif set(_TIMESTAMPED_COLS) <= set(header):
+        fmt = "timestamped"
+    else:
+        raise IngestError(
+            f"header {header} matches neither {_RELATIVE_COLS} nor {_TIMESTAMPED_COLS}")
 
     times, ids, clamped, starts = [], [], 0, {}
     just_inside = np.nextafter(spec.horizon, 0.0)
@@ -247,7 +241,6 @@ def bid_files(draw):
     spec = {
         "horizon": horizon,
         "clamp_policy": draw(st.sampled_from(("reject", "clamp-epsilon"))),
-        "fmt": draw(st.sampled_from(("auto", "auto", layout, "relative", "timestamped"))),
     }
     return text, spec
 

@@ -29,7 +29,7 @@ from barista import (
 )
 from barista.cli import main
 from barista.process import get_family
-from barista.selection import _default_configs
+from barista.selection import _refine_around
 
 
 class TestChiSquareTail:
@@ -85,12 +85,6 @@ class TestEmbeddings:
         assert loglik(s, three.as_barista()) == pytest.approx(fit.loglik, rel=1e-14)
 
 
-def _fast_configs(T, seed, generations=120):
-    root = np.random.SeedSequence(seed).generate_state(3)
-    return {"three-stage": GaConfig(bounds=default_bounds("three-stage", T),
-                                    generations=generations, seed=int(root[2]))}
-
-
 def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -100,26 +94,13 @@ class TestOneStageClosedForm:
         for truth, n, seed in ((OneStage(alpha=1.3, c=1.0, T=7.0).as_barista(), 1000, 3),
                                (p_star, 800, 9)):
             s = sample_fixed_n(truth, n, seed=seed)
-            fit = select_model(s, configs=_fast_configs(7.0, seed=0, generations=20)).fits["one-stage"]
+            fit = select_model(s, generations=20).fits["one-stage"]
             alpha, _ = mle_nhpp1(s)
             assert fit.method == "closed-form"
             assert isinstance(fit.family, OneStage)
             assert bits(fit.params["alpha"]) == bits(alpha)
             assert bits(fit.loglik) == bits(loglik(s, fit.family.as_barista()))
             assert bits(fit.c_hat) == bits(estimate_c(fit.family.as_barista(), s.n))
-
-    def test_one_stage_config_rejected(self, p_star):
-        s = sample_fixed_n(p_star, 50, seed=0)
-        cfg = GaConfig(bounds=default_bounds("one-stage", 7.0))
-        with pytest.raises(ValueError, match="one-stage"):
-            select_model(s, configs={"one-stage": cfg})
-        assert set(_default_configs(s, 0)) == {"three-stage"}
-
-    def test_two_stage_config_rejected(self, p_star):
-        s = sample_fixed_n(p_star, 50, seed=0)
-        cfg = GaConfig(bounds=default_bounds("two-stage", 7.0))
-        with pytest.raises(ValueError, match="two-stage fit is the exact profile fit"):
-            select_model(s, configs={"two-stage": cfg})
 
     def test_all_times_zero_raises(self, tmp_path, capsys):
         s = BidSample(times=np.zeros(40), T=7.0)
@@ -142,11 +123,9 @@ def test_ga_fits_keep_their_default_seeds(p_star):
     res = select_model(s, seed=5)
     assert res.chosen.tag == "three-stage"
     seeds = np.random.SeedSequence(5).generate_state(3)
-    configs = _default_configs(s, 5)
-    assert configs == {"three-stage": GaConfig(bounds=default_bounds("three-stage", 7.0),
-                                               seed=int(seeds[2]))}
+    cfg = GaConfig(bounds=default_bounds("three-stage", 7.0), seed=int(seeds[2]))
     for tag, ref in (("two-stage", profile_fit(s, "two-stage")),
-                     ("three-stage", ga_fit(s, "three-stage", configs["three-stage"]))):
+                     ("three-stage", ga_fit(s, "three-stage", cfg))):
         fit = res.fits[tag]
         assert fit.family == ref.family and fit.method == ref.method
         assert bits(list(fit.params.values())) == bits(list(ref.params.values()))
@@ -158,7 +137,7 @@ class TestSelectModel:
     def test_one_stage_data_stops_early(self):
         truth = OneStage(alpha=1.0, c=150.0, T=7.0).as_barista()
         s = sample_fixed_n(truth, 1000, seed=42)
-        res = select_model(s, configs=_fast_configs(7.0, seed=0), seed=0)
+        res = select_model(s, generations=120, seed=0)
         assert res.chosen.tag == "one-stage"
         assert res.lr_one_two is not None and res.lr_one_two.p_value > 0.05
         assert res.lr_two_three is None
@@ -166,7 +145,7 @@ class TestSelectModel:
 
     def test_three_stage_data_goes_deep(self, p_star):
         s = sample_fixed_n(p_star, 3000, seed=7)
-        res = select_model(s, configs=_fast_configs(7.0, seed=1, generations=300), seed=1)
+        res = select_model(s, generations=300, seed=1)
         assert res.chosen.tag == "three-stage"
         assert res.lr_one_two.p_value <= 0.05
         assert res.lr_two_three.p_value <= 0.05
@@ -175,7 +154,7 @@ class TestSelectModel:
     def test_nested_fits_never_lose_to_parent(self, p_star):
         # the embedding floor guarantees ll(bigger) >= ll(smaller)
         s = sample_fixed_n(p_star, 800, seed=9)
-        res = select_model(s, configs=_fast_configs(7.0, seed=2, generations=150), seed=2)
+        res = select_model(s, generations=150, seed=2)
         lls = {tag: fit.loglik for tag, fit in res.fits.items()}
         if "two-stage" in lls:
             assert lls["two-stage"] >= lls["one-stage"] - 1e-9
@@ -183,26 +162,37 @@ class TestSelectModel:
             assert lls["three-stage"] >= lls["two-stage"] - 1e-9
         assert not res.lr_one_two.negative_flag
 
+    def test_floor_lifts_a_three_stage_search_that_ends_below_the_two_stage_fit(self):
+        # criterion-9 two-stage data, on which 60 generations of the
+        # three-stage GA alone end below the profile fit
+        truth = TwoStage(0.3, 7.7, 1 / 1440, 128.7, 5.0).as_barista()
+        s = sample_poisson_count(truth, seed=1000)
+        res = select_model(s, seed=0, generations=60)
+        two, three = res.fits["two-stage"], res.fits["three-stage"]
+        seed3 = int(np.random.SeedSequence(0).generate_state(3)[2])
+        cfg = GaConfig(bounds=default_bounds("three-stage", s.T), generations=60, seed=seed3)
+        assert ga_fit(s, "three-stage", cfg).loglik < two.loglik
+        assert three.loglik >= two.loglik
+        assert not res.lr_two_three.negative_flag
+        ref = _refine_around(s, "three-stage", get_family("three-stage").embed(two.family))
+        assert three.family == ref.family and three.method == ref.method
+        assert bits(list(three.params.values())) == bits(list(ref.params.values()))
+        assert bits(three.loglik) == bits(ref.loglik)
+
     def test_alpha_level_recorded_and_validated(self, p_star):
         s = sample_fixed_n(p_star, 100, seed=3)
         with pytest.raises(ValueError):
             select_model(s, alpha_level=0.0)
         with pytest.raises(ValueError):
             select_model(s, alpha_level=1.0)
-        res = select_model(s, configs=_fast_configs(7.0, seed=4, generations=40),
+        res = select_model(s, generations=40,
                            alpha_level=0.2, seed=4)
         assert res.alpha_level == 0.2
 
-    def test_unknown_config_tag_rejected(self, p_star):
-        s = sample_fixed_n(p_star, 50, seed=0)
-        bad = {"five-stage": GaConfig(bounds=((0.1, 1.0),))}
-        with pytest.raises(ValueError, match="five-stage"):
-            select_model(s, configs=bad)
-
     def test_deterministic_given_seed(self, p_star):
         s = sample_fixed_n(p_star, 400, seed=5)
-        a = select_model(s, configs=_fast_configs(7.0, seed=6, generations=60), seed=6)
-        b = select_model(s, configs=_fast_configs(7.0, seed=6, generations=60), seed=6)
+        a = select_model(s, generations=60, seed=6)
+        b = select_model(s, generations=60, seed=6)
         assert a.chosen.tag == b.chosen.tag
         assert {t: f.loglik for t, f in a.fits.items()} == \
                {t: f.loglik for t, f in b.fits.items()}
