@@ -308,7 +308,7 @@ def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
     if method == "grid":
         return grid_search(sample, family, _grid_from(args, family))
     if method == "profile":
-        return profile_fit(sample, family, _bounds_from(args, family, sample.T))
+        return profile_fit(sample, _bounds_from(args, family, sample.T))
     return ga_fit(sample, family, _ga_config_from(args, family, sample.T))
 
 

@@ -255,12 +255,14 @@ def _find_header(fh: IO[str], path: Path) -> tuple[int, list[str], Iterator[list
     """(record number of the header, its raw fields, and csv's reader of the
     records after it, or None when no line up to the header needed csv).
 
-    Lines are split at commas until one holds a '"' or '\\r'; from that line
-    on csv reads.  Leading '#' lines are metadata from our own emitter.
+    Lines are split at commas until one holds a '"' or '\\r' or is longer
+    than csv's field size limit, as in _split; from that line on csv reads,
+    so a field csv refuses is refused here too.  Leading '#' lines are
+    metadata from our own emitter.
     """
     record = 0
     for line in iter(fh.readline, ""):
-        if '"' in line or "\r" in line:
+        if '"' in line or "\r" in line or len(line) > csv.field_size_limit():
             rows = csv.reader(itertools.chain([line], fh))
             try:
                 for record, raw in enumerate(rows, record + 1):

@@ -15,7 +15,7 @@ The conditional log-likelihood treats the observed count as given, so the
 scale c drops out; it is recovered afterwards by matching the expected total
 count to n (estimate_c).  Each family's free parameters, their place in the
 full parameter vector, its default GA box and how a fitted genome becomes a
-family instance all come from the family table, process.FAMILIES.
+family instance all come from the family's class, process.FAMILIES[tag].
 
 Analytic first and second derivatives in the three exponents serve the
 profile fit's Newton steps, diagnostics and standard-error work; both are
@@ -37,7 +37,7 @@ from .process import (
     Family,
     ModelFamily,
     OneStage,
-    ThreeStage,
+    TwoStage,
     _denominator,
     get_family,
     mean_count,
@@ -155,6 +155,9 @@ def qc_alpha(F: Callable[[float], float], T: float, t: float, s: float) -> float
     if not (0.0 < s < t <= T):
         raise ValueError(f"need 0 < s < t <= T, got t={t}, s={s}, T={T}")
     mid = math.sqrt(s * t)
+    if not math.isfinite(mid):
+        raise EstimationError(
+            f"window offsets {t} and {s} overflow: horizon {T} is too large", stage="qc_alpha")
     f_lo, f_mid, f_hi = F(T - t), F(T - mid), F(T - s)
     num = f_mid - f_lo
     den = f_hi - f_mid
@@ -233,8 +236,14 @@ def qc_changepoints(
     brace2 = (a3 / a2) * (sf3 / df2) * mid_pow / den3
     if brace1 <= 0.0 or brace2 <= 0.0:
         raise EstimationError("bracketed expressions must be positive", stage="qc_changepoints")
-    d1 = T - T * brace1 ** (1.0 / (a2 - a1))
-    d2 = T * brace2 ** (1.0 / (a2 - a3))
+    try:
+        d1 = T - T * brace1 ** (1.0 / (a2 - a1))
+        d2 = T * brace2 ** (1.0 / (a2 - a3))
+    except OverflowError:
+        raise EstimationError(
+            f"changepoint formulas overflow: alpha1={a1}, alpha2={a2}, alpha3={a3}",
+            stage="qc_changepoints",
+        ) from None
     d1 = max(d1, 0.0)
     if not d1 < T - d2:
         raise EstimationError(
@@ -267,7 +276,7 @@ def qc_fit(sample: BidSample, cfg: QcConfig) -> "FitResult":
     c_hat = estimate_c(shape, sample.n)
     fitted = shape.with_c(c_hat)
     return FitResult(
-        family=ThreeStage(fitted),
+        family=fitted,
         loglik=loglik(sample, fitted),
         method="quick-crude",
         c_hat=c_hat,
@@ -589,7 +598,7 @@ class GaConfig:
 
 
 def default_bounds(family: str, T: float) -> tuple[tuple[float, float], ...]:
-    """Search boxes, scaled to the horizon, from the family table.
+    """Search boxes, scaled to the horizon, from the family's class.
 
     Exponent boxes are fixed; changepoint boxes scale linearly with T.  The
     three-stage box puts the early changepoint in [T/7, 5T/7] and the late one
@@ -677,7 +686,7 @@ _MAX_ROUNDS = 500
 _MAX_HALVINGS = 40
 
 
-def _exponent_jacobian(spec: Family) -> np.ndarray:
+def _exponent_jacobian(spec: type[Family]) -> np.ndarray:
     """(3, m) matrix J such that the derivatives of the log-likelihood in a
     family's m exponent genes are those in (alpha1, alpha2, alpha3) times J.
 
@@ -723,7 +732,7 @@ def _box_newton_step(g: np.ndarray, H: np.ndarray, lo: np.ndarray,
     return step, np.maximum(gain[rows, best], 0.0)
 
 
-def _ascend(cache: _CondLoglik, spec: Family, genes: np.ndarray,
+def _ascend(cache: _CondLoglik, spec: type[Family], genes: np.ndarray,
             box: tuple[tuple[float, float], ...],
             span: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Block coordinate ascent of the two-stage log-likelihood, row by row.
@@ -808,7 +817,7 @@ def _ascend(cache: _CondLoglik, spec: Family, genes: np.ndarray,
     return genes, ll
 
 
-def profile_fit(sample: BidSample, family: str = "two-stage",
+def profile_fit(sample: BidSample,
                 bounds: Sequence[tuple[float, float]] | None = None) -> FitResult:
     """Exact maximum of the two-stage conditional log-likelihood over a box.
 
@@ -828,14 +837,12 @@ def profile_fit(sample: BidSample, family: str = "two-stage",
     falls below it; it may lie outside the box.  The reported
     log-likelihood is that of _CondLoglik.values at the returned genes.
     """
-    if family != "two-stage":
-        raise ValueError(f"the profile fit covers only the two-stage family, got {family!r}")
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="profile_fit")
     T = sample.T
-    box = default_bounds(family, T) if bounds is None else tuple(map(tuple, bounds))
+    box = TwoStage.default_bounds(T) if bounds is None else tuple(map(tuple, bounds))
     if len(box) != 3:
-        raise ValueError(f"{family} needs 3 bounds, got {len(box)}")
+        raise ValueError(f"two-stage needs 3 bounds, got {len(box)}")
     for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"bad bound ({lo}, {hi})")
@@ -845,7 +852,7 @@ def profile_fit(sample: BidSample, family: str = "two-stage",
     if not 0.0 <= d_lo <= d_hi < T:
         raise ValueError(f"d2 bounds must lie in [0, T) with T = {T}, got ({d_lo}, {d_hi})")
 
-    spec = get_family(family)
+    spec = TwoStage
     cache = _CondLoglik(sample)
     alpha, _ = mle_nhpp1(sample)
     embedded = np.array([spec.embed(OneStage(alpha, 1.0, T))])
@@ -898,7 +905,7 @@ def profile_fit(sample: BidSample, family: str = "two-stage",
     genes = np.concatenate([embedded, genes, inner])
     ll = np.concatenate([cache.values(*spec.vectors(embedded).T), ll, inner_ll])
     best = int(np.argmax(ll))
-    return _finish_fit(family, tuple(genes[best]), float(ll[best]), "profile", sample)
+    return _finish_fit(spec.tag, tuple(genes[best]), float(ll[best]), "profile", sample)
 
 
 # ---------------------------------------------------------------------------

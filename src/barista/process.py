@@ -17,7 +17,8 @@ the shape parameters, not on c.
 All evaluation functions accept scalars or numpy arrays and return matching
 shapes.  Parameter containers are frozen dataclasses validated at construction,
 so an instance that exists is usable.  The nested one-, two- and three-stage
-families are described once, in the table FAMILIES.
+families are one class each, a subclass of Family whose body describes the
+family once; the three-stage family is the full parameter vector itself.
 """
 from __future__ import annotations
 
@@ -51,9 +52,51 @@ __all__ = [
 _SHAPE_MATCH_RTOL = 1e-9
 
 
+class Family:
+    """One nested family, described by class attributes of its subclass.
+
+    tag names the family; free_names are its free parameters (genes) in
+    order; gene_map names the gene that fills each slot of the full vector
+    (alpha1, alpha2, alpha3, d1, d2), the index len(free_names) standing for
+    a 0; default_bounds(T) is its GA box on horizon T; and embed(smaller),
+    set on all but the smallest family, gives the genes that reproduce a fit
+    of the next-smaller family exactly.  A subclass is a frozen dataclass of
+    the free parameters, c and T, checked at construction.
+    """
+
+    tag: ClassVar[str]
+    free_names: ClassVar[tuple[str, ...]]
+    gene_map: ClassVar[np.ndarray]
+    default_bounds: ClassVar[Callable[[float], tuple[tuple[float, float], ...]]]
+    embed: ClassVar[Callable[[Family], tuple[float, ...]]]
+
+    def __post_init__(self) -> None:
+        self.as_barista()
+
+    @classmethod
+    def vectors(cls, genes) -> np.ndarray:
+        """(k, 5) rows of (alpha1, alpha2, alpha3, d1, d2) for a (k, m) gene block."""
+        block = np.asarray(genes, dtype=float)
+        padded = np.zeros((block.shape[0], block.shape[1] + 1))
+        padded[:, :-1] = block
+        return padded[:, cls.gene_map]
+
+    @classmethod
+    def build(cls, genes: Sequence[float], c: float, T: float) -> Family:
+        """The family instance with these genes, scale c and horizon T."""
+        return cls(*genes, c, T)
+
+    def free_values(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in self.free_names}
+
+    def as_barista(self) -> BaristaParams:
+        genes = tuple(self.free_values().values())
+        return BaristaParams(*self.vectors([genes])[0].tolist(), self.c, self.T)
+
+
 @dataclass(frozen=True)
-class BaristaParams:
-    """Full parameter vector of the three-stage process.
+class BaristaParams(Family):
+    """Full parameter vector of the three-stage process, all stages free.
 
     Attributes:
         alpha1: early-stage exponent (> 0).
@@ -73,6 +116,20 @@ class BaristaParams:
     c: float
     T: float
 
+    tag = "three-stage"
+    free_names = ("alpha1", "alpha2", "alpha3", "d1", "d2")
+    gene_map = np.array([0, 1, 2, 3, 4])
+
+    @staticmethod
+    def default_bounds(T: float) -> tuple[tuple[float, float], ...]:
+        return ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (T / 7.0, 5.0 * T / 7.0), (0.0, T / 700.0))
+
+    @staticmethod
+    def embed(two: TwoStage) -> tuple[float, ...]:
+        # d1 is free once alpha1 == alpha2; put it mid-early-window for the
+        # refinement grid to perturb
+        return (two.alpha2, two.alpha2, two.alpha3, two.T / 4.0, two.d2)
+
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2", "alpha3", "c", "T"):
             v = getattr(self, name)
@@ -88,30 +145,16 @@ class BaristaParams:
                 f"T - d2={self.T - self.d2}"
             )
 
-    def with_c(self, c: float) -> "BaristaParams":
+    def as_barista(self) -> BaristaParams:
+        return self
+
+    def with_c(self, c: float) -> BaristaParams:
         """Same shape with a different intensity scale."""
         return replace(self, c=c)
 
 
-class _Nested:
-    """as_barista and free_values of a family class, read off its FAMILIES entry."""
-
-    tag: ClassVar[str]
-
-    @property
-    def free_names(self) -> tuple[str, ...]:
-        return FAMILIES[self.tag].free_names
-
-    def free_values(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.free_names}
-
-    def as_barista(self) -> BaristaParams:
-        genes = tuple(self.free_values().values())
-        return BaristaParams(*FAMILIES[self.tag].vectors([genes])[0].tolist(), self.c, self.T)
-
-
 @dataclass(frozen=True)
-class OneStage(_Nested):
+class OneStage(Family):
     """Single power-law stage: lambda(s) = c (1 - s/T)^(alpha - 1) on [0, T]."""
 
     alpha: float
@@ -119,10 +162,16 @@ class OneStage(_Nested):
     T: float
 
     tag = "one-stage"
+    free_names = ("alpha",)
+    gene_map = np.array([0, 0, 0, 1, 1])
+
+    @staticmethod
+    def default_bounds(T: float) -> tuple[tuple[float, float], ...]:
+        return ((0.1, 15.0),)
 
 
 @dataclass(frozen=True)
-class TwoStage(_Nested):
+class TwoStage(Family):
     """Mid and late stage only (no early stage): d1 = 0, alpha1 = alpha2."""
 
     alpha2: float
@@ -132,95 +181,35 @@ class TwoStage(_Nested):
     T: float
 
     tag = "two-stage"
+    free_names = ("alpha2", "alpha3", "d2")
+    gene_map = np.array([0, 0, 1, 3, 2])
+
+    @staticmethod
+    def default_bounds(T: float) -> tuple[tuple[float, float], ...]:
+        return ((0.1, 1.0), (0.5, 15.0), (0.0, T / 700.0))
+
+    @staticmethod
+    def embed(one: OneStage) -> tuple[float, ...]:
+        # d2 = 0 empties the late stage, so alpha3 is then arbitrary
+        return (one.alpha, one.alpha, 0.0)
 
 
-@dataclass(frozen=True)
-class ThreeStage(_Nested):
-    """All three stages free; wraps a full parameter vector."""
-
-    params: BaristaParams
-
-    tag = "three-stage"
-
-    @property
-    def c(self) -> float:
-        return self.params.c
-
-    @property
-    def T(self) -> float:
-        return self.params.T
-
-    def free_values(self) -> dict[str, float]:
-        return {name: getattr(self.params, name) for name in self.free_names}
-
-    def as_barista(self) -> BaristaParams:
-        return self.params
-
-
+ThreeStage = BaristaParams
 ModelFamily = OneStage | TwoStage | ThreeStage
-
-@dataclass(frozen=True, eq=False)
-class Family:
-    """One nested family: its free parameters (genes), where they sit in the
-    full vector (alpha1, alpha2, alpha3, d1, d2), its default GA box on
-    horizon T, a builder of the family instance from (genes, c, T) and, for
-    all but the smallest family, the genes that reproduce a fit of the
-    next-smaller family exactly.  gene_map names the gene that fills each
-    slot of the full vector; the index len(free_names) stands for a 0.
-    """
-
-    free_names: tuple[str, ...]
-    gene_map: np.ndarray
-    default_bounds: Callable[[float], tuple[tuple[float, float], ...]]
-    build: Callable[[Sequence[float], float, float], ModelFamily]
-    embed: Callable[[ModelFamily], tuple[float, ...]] | None = None
-
-    def vectors(self, genes) -> np.ndarray:
-        """(k, 5) rows of (alpha1, alpha2, alpha3, d1, d2) for a (k, m) gene block."""
-        block = np.asarray(genes, dtype=float)
-        padded = np.zeros((block.shape[0], block.shape[1] + 1))
-        padded[:, :-1] = block
-        return padded[:, self.gene_map]
-
 
 # The one-stage and two-stage processes are the three-stage process with
 # d1 = 0 and/or d2 = 0 and the exponent of each empty stage tied to alpha2;
 # this nesting is what makes the likelihood-ratio selection valid.  Entries
 # run from the smallest family to the richest.
-FAMILIES: dict[str, Family] = {
-    OneStage.tag: Family(
-        free_names=("alpha",),
-        gene_map=np.array([0, 0, 0, 1, 1]),
-        default_bounds=lambda T: ((0.1, 15.0),),
-        build=lambda genes, c, T: OneStage(*genes, c, T),
-    ),
-    TwoStage.tag: Family(
-        free_names=("alpha2", "alpha3", "d2"),
-        gene_map=np.array([0, 0, 1, 3, 2]),
-        default_bounds=lambda T: ((0.1, 1.0), (0.5, 15.0), (0.0, T / 700.0)),
-        build=lambda genes, c, T: TwoStage(*genes, c, T),
-        # d2 = 0 empties the late stage, so alpha3 is then arbitrary
-        embed=lambda one: (one.alpha, one.alpha, 0.0),
-    ),
-    ThreeStage.tag: Family(
-        free_names=("alpha1", "alpha2", "alpha3", "d1", "d2"),
-        gene_map=np.array([0, 1, 2, 3, 4]),
-        default_bounds=lambda T: ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0),
-                                  (T / 7.0, 5.0 * T / 7.0), (0.0, T / 700.0)),
-        build=lambda genes, c, T: ThreeStage(BaristaParams(*genes, c, T)),
-        # d1 is free once alpha1 == alpha2; put it mid-early-window for the
-        # refinement grid to perturb
-        embed=lambda two: (two.alpha2, two.alpha2, two.alpha3, two.T / 4.0, two.d2),
-    ),
-}
+FAMILIES: dict[str, type[Family]] = {cls.tag: cls for cls in (OneStage, TwoStage, ThreeStage)}
 
 # The changepoint that sets the length of each outer stage: its exponent is
 # not determined by the data when that length is 0.
 _STAGE_LENGTH = {"alpha1": "d1", "alpha3": "d2"}
 
 
-def get_family(tag: str) -> Family:
-    """The FAMILIES entry for tag; the one place an unknown tag is reported."""
+def get_family(tag: str) -> type[Family]:
+    """The family class for tag; the one place an unknown tag is reported."""
     try:
         return FAMILIES[tag]
     except KeyError:

@@ -12,7 +12,7 @@ fit is an exact profile over it within the default box (profile_fit), which
 also keeps the one-stage fit as a candidate.  Only the three-stage fit is a
 genetic search (ga_fit), and only it takes a GA budget.
 
-The families nest exactly, and the family table (process.FAMILIES) gives
+The families nest exactly, and the family classes (process.FAMILIES) give
 each richer family's embedding of the next-smaller fit: a one-stage process
 is a two-stage process with d2 = 0, and a two-stage process is a three-stage
 one with the early exponent tied and d1 arbitrary.  The three-stage search
@@ -156,7 +156,7 @@ def select_model(
     cfg = GaConfig(bounds=default_bounds("three-stage", sample.T), generations=generations,
                    seed=int(seed3))
     fit1 = _one_stage_fit(sample)
-    fit2 = profile_fit(sample, "two-stage")
+    fit2 = profile_fit(sample)
     test12 = lr_test(fit1.loglik, fit2.loglik)
     fits = {"one-stage": fit1, "two-stage": fit2}
     if test12.p_value > alpha_level:

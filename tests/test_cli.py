@@ -483,6 +483,14 @@ class TestErrors:
         assert err["error"]["message"].endswith(
             "(1.4285714285714286e+307, inf), (0.0, 1.4285714285714286e+305)) overflows")
 
+    def test_overflowing_quick_crude_windows_name_horizon(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=300, seed=0)
+        rc, err = run_json(["fit", "--method", "quick-crude", "--input", data,
+                            "--horizon", "1e308"], capsys)
+        assert rc == 1
+        assert err["error"]["stage"] == "qc_alpha"
+        assert err["error"]["message"].endswith("overflow: horizon 1e+308 is too large")
+
     def test_malformed_inline_json(self, tmp_path, capsys):
         data = simulate(tmp_path, n=30, seed=0)
         rc, err = run_json(

@@ -349,6 +349,20 @@ class TestBlocks:
         assert (str(err.value), err.value.line) == (
             f"line 2: field larger than field limit ({limit})", 2)
 
+    @pytest.mark.parametrize("text, line", [
+        ("# seed=1\n# " + "c" * 140_000 + "\nauction_id,bid_time\na,1.5\n", 2),
+        ("# seed=1\nauction_id," + "b" * 140_000 + "\na,1.5\n", 2),
+    ], ids=["comment", "unquoted-header"])
+    def test_long_line_before_the_data_names_its_line(self, tmp_path, text, line):
+        # as csv would: no '"' is needed to send such a line to csv
+        path = write(tmp_path, text)
+        for fn in (ingest, ingest_summary):
+            with pytest.raises(IngestError) as err:
+                fn(IngestSpec(path=path, horizon=7.0))
+            limit = csv.field_size_limit()
+            assert (str(err.value), err.value.line) == (
+                f"line {line}: field larger than field limit ({limit})", line)
+
     @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS])
     def test_long_field_past_the_first_block_names_its_line(self, tmp_path, monkeypatch,
                                                              block):

@@ -148,6 +148,20 @@ class TestQuickCrudeOnExactCdf:
         with pytest.raises(EstimationError):
             qc_changepoints(F, (0.4, 0.4, 1.0), (1.0, 3.0, 6.0, 6.99), 7.0)
 
+    @pytest.mark.parametrize("alphas", [(0.4 - 1e-13, 0.4, 1.0), (3.0, 0.4, 0.4 + 1e-13)])
+    def test_overflowing_changepoint_power_rejected(self, p_star, alphas):
+        # an exponent gap of 1e-13 raises the bracket to a power near 1e13
+        F = lambda t: cdf(p_star, t)
+        with pytest.raises(EstimationError, match="changepoint formulas overflow") as err:
+            qc_changepoints(F, alphas, (1.0, 3.0, 6.0, 6.99), 7.0)
+        assert err.value.stage == "qc_changepoints"
+
+    def test_overflowing_window_offsets_rejected(self):
+        T = 1e308
+        with pytest.raises(EstimationError, match=r"overflow: horizon 1e\+308 is too large") as err:
+            qc_alpha(lambda t: min(max(t / T, 0.0), 1.0), T, 0.99 * T, 0.5 * T)
+        assert err.value.stage == "qc_alpha"
+
     def test_point_ordering_validated(self):
         with pytest.raises(ValueError):
             qc_alpha(lambda t: t, 7.0, 1.0, 6.0)  # t < s
@@ -577,17 +591,20 @@ class TestProfileFit:
             0.3, 7.7, C9_TWO.d2)
         assert fit.loglik == loglik(s, C9_TWO)
 
-    @pytest.mark.parametrize("family, bounds, match", [
-        ("three-stage", None, "only the two-stage"),
-        ("two-stage", ((0.1, 1.0), (0.5, 15.0)), "needs 3 bounds"),
-        ("two-stage", ((0.0, 1.0), (0.5, 15.0), (0.0, 0.01)), "positive"),
-        ("two-stage", ((0.1, 1.0), (0.5, 15.0), (0.0, 7.0)), "d2 bounds"),
-        ("two-stage", ((0.1, 1.0), (15.0, 0.5), (0.0, 0.01)), "bad bound"),
+    @pytest.mark.parametrize("bounds, match", [
+        pytest.param(((0.1, 1.0), (0.5, 15.0)), "needs 3 bounds",
+                     id="two-stage-bounds1-needs 3 bounds"),
+        pytest.param(((0.0, 1.0), (0.5, 15.0), (0.0, 0.01)), "positive",
+                     id="two-stage-bounds2-positive"),
+        pytest.param(((0.1, 1.0), (0.5, 15.0), (0.0, 7.0)), "d2 bounds",
+                     id="two-stage-bounds3-d2 bounds"),
+        pytest.param(((0.1, 1.0), (15.0, 0.5), (0.0, 0.01)), "bad bound",
+                     id="two-stage-bounds4-bad bound"),
     ])
-    def test_rejects_bad_settings(self, p_star, family, bounds, match):
+    def test_rejects_bad_settings(self, p_star, bounds, match):
         s = sample_fixed_n(p_star, 50, seed=0)
         with pytest.raises(ValueError, match=match):
-            profile_fit(s, family, bounds)
+            profile_fit(s, bounds)
 
     def test_empty_sample(self):
         with pytest.raises(EstimationError):
@@ -668,6 +685,26 @@ class TestBootstrap:
             "bootstrap refit failed on 10/10 replicates (100% > 20% allowed); "
             "failures by stage: ValueError 3, qc_alpha 4, qc_changepoints 3")
         assert exc.value.stage == "bootstrap"
+
+    def test_quick_crude_overflow_is_a_tolerated_failure(self, p_star):
+        s = sample_fixed_n(p_star, 5000, seed=5)
+        cfg = default_qc_config(p_star.T)
+        failures = []
+
+        def fitter(sample):
+            try:
+                return qc_fit(sample, cfg)
+            except EstimationError as exc:
+                failures.append((exc.stage, str(exc)))
+                raise
+
+        se = bootstrap_se(s, fitter, 20, seed=5)
+        # two of the 20 refits fail, one of them by overflowing a changepoint power
+        assert len(failures) == 2
+        assert any(stage == "qc_changepoints" and "overflow" in message
+                   for stage, message in failures)
+        assert set(se) == {"alpha1", "alpha2", "alpha3", "d1", "d2", "c"}
+        assert all(math.isfinite(v) and v > 0 for v in se.values())
 
     def test_needs_two_replicates(self, p_star):
         s = sample_fixed_n(p_star, 10, seed=0)

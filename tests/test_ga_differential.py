@@ -67,7 +67,7 @@ def _finish(tag, genes, ll, sample):
     elif tag == "two-stage":
         family = TwoStage(genes[0], genes[1], genes[2], c_hat, sample.T)
     else:
-        family = ThreeStage(BaristaParams(*genes, c_hat, sample.T))
+        family = ThreeStage(*genes, c_hat, sample.T)
     return family, ll, c_hat
 
 

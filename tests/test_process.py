@@ -205,6 +205,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             BaristaParams(**base)
 
+    @pytest.mark.parametrize("build", [
+        lambda: OneStage(alpha=-1.0, c=1.0, T=7.0),
+        lambda: TwoStage(0.3, 7.7, 99.0, 1.0, 5.0),  # d2 beyond the horizon
+    ], ids=["one-stage", "two-stage"])
+    def test_family_checked_at_construction(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_domain_checked(self, p_star):
         with pytest.raises(ValueError):
             intensity(p_star, -0.1)
@@ -220,9 +228,8 @@ class TestValidation:
         assert p.d1 == 0.0
         assert two.tag == "two-stage"
         assert list(two.free_values()) == list(two.free_names)
-        three = ThreeStage(P_STAR)
-        assert three.as_barista() is P_STAR
-        assert three.free_names == ("alpha1", "alpha2", "alpha3", "d1", "d2")
+        assert ThreeStage is BaristaParams and P_STAR.as_barista() is P_STAR
+        assert P_STAR.free_names == ("alpha1", "alpha2", "alpha3", "d1", "d2")
 
 
 @given(

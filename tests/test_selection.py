@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from barista import (
-    BaristaParams,
     BidSample,
     EstimationError,
     FitResult,
@@ -80,8 +79,8 @@ class TestEmbeddings:
         s = sample_fixed_n(two.as_barista(), 500, seed=1)
         fit = FitResult(two, loglik(s, two.as_barista()), "ga", 2.0)
         genes = get_family("three-stage").embed(fit.family)
-        three = ThreeStage(BaristaParams(*genes, c=2.0, T=3.0))
-        assert three.params.alpha1 == three.params.alpha2  # d1 is then arbitrary
+        three = ThreeStage(*genes, c=2.0, T=3.0)
+        assert three.alpha1 == three.alpha2  # d1 is then arbitrary
         assert loglik(s, three.as_barista()) == pytest.approx(fit.loglik, rel=1e-14)
 
 
@@ -124,7 +123,7 @@ def test_ga_fits_keep_their_default_seeds(p_star):
     assert res.chosen.tag == "three-stage"
     seeds = np.random.SeedSequence(5).generate_state(3)
     cfg = GaConfig(bounds=default_bounds("three-stage", 7.0), seed=int(seeds[2]))
-    for tag, ref in (("two-stage", profile_fit(s, "two-stage")),
+    for tag, ref in (("two-stage", profile_fit(s)),
                      ("three-stage", ga_fit(s, "three-stage", cfg))):
         fit = res.fits[tag]
         assert fit.family == ref.family and fit.method == ref.method
