@@ -2,8 +2,9 @@
 
 Runs the plug-in estimators and the GA on the same synthetic sample, attaches
 bootstrap standard errors to the plug-in fit, and prints everything side by
-side with the truth.  When too many bootstrap refits fail (sparse tail windows
-at small n), the failure is reported on stderr and the SE column reads n/a;
+side with the truth.  Failed bootstrap refits are counted by stage on
+stdout; when too many fail (sparse tail windows at small n), the failure is
+reported on stderr and the SE column reads n/a;
 any other estimation failure ends the script with a one-line message and
 exit status 1.
 
@@ -43,8 +44,12 @@ def main() -> int:
 
     qc = qc_fit(data, default_qc_config(TRUTH.T))
     try:
-        se = bootstrap_se(data, lambda s: qc_fit(s, default_qc_config(TRUTH.T)),
-                          args.boot, seed=args.seed)
+        se, failed = bootstrap_se(data, lambda s: qc_fit(s, default_qc_config(TRUTH.T)),
+                                  args.boot, seed=args.seed)
+        if failed:
+            stages = ", ".join(f"{stage} {count}" for stage, count in failed.items())
+            print(f"bootstrap SEs rest on {args.boot - sum(failed.values())} of "
+                  f"{args.boot} replicates; failed refits by stage: {stages}")
     except EstimationError as exc:
         print(f"bootstrap SEs unavailable: {exc}", file=sys.stderr)
         se = None

@@ -317,7 +317,7 @@ def _cmd_fit(args: argparse.Namespace) -> dict:
     fit = _fit_once(sample, args)
     payload = {**_params_block(fit, args.unit), "method": fit.method, **described}
     if args.bootstrap:
-        payload["stderrs"] = bootstrap_se(
+        payload["stderrs"], payload["bootstrap_failures"] = bootstrap_se(
             sample, lambda s: _fit_once(s, args), args.bootstrap, seed=args.seed)
         payload["bootstrap_replicates"] = args.bootstrap
     return payload
@@ -346,7 +346,6 @@ def _cmd_select(args: argparse.Namespace) -> dict:
             "statistic": float(test.statistic),
             "p_value": float(test.p_value),
             "df": test.df,
-            "negative_flag": test.negative_flag,
         }
 
     return {

@@ -522,6 +522,22 @@ def _finish_fit(tag: str, genes: Sequence[float], ll: float, method: str,
     )
 
 
+def _nested(sample: BidSample, fit: FitResult, smaller: Family) -> FitResult:
+    """fit, or the embedding of smaller in fit's family, whichever is more
+    likely; ties keep the embedding.
+
+    smaller is an instance of the next-smaller family, so the families nest
+    and a likelihood-ratio statistic of fit against smaller is never
+    negative, whatever box or search budget produced fit.  The embedding's
+    log-likelihood is _CondLoglik.values at its genes, and it keeps fit's
+    method label.
+    """
+    spec = type(fit.family)
+    genes = spec.embed(smaller)
+    ll = _CondLoglik(sample).value(*spec.vectors([genes])[0])
+    return fit if fit.loglik > ll else _finish_fit(spec.tag, genes, ll, fit.method, sample)
+
+
 # ---------------------------------------------------------------------------
 # grid search
 # ---------------------------------------------------------------------------
@@ -592,9 +608,19 @@ class GaConfig:
     def __post_init__(self) -> None:
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
-        for lo, hi in self.bounds:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValueError(f"bad bound ({lo}, {hi})")
+        _check_bounds(self.bounds)
+
+
+def _check_bounds(bounds: Sequence[tuple[float, float]], family: str | None = None) -> None:
+    """Each (lo, hi) must be finite with lo <= hi; given a family, there must
+    be one pair per free parameter, which is checked first."""
+    if family is not None:
+        want = len(get_family(family).free_names)
+        if len(bounds) != want:
+            raise ValueError(f"{family} needs {want} bounds, got {len(bounds)}")
+    for lo, hi in bounds:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"bad bound ({lo}, {hi})")
 
 
 def default_bounds(family: str, T: float) -> tuple[tuple[float, float], ...]:
@@ -627,8 +653,7 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="ga_fit")
     spec = get_family(family)
-    if len(cfg.bounds) != len(spec.free_names):
-        raise ValueError(f"{family} needs {len(spec.free_names)} bounds, got {len(cfg.bounds)}")
+    _check_bounds(cfg.bounds, family)
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
     scale = (hi - lo) / 20.0
@@ -832,30 +857,26 @@ def profile_fit(sample: BidSample,
     d2 of a gap is one of its ends, so only the points where alpha2 > alpha3
     then ascend inside their gap, with Newton steps on the exponents
     alternating with the closed-form best d2 (see _ascend).  Each stage runs
-    over all its points in one array pass.  The exact one-stage fit,
-    embedded as (alpha, alpha, 0), is a candidate too, so the fit never
-    falls below it; it may lie outside the box.  The reported
-    log-likelihood is that of _CondLoglik.values at the returned genes.
+    over all its points in one array pass.  Where no point beats the exact
+    one-stage fit embedded as (alpha, alpha, 0), that embedding is the fit
+    (_nested), so the fit never falls below it; it may lie outside the box.
+    The reported log-likelihood is that of _CondLoglik.values at the
+    returned genes.
     """
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="profile_fit")
     T = sample.T
-    box = TwoStage.default_bounds(T) if bounds is None else tuple(map(tuple, bounds))
-    if len(box) != 3:
-        raise ValueError(f"two-stage needs 3 bounds, got {len(box)}")
-    for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError(f"bad bound ({lo}, {hi})")
+    spec = TwoStage
+    box = spec.default_bounds(T) if bounds is None else tuple(map(tuple, bounds))
+    _check_bounds(box, spec.tag)
     (a2_lo, a2_hi), (a3_lo, a3_hi), (d_lo, d_hi) = box
     if a2_lo <= 0 or a3_lo <= 0:
         raise ValueError(f"exponent bounds must be positive, got {box[:2]}")
     if not 0.0 <= d_lo <= d_hi < T:
         raise ValueError(f"d2 bounds must lie in [0, T) with T = {T}, got ({d_lo}, {d_hi})")
 
-    spec = TwoStage
     cache = _CondLoglik(sample)
     alpha, _ = mle_nhpp1(sample)
-    embedded = np.array([spec.embed(OneStage(alpha, 1.0, T))])
 
     # the reversed times of the latest events ascend, and ties give one edge
     late = T - sample.times[sample.times.searchsorted(T - d_hi, side="left"):][::-1]
@@ -901,11 +922,16 @@ def profile_fit(sample: BidSample,
     up = genes[rows, 0] > genes[rows, 1]
     inner, inner_ll = _ascend(cache, spec, genes[rows[up]], box, (lo[gap[up]], hi[gap[up]]))
 
-    # ties keep the embedding
-    genes = np.concatenate([embedded, genes, inner])
-    ll = np.concatenate([cache.values(*spec.vectors(embedded).T), ll, inner_ll])
+    genes = np.concatenate([genes, inner])
+    ll = np.concatenate([ll, inner_ll])
+    one = OneStage(alpha, 1.0, T)
+    if not ll.size:
+        # a d2 box of {0} holds no candidate: the embedding is the fit
+        genes = np.array([spec.embed(one)])
+        ll = cache.values(*spec.vectors(genes).T)
     best = int(np.argmax(ll))
-    return _finish_fit(spec.tag, tuple(genes[best]), float(ll[best]), "profile", sample)
+    fit = _finish_fit(spec.tag, tuple(genes[best]), float(ll[best]), "profile", sample)
+    return _nested(sample, fit, one)
 
 
 # ---------------------------------------------------------------------------
@@ -932,14 +958,16 @@ def bootstrap_se(
     fitter: Callable[[BidSample], FitResult],
     n_replicates: int,
     seed: int,
-) -> dict[str, float]:
-    """Standard errors of a fitter's parameters over resampled event times.
+) -> tuple[dict[str, float], dict[str, int]]:
+    """Standard errors of a fitter's parameters over resampled event times,
+    and the failed refits by stage.
 
     Each replicate resamples n times with replacement, refits, and the SE of
     each reported parameter is the ddof=1 standard deviation across the
-    replicates.  Replicates where the fitter raises are tolerated up to 20%
-    of n_replicates; beyond that an error reports the failure fraction and
-    the failures per EstimationError stage (or error type name).
+    replicates that succeeded.  Replicates where the fitter raises are
+    tolerated up to 20% of n_replicates and counted per EstimationError
+    stage (or error type name), in name order, {} when none failed; beyond
+    that an error reports the failure fraction and those counts.
     Deterministic for a given seed.
     """
     if n_replicates < 2:
@@ -957,14 +985,13 @@ def bootstrap_se(
             failed[getattr(exc, "stage", None) or type(exc).__name__] += 1
     failures = sum(failed.values())
     frac = failures / n_replicates
+    by_stage = dict(sorted(failed.items()))
     if frac > _MAX_FAILURE_FRACTION or len(draws) < 2:
-        stages = ", ".join(f"{stage} {count}" for stage, count in sorted(failed.items()))
+        stages = ", ".join(f"{stage} {count}" for stage, count in by_stage.items())
         raise EstimationError(
             f"bootstrap refit failed on {failures}/{n_replicates} replicates "
             f"({frac:.0%} > {_MAX_FAILURE_FRACTION:.0%} allowed); failures by stage: {stages}",
             stage="bootstrap",
         )
-    return {
-        k: float(np.std([d[k] for d in draws], ddof=1))
-        for k in draws[0]
-    }
+    ses = {k: float(np.std([d[k] for d in draws], ddof=1)) for k in draws[0]}
+    return ses, by_stage

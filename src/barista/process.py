@@ -51,6 +51,9 @@ __all__ = [
 # Tolerance for declaring two shape-parameter sets equal in superpose().
 _SHAPE_MATCH_RTOL = 1e-9
 
+# the fields that may be 0, for an empty outer stage
+_CHANGEPOINTS = ("d1", "d2")
+
 
 class Family:
     """One nested family, described by class attributes of its subclass.
@@ -71,7 +74,21 @@ class Family:
     embed: ClassVar[Callable[[Family], tuple[float, ...]]]
 
     def __post_init__(self) -> None:
-        self.as_barista()
+        # each field is checked under its own name, exponents, c and T
+        # before the changepoints, and then the stage order of the full vector
+        values = {**self.free_values(), "c": self.c, "T": self.T}
+        for name, v in values.items():
+            if name not in _CHANGEPOINTS and not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        for name in _CHANGEPOINTS:
+            v = values.get(name, 0.0)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        p = self.as_barista()
+        if not p.d1 < p.T - p.d2:
+            raise ValueError(
+                f"stages must satisfy d1 < T - d2, got d1={p.d1}, T - d2={p.T - p.d2}"
+            )
 
     @classmethod
     def vectors(cls, genes) -> np.ndarray:
@@ -126,24 +143,9 @@ class BaristaParams(Family):
 
     @staticmethod
     def embed(two: TwoStage) -> tuple[float, ...]:
-        # d1 is free once alpha1 == alpha2; put it mid-early-window for the
-        # refinement grid to perturb
+        # d1 is arbitrary once alpha1 == alpha2; T/4 is kept so that outputs
+        # stay as they were
         return (two.alpha2, two.alpha2, two.alpha3, two.T / 4.0, two.d2)
-
-    def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2", "alpha3", "c", "T"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if not (math.isfinite(self.d1) and self.d1 >= 0):
-            raise ValueError(f"d1 must be finite and >= 0, got {self.d1}")
-        if not (math.isfinite(self.d2) and self.d2 >= 0):
-            raise ValueError(f"d2 must be finite and >= 0, got {self.d2}")
-        if not self.d1 < self.T - self.d2:
-            raise ValueError(
-                f"stages must satisfy d1 < T - d2, got d1={self.d1}, "
-                f"T - d2={self.T - self.d2}"
-            )
 
     def as_barista(self) -> BaristaParams:
         return self
@@ -202,10 +204,6 @@ ModelFamily = OneStage | TwoStage | ThreeStage
 # this nesting is what makes the likelihood-ratio selection valid.  Entries
 # run from the smallest family to the richest.
 FAMILIES: dict[str, type[Family]] = {cls.tag: cls for cls in (OneStage, TwoStage, ThreeStage)}
-
-# The changepoint that sets the length of each outer stage: its exponent is
-# not determined by the data when that length is 0.
-_STAGE_LENGTH = {"alpha1": "d1", "alpha3": "d2"}
 
 
 def get_family(tag: str) -> type[Family]:

@@ -8,18 +8,18 @@ level, otherwise move to the richer family.
 
 The one-stage and two-stage fits are exact.  The one-stage exponent has a
 closed form (mle_nhpp1).  The two-stage family has one changepoint, so its
-fit is an exact profile over it within the default box (profile_fit), which
-also keeps the one-stage fit as a candidate.  Only the three-stage fit is a
-genetic search (ga_fit), and only it takes a GA budget.
+fit is an exact profile over it within the default box (profile_fit).
+Only the three-stage fit is a genetic search (ga_fit), and only it takes a GA budget.
 
 The families nest exactly, and the family classes (process.FAMILIES) give
 each richer family's embedding of the next-smaller fit: a one-stage process
 is a two-stage process with d2 = 0, and a two-stage process is a three-stage
-one with the early exponent tied and d1 arbitrary.  The three-stage search
-can still return a worse optimum than the two-stage fit (finite search
-budget), which would make the statistic negative; the fitted value is
-floored at the embedded two-stage fit and, if the flag persists, refined
-once on a local grid around that embedding before giving up and clamping.
+one with the early exponent tied and d1 arbitrary.  One rule keeps each
+statistic nonnegative: a richer family's fit is the better of its own fit
+and the embedding of the smaller fit, ties keeping the embedding
+(estimate._nested).  profile_fit applies it to the one-stage fit, and
+select_model to the three-stage GA fit, whose default box (alpha1 >= 1)
+does not hold the two-stage embedding (alpha1 = alpha2 <= 1).
 """
 from __future__ import annotations
 
@@ -31,14 +31,13 @@ import numpy as np
 from .estimate import (
     FitResult,
     GaConfig,
-    _CondLoglik,
-    _finish_fit,
+    _nested,
     _one_stage_fit,
     default_bounds,
     ga_fit,
     profile_fit,
 )
-from .process import _STAGE_LENGTH, ModelFamily, get_family
+from .process import ModelFamily
 from .sample import BidSample
 
 __all__ = [
@@ -50,10 +49,6 @@ __all__ = [
     "select_model",
 ]
 
-# a fitted pair whose raw statistic dips below this is flagged as a search
-# failure rather than rounding noise
-_NEGATIVE_TOL = -1e-6
-
 
 @dataclass(frozen=True)
 class LrTest:
@@ -62,7 +57,6 @@ class LrTest:
     statistic: float
     p_value: float
     df: int = 2
-    negative_flag: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,51 +81,8 @@ def lr_statistic(loglik_small: float, loglik_big: float) -> float:
 
 
 def lr_test(loglik_small: float, loglik_big: float) -> LrTest:
-    raw = -2.0 * (loglik_small - loglik_big)
     stat = lr_statistic(loglik_small, loglik_big)
-    return LrTest(
-        statistic=stat,
-        p_value=chi2_sf_2df(stat),
-        negative_flag=raw < _NEGATIVE_TOL,
-    )
-
-
-def _refine_around(sample: BidSample, tag: str, genes: tuple[float, ...]) -> FitResult:
-    """Best point on a small multiplicative grid around a genome.
-
-    Keeps the genome itself in the grid, so the result is never worse than
-    the starting point.  An exponent whose stage has zero length is left
-    alone: the data do not determine it, and moving it changes the
-    likelihood only by rounding.
-    """
-    spec = get_family(tag)
-    values = dict(zip(spec.free_names, genes))
-    factors = (0.9, 1.0, 1.1)
-    # perturb one coordinate at a time; full product over 5 genes would be 243
-    # points of mostly redundant work
-    candidates = [genes]
-    for i, name in enumerate(spec.free_names):
-        if values.get(_STAGE_LENGTH.get(name)) == 0.0:
-            continue
-        for f in factors:
-            if f == 1.0:
-                continue
-            g = list(genes)
-            g[i] = g[i] * f if g[i] != 0.0 else (f - 1.0) * 1e-3 * sample.T
-            candidates.append(tuple(g))
-    ll = _CondLoglik(sample).values(*spec.vectors(candidates).T)
-    best = int(np.argmax(ll))  # first maximum, as ties keep the earlier candidate
-    return _finish_fit(tag, candidates[best], float(ll[best]), "ga", sample)
-
-
-def _fit_with_floor(sample: BidSample, tag: str, cfg: GaConfig, smaller: FitResult) -> FitResult:
-    """GA fit of the bigger family, floored at the smaller fit's embedding."""
-    fit = ga_fit(sample, tag, cfg)
-    if fit.loglik >= smaller.loglik:
-        return fit
-    genes = get_family(tag).embed(smaller.family)
-    refined = _refine_around(sample, tag, genes)
-    return refined if refined.loglik > fit.loglik else fit
+    return LrTest(statistic=stat, p_value=chi2_sf_2df(stat))
 
 
 def select_model(
@@ -145,8 +96,9 @@ def select_model(
     The one-stage fit is the exact closed-form MLE and the two-stage fit the
     exact profile fit.  The three-stage fit is a GA search of its default box
     for `generations` generations, seeded by the third of three states drawn
-    from `seed`.  At each step the richer family is adopted only when the LR
-    test rejects at alpha_level.
+    from `seed`; where it ends no higher than the embedded two-stage fit,
+    that embedding, labelled "ga", is the three-stage fit.  At each step the
+    richer family is adopted only when the LR test rejects at alpha_level.
     """
     if not (0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
@@ -162,7 +114,7 @@ def select_model(
     if test12.p_value > alpha_level:
         return SelectionResult(fit1.family, fits, test12, None, alpha_level)
 
-    fit3 = _fit_with_floor(sample, "three-stage", cfg, fit2)
+    fit3 = _nested(sample, ga_fit(sample, "three-stage", cfg), fit2.family)
     fits["three-stage"] = fit3
     test23 = lr_test(fit2.loglik, fit3.loglik)
     chosen = fit2.family if test23.p_value > alpha_level else fit3.family

@@ -135,6 +135,18 @@ class TestSimulate:
         assert err["error"]["type"] == "ValueError"
         assert "alpha" in err["error"]["message"]
 
+    @pytest.mark.parametrize("model, name", [
+        ({"family": "one-stage", "alpha": -1.0}, "alpha"),
+        ({"family": "two-stage", "alpha2": -0.3, "alpha3": 7.7, "d2": 0.001}, "alpha2"),
+    ])
+    def test_bad_parameter_is_named_as_set(self, tmp_path, capsys, model, name):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"horizon": 7.0, "c": 1.0, "n": 5, **model}))
+        rc, err = run_json(["simulate", "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert err["error"] == {"type": "ValueError",
+                                "message": f"{name} must be finite and > 0, got {model[name]}"}
+
 
 class TestFit:
     def test_quick_crude_report(self, tmp_path, capsys):
@@ -247,7 +259,18 @@ class TestFit:
              "--family", "one-stage", "--bootstrap", "25", "--no-timestamp"], capsys)
         assert rc == 0
         assert rep["bootstrap_replicates"] == 25
+        assert rep["bootstrap_failures"] == {}
         assert rep["stderrs"]["alpha"] > 0
+
+    def test_bootstrap_reports_failed_replicates(self, tmp_path, capsys):
+        # two of the 20 quick-crude refits of this 5k P* sample fail
+        data = simulate(tmp_path, n=5000, seed=5)
+        rc, rep = run_json(
+            ["fit", "--input", data, "--horizon", "7", "--method", "quick-crude",
+             "--bootstrap", "20", "--seed", "5", "--no-timestamp"], capsys)
+        assert rc == 0
+        assert rep["bootstrap_replicates"] == 20
+        assert rep["bootstrap_failures"] == {"qc_alpha": 1, "qc_changepoints": 1}
 
     def test_report_to_file(self, tmp_path):
         data = simulate(tmp_path, n=200, seed=9)
@@ -283,7 +306,7 @@ class TestSelect:
         assert rep["alpha_level"] == 0.05
         assert "one_vs_two" in rep["tests"]
         t = rep["tests"]["one_vs_two"]
-        assert set(t) >= {"statistic", "p_value", "df"}
+        assert set(t) == {"statistic", "p_value", "df"}
         for fam, block in rep["fits"].items():
             assert "loglik" in block and "params" in block
 

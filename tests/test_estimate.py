@@ -638,9 +638,9 @@ class TestBootstrap:
             fam = OneStage(a, c, sample.T)
             return FitResult(fam, loglik(sample, fam.as_barista()), "closed-form", c)
 
-        se_a = bootstrap_se(s, fitter, 50, seed=7)
-        se_b = bootstrap_se(s, fitter, 50, seed=7)
-        assert se_a == se_b
+        se_a, failed = bootstrap_se(s, fitter, 50, seed=7)
+        assert bootstrap_se(s, fitter, 50, seed=7) == (se_a, failed)
+        assert failed == {}
         assert 0.0 < se_a["alpha"] < 0.5
 
     def test_matches_asymptotic_scale(self):
@@ -655,7 +655,7 @@ class TestBootstrap:
             fam = OneStage(a, c, sample.T)
             return FitResult(fam, 0.0, "closed-form", c)
 
-        se = bootstrap_se(s, fitter, 200, seed=1)
+        se, _ = bootstrap_se(s, fitter, 200, seed=1)
         assert se["alpha"] == pytest.approx(1.2 / math.sqrt(2500), rel=0.25)
 
     def test_failure_fraction_enforced(self, p_star):
@@ -698,9 +698,11 @@ class TestBootstrap:
                 failures.append((exc.stage, str(exc)))
                 raise
 
-        se = bootstrap_se(s, fitter, 20, seed=5)
-        # two of the 20 refits fail, one of them by overflowing a changepoint power
+        se, failed = bootstrap_se(s, fitter, 20, seed=5)
+        # two of the 20 refits fail, one of them by overflowing a changepoint
+        # power, and both are counted by stage
         assert len(failures) == 2
+        assert failed == {"qc_alpha": 1, "qc_changepoints": 1}
         assert any(stage == "qc_changepoints" and "overflow" in message
                    for stage, message in failures)
         assert set(se) == {"alpha1", "alpha2", "alpha3", "d1", "d2", "c"}

@@ -1,8 +1,8 @@
-"""The array-scored GA, grid search and refinement against per-genome references.
+"""The array-scored GA and grid search against per-genome references.
 
-ga_fit, grid_search and the selection refinement map a whole block of genomes
-to (alpha1, alpha2, alpha3, d1, d2) rows in one indexing step and score them
-with one likelihood call.  The references below are frozen copies of the
+ga_fit and grid_search map a whole block of genomes to (alpha1, alpha2,
+alpha3, d1, d2) rows in one indexing step and score them with one
+likelihood call.  The references below are frozen copies of the
 earlier code, which embedded one genome at a time in Python.  Only the
 gathering differs, so every result must be bit-identical.
 """
@@ -25,7 +25,6 @@ from barista import (
     sample_fixed_n,
 )
 from barista.estimate import _GRID_BLOCK, _CondLoglik
-from barista.selection import _refine_around
 from conftest import P_STAR
 
 T = P_STAR.T
@@ -158,31 +157,6 @@ def test_crowded_box_is_mostly_infeasible(data):
     genes = np.random.default_rng(0).uniform(lo, hi, size=(2000, 5))
     ll = _CondLoglik(data).values(*genes.T)
     assert 0.8 < np.mean(np.isneginf(ll)) < 0.98
-
-
-@pytest.mark.parametrize("sample, family, genes", [
-    ("data", "two-stage", (0.4, 0.4, 0.0)),
-    ("data", "three-stage", (0.4, 0.4, 1.0, T / 4.0, 5.0 / 1440.0)),
-    ("data", "three-stage", (2.9, 0.41, 0.98, 2.45, 0.0035)),
-    # the genome ties exactly with both d2 perturbations and must win
-    ("uniform", "two-stage", (1.0, 1.0, 0.01)),
-])
-def test_refinement_matches_per_candidate_reference(request, sample, family, genes):
-    sample = request.getfixturevalue(sample)
-    fit = _refine_around(sample, family, genes)
-    candidates = [genes]
-    for i in range(len(genes)):
-        for f in (0.9, 1.1):
-            g = list(genes)
-            g[i] = g[i] * f if g[i] != 0.0 else (f - 1.0) * 1e-3 * T
-            candidates.append(tuple(g))
-    cache = _CondLoglik(sample)
-    best_ll, best = -np.inf, None
-    for g in candidates:
-        ll = cache.value(*_genes_to_vector(family, g))
-        if ll > best_ll:
-            best_ll, best = ll, g
-    assert_same(fit, _finish(family, best, best_ll, sample))
 
 
 class TestGridRules:

@@ -631,7 +631,8 @@ def test_bootstrap_resample_bit_equal(n):
     sample = BidSample(times=frozen(sample_fixed_n(P_STAR, n, seed=3).times), T=P_STAR.T)
     kept = sample.times.copy()
     seen = []
-    got = bootstrap_se(sample, _recording_fitter(seen), 25, seed=8)
+    got, failed = bootstrap_se(sample, _recording_fitter(seen), 25, seed=8)
+    assert failed == {}
     want = ref_resamples(sample, 25, 8)
     assert len(seen) == len(want)
     for a, b in zip(seen, want):
