@@ -267,20 +267,13 @@ def qc_fit(sample: BidSample, cfg: QcConfig) -> "FitResult":
     lo, hi = cfg.stage2_window
     a2 = qc_alpha(F, T, T - lo, T - hi)
     a3 = qc_alpha3_survival(F, T, *cfg.stage3_points)
-    d1, d2 = qc_changepoints(F, (a1, a2, a3), cfg.safe_points, T)
+    genes = (a1, a2, a3, *qc_changepoints(F, (a1, a2, a3), cfg.safe_points, T))
+    ll = _CondLoglik(sample).value(*genes)
     try:
-        shape = BaristaParams(a1, a2, a3, d1, d2, 1.0, T)
+        return _finish_fit("three-stage", genes, ll, "quick-crude", sample)
     except ValueError as exc:
         raise EstimationError(f"estimates are not a valid parameter vector: {exc}",
                               stage="qc_fit") from exc
-    c_hat = estimate_c(shape, sample.n)
-    fitted = shape.with_c(c_hat)
-    return FitResult(
-        family=fitted,
-        loglik=loglik(sample, fitted),
-        method="quick-crude",
-        c_hat=c_hat,
-    )
 
 
 # ---------------------------------------------------------------------------

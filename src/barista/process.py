@@ -143,9 +143,9 @@ class BaristaParams(Family):
 
     @staticmethod
     def embed(two: TwoStage) -> tuple[float, ...]:
-        # d1 is arbitrary once alpha1 == alpha2; T/4 is kept so that outputs
-        # stay as they were
-        return (two.alpha2, two.alpha2, two.alpha3, two.T / 4.0, two.d2)
+        # d1 = 0 empties the early stage, so alpha1 is then arbitrary and
+        # the likelihood sums are the two-stage family's own
+        return (two.alpha2, two.alpha2, two.alpha3, 0.0, two.d2)
 
     def as_barista(self) -> BaristaParams:
         return self

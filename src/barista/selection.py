@@ -14,19 +14,18 @@ Only the three-stage fit is a genetic search (ga_fit), and only it takes a GA bu
 The families nest exactly, and the family classes (process.FAMILIES) give
 each richer family's embedding of the next-smaller fit: a one-stage process
 is a two-stage process with d2 = 0, and a two-stage process is a three-stage
-one with the early exponent tied and d1 arbitrary.  One rule keeps each
-statistic nonnegative: a richer family's fit is the better of its own fit
-and the embedding of the smaller fit, ties keeping the embedding
-(estimate._nested).  profile_fit applies it to the one-stage fit, and
-select_model to the three-stage GA fit, whose default box (alpha1 >= 1)
-does not hold the two-stage embedding (alpha1 = alpha2 <= 1).
+one with d1 = 0 and the empty early stage's exponent tied to alpha2.  One
+rule keeps each statistic nonnegative: a richer family's fit is the better
+of its own fit and the embedding of the smaller fit, ties keeping the
+embedding (estimate._nested), whose likelihood is the smaller fit's.
+profile_fit applies it to the one-stage fit, and select_model to the
+three-stage GA fit, whose default box (alpha1 >= 1) does not hold the
+two-stage embedding (alpha1 = alpha2 <= 1).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .estimate import (
     FitResult,
@@ -95,18 +94,15 @@ def select_model(
 
     The one-stage fit is the exact closed-form MLE and the two-stage fit the
     exact profile fit.  The three-stage fit is a GA search of its default box
-    for `generations` generations, seeded by the third of three states drawn
-    from `seed`; where it ends no higher than the embedded two-stage fit,
-    that embedding, labelled "ga", is the three-stage fit.  At each step the
-    richer family is adopted only when the LR test rejects at alpha_level.
+    for `generations` generations at `seed`; where it ends no higher than the
+    embedded two-stage fit, that embedding, labelled "ga", is the three-stage
+    fit, and the LR statistic is 0.  At each step the richer family is
+    adopted only when the LR test rejects at alpha_level.
     """
     if not (0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
-    # three seeds are drawn, the first two once fed one-stage and two-stage
-    # GAs, so the three-stage search keeps the seed it always had
-    seed3 = np.random.SeedSequence(seed).generate_state(3)[2]
     cfg = GaConfig(bounds=default_bounds("three-stage", sample.T), generations=generations,
-                   seed=int(seed3))
+                   seed=seed)
     fit1 = _one_stage_fit(sample)
     fit2 = profile_fit(sample)
     test12 = lr_test(fit1.loglik, fit2.loglik)

@@ -334,6 +334,20 @@ class TestSelect:
             assert rep["fits"][tag]["c_hat"] == fit.c_hat
             assert rep["fits"][tag]["params"] == fit.params
 
+    def test_three_stage_fit_is_the_ga_fit_at_the_same_seed(self, tmp_path, capsys):
+        # on P* data the GA ends above the embedded two-stage fit, so select's
+        # three-stage fit is fit --method ga's at the same seed and budget
+        data = simulate(tmp_path, n=5000, seed=5)
+        common = ["--input", data, "--horizon", "7", "--seed", "3", "--generations", "100",
+                  "--no-timestamp"]
+        rc, sel = run_json(["select", *common], capsys)
+        assert rc == 0
+        rc, ga = run_json(["fit", "--method", "ga", "--family", "three-stage", *common], capsys)
+        assert rc == 0
+        three = sel["fits"]["three-stage"]
+        assert three["params"] == ga["params"]
+        assert three["loglik"] == ga["loglik"]
+
 
 class TestDiagnose:
     def test_report_and_qq_csv(self, tmp_path, capsys):

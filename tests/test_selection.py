@@ -117,14 +117,12 @@ class TestOneStageClosedForm:
 
 
 def test_ga_fits_keep_their_default_seeds(p_star):
-    # the three-stage fit is the GA search it was, seeded by the third of
-    # three states drawn from the selection seed; the two-stage fit is the
-    # profile fit
+    # the three-stage fit is the GA search of the default box at the
+    # selection seed; the two-stage fit is the profile fit
     s = sample_fixed_n(p_star, 3000, seed=7)
     res = select_model(s, seed=5)
     assert res.chosen.tag == "three-stage"
-    seeds = np.random.SeedSequence(5).generate_state(3)
-    cfg = GaConfig(bounds=default_bounds("three-stage", 7.0), seed=int(seeds[2]))
+    cfg = GaConfig(bounds=default_bounds("three-stage", 7.0), seed=5)
     for tag, ref in (("two-stage", profile_fit(s)),
                      ("three-stage", ga_fit(s, "three-stage", cfg))):
         fit = res.fits[tag]
@@ -163,19 +161,19 @@ class TestSelectModel:
         for s, seed, generations in cases:
             res = select_model(s, seed=seed, generations=generations)
             lls = {tag: fit.loglik for tag, fit in res.fits.items()}
-            assert lls["two-stage"] >= lls["one-stage"] - 1e-9
+            assert lls["two-stage"] >= lls["one-stage"]
             if "three-stage" in lls:
-                assert lls["three-stage"] >= lls["two-stage"] - 1e-9
+                assert lls["three-stage"] >= lls["two-stage"]
 
     def test_floor_lifts_a_three_stage_search_that_ends_below_the_two_stage_fit(self):
         # criterion-9 two-stage data, on which 60 generations of the
         # three-stage GA alone end below the profile fit: the three-stage
-        # fit is then the embedded two-stage fit, bit for bit
+        # fit is then the embedded two-stage fit, bit for bit, with an empty
+        # early stage and an LR statistic of exactly 0
         s = sample_poisson_count(CRITERION_9_TRUTHS[2], seed=1000)
         res = select_model(s, seed=0, generations=60)
         two, three = res.fits["two-stage"], res.fits["three-stage"]
-        seed3 = int(np.random.SeedSequence(0).generate_state(3)[2])
-        cfg = GaConfig(bounds=default_bounds("three-stage", s.T), generations=60, seed=seed3)
+        cfg = GaConfig(bounds=default_bounds("three-stage", s.T), generations=60, seed=0)
         assert ga_fit(s, "three-stage", cfg).loglik < two.loglik
         genes = ThreeStage.embed(two.family)
         embedded = ThreeStage(*genes, c=1.0, T=s.T)
@@ -183,7 +181,8 @@ class TestSelectModel:
         assert bits(list(three.family.free_values().values())) == bits(genes)
         assert bits(three.loglik) == bits(loglik(s, embedded))
         assert bits(three.c_hat) == bits(estimate_c(embedded, s.n))
-        assert res.lr_two_three.statistic < 1e-9
+        assert three.family.d1 == 0.0
+        assert res.lr_two_three.statistic == 0.0
 
     def test_alpha_level_recorded_and_validated(self, p_star):
         s = sample_fixed_n(p_star, 100, seed=3)
