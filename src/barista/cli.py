@@ -40,6 +40,7 @@ from .estimate import (
     GaConfig,
     QcConfig,
     _one_stage_fit,
+    _qc_estimate,
     bootstrap_se,
     default_bounds,
     default_qc_config,
@@ -48,7 +49,7 @@ from .estimate import (
     profile_fit,
     qc_fit,
 )
-from .process import FAMILIES, get_family, mean_count
+from .process import FAMILIES, Family, get_family, mean_count
 from .sample import BidSample
 from .selection import select_model
 from .simulate import sample_fixed_n, sample_poisson_count
@@ -312,13 +313,22 @@ def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
     return ga_fit(sample, family, _ga_config_from(args, family, sample.T))
 
 
+def _refit_once(sample: BidSample, args: argparse.Namespace) -> FitResult | Family:
+    """A bootstrap refit of what _fit_once fitted.  The standard errors
+    read only its parameters, so a quick-crude refit computes no
+    log-likelihood."""
+    if args.method == "quick-crude":
+        return _qc_estimate(sample, _qc_config_from(args, sample.T))
+    return _fit_once(sample, args)
+
+
 def _cmd_fit(args: argparse.Namespace) -> dict:
     sample, described = _ingested(args)
     fit = _fit_once(sample, args)
     payload = {**_params_block(fit, args.unit), "method": fit.method, **described}
     if args.bootstrap:
         payload["stderrs"], payload["bootstrap_failures"] = bootstrap_se(
-            sample, lambda s: _fit_once(s, args), args.bootstrap, seed=args.seed)
+            sample, lambda s: _refit_once(s, args), args.bootstrap, seed=args.seed)
         payload["bootstrap_replicates"] = args.bootstrap
     return payload
 

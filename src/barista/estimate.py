@@ -37,6 +37,7 @@ from .process import (
     Family,
     ModelFamily,
     OneStage,
+    ThreeStage,
     TwoStage,
     _denominator,
     get_family,
@@ -87,6 +88,9 @@ def ecdf(sample: BidSample, t):
     """Fraction of sample times <= t; accepts scalars or arrays."""
     if sample.n == 0:
         raise EstimationError("empirical CDF of an empty sample", stage="ecdf")
+    if type(t) is float:
+        # counts and n are exact doubles, so this is the array path's quotient
+        return int(sample.times.searchsorted(t, "right")) / sample.n
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     counts = np.searchsorted(sample.times, np.atleast_1d(arr), side="right")
@@ -253,8 +257,9 @@ def qc_changepoints(
     return d1, d2
 
 
-def qc_fit(sample: BidSample, cfg: QcConfig) -> "FitResult":
-    """Quick-and-crude three-stage fit from empirical CDF differences."""
+def _qc_estimate(sample: BidSample, cfg: QcConfig) -> ThreeStage:
+    """qc_fit's family alone, without the log-likelihood that a refit loop
+    never reads; raises where qc_fit raises, with the same stages."""
     if sample.n < 2:
         raise EstimationError("quick-and-crude fit needs at least 2 events", stage="qc_fit")
     T = sample.T
@@ -268,12 +273,18 @@ def qc_fit(sample: BidSample, cfg: QcConfig) -> "FitResult":
     a2 = qc_alpha(F, T, T - lo, T - hi)
     a3 = qc_alpha3_survival(F, T, *cfg.stage3_points)
     genes = (a1, a2, a3, *qc_changepoints(F, (a1, a2, a3), cfg.safe_points, T))
-    ll = _CondLoglik(sample).value(*genes)
     try:
-        return _finish_fit("three-stage", genes, ll, "quick-crude", sample)
+        return _scaled_family("three-stage", genes, sample)
     except ValueError as exc:
         raise EstimationError(f"estimates are not a valid parameter vector: {exc}",
                               stage="qc_fit") from exc
+
+
+def qc_fit(sample: BidSample, cfg: QcConfig) -> "FitResult":
+    """Quick-and-crude three-stage fit from empirical CDF differences."""
+    family = _qc_estimate(sample, cfg)
+    ll = _CondLoglik(sample).value(*family.free_values().values())
+    return FitResult(family=family, loglik=ll, method="quick-crude", c_hat=family.c)
 
 
 # ---------------------------------------------------------------------------
@@ -497,22 +508,21 @@ class FitResult:
     @property
     def params(self) -> dict[str, float]:
         """Estimated free parameters plus the recovered scale."""
-        vals = dict(self.family.free_values())
-        vals["c"] = self.c_hat
-        return vals
+        return self.family.params
+
+
+def _scaled_family(tag: str, genes: Sequence[float], sample: BidSample) -> Family:
+    """The family with these genes, its scale c matched to the sample's count."""
+    spec = get_family(tag)
+    c_hat = estimate_c(spec.build(genes, 1.0, sample.T).as_barista(), sample.n)
+    return spec.build(genes, c_hat, sample.T)
 
 
 def _finish_fit(tag: str, genes: Sequence[float], ll: float, method: str,
                 sample: BidSample, history: tuple[float, ...] | None = None) -> FitResult:
-    spec = get_family(tag)
-    c_hat = estimate_c(spec.build(genes, 1.0, sample.T).as_barista(), sample.n)
-    return FitResult(
-        family=spec.build(genes, c_hat, sample.T),
-        loglik=ll,
-        method=method,
-        c_hat=c_hat,
-        history=history,
-    )
+    family = _scaled_family(tag, genes, sample)
+    return FitResult(family=family, loglik=ll, method=method, c_hat=family.c,
+                     history=history)
 
 
 def _nested(sample: BidSample, fit: FitResult, smaller: Family) -> FitResult:
@@ -941,14 +951,17 @@ def _resample(sample: BidSample, seed: np.random.SeedSequence) -> BidSample:
     The times are sorted, so gathering at sorted indices sorts the draw; the
     indices are dropped before the caller refits.
     """
-    idx = np.random.default_rng(seed).integers(0, sample.n, size=sample.n)
+    # below 2**32 numpy draws both widths with the same 32-bit bounded
+    # generator, so int32 gives int64's numbers and sorts faster
+    dtype = np.int32 if sample.n <= 2**31 else np.int64
+    idx = np.random.default_rng(seed).integers(0, sample.n, size=sample.n, dtype=dtype)
     idx.sort()
     return BidSample(times=sample.times[idx], T=sample.T)
 
 
 def bootstrap_se(
     sample: BidSample,
-    fitter: Callable[[BidSample], FitResult],
+    fitter: Callable[[BidSample], FitResult | Family],
     n_replicates: int,
     seed: int,
 ) -> tuple[dict[str, float], dict[str, int]]:
@@ -957,10 +970,12 @@ def bootstrap_se(
 
     Each replicate resamples n times with replacement, refits, and the SE of
     each reported parameter is the ddof=1 standard deviation across the
-    replicates that succeeded.  Replicates where the fitter raises are
-    tolerated up to 20% of n_replicates and counted per EstimationError
-    stage (or error type name), in name order, {} when none failed; beyond
-    that an error reports the failure fraction and those counts.
+    replicates that succeeded.  Only the refit's .params is read, so the
+    fitter may return the fitted family instead of a FitResult.  Replicates
+    where the fitter raises are tolerated up to 20% of n_replicates and
+    counted per EstimationError stage (or error type name), in name order,
+    {} when none failed; beyond that an error reports the failure fraction
+    and those counts.
     Deterministic for a given seed.
     """
     if n_replicates < 2:

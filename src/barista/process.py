@@ -106,6 +106,11 @@ class Family:
     def free_values(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self.free_names}
 
+    @property
+    def params(self) -> dict[str, float]:
+        """The free parameters plus the scale c."""
+        return {**self.free_values(), "c": self.c}
+
     def as_barista(self) -> BaristaParams:
         genes = tuple(self.free_values().values())
         return BaristaParams(*self.vectors([genes])[0].tolist(), self.c, self.T)

@@ -8,10 +8,14 @@ import pytest
 
 from barista import (
     BaristaParams,
+    EstimationError,
     IngestSpec,
     __version__,
+    bootstrap_se,
+    default_qc_config,
     ingest,
     profile_fit,
+    qc_fit,
     qq_points,
     select_model,
 )
@@ -271,6 +275,27 @@ class TestFit:
         assert rc == 0
         assert rep["bootstrap_replicates"] == 20
         assert rep["bootstrap_failures"] == {"qc_alpha": 1, "qc_changepoints": 1}
+        # the refits compute no likelihood, but give qc_fit's parameters
+        sample = ingest(IngestSpec(path=data, horizon=7.0))
+        cfg = default_qc_config(7.0)
+        ses, failed = bootstrap_se(sample, lambda s: qc_fit(s, cfg), 20, seed=5)
+        assert {k: v.hex() for k, v in rep["stderrs"].items()} == {
+            k: v.hex() for k, v in ses.items()}
+        assert rep["bootstrap_failures"] == failed
+
+    def test_quick_crude_bootstrap_fails_where_qc_fit_fails(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=5000, seed=5)
+        rc, err = run_json(
+            ["fit", "--input", data, "--horizon", "7", "--method", "quick-crude",
+             "--bootstrap", "20", "--seed", "0", "--no-timestamp"], capsys)
+        assert rc == 1
+        sample = ingest(IngestSpec(path=data, horizon=7.0))
+        cfg = default_qc_config(7.0)
+        with pytest.raises(EstimationError) as ref:
+            bootstrap_se(sample, lambda s: qc_fit(s, cfg), 20, seed=0)
+        assert err["error"]["message"] == str(ref.value)
+        assert err["error"]["message"].startswith("bootstrap refit failed on 6/20 ")
+        assert err["error"]["message"].endswith("failures by stage: qc_changepoints 6")
 
     def test_report_to_file(self, tmp_path):
         data = simulate(tmp_path, n=200, seed=9)

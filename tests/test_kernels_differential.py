@@ -26,6 +26,7 @@ from barista import (
     bootstrap_se,
     cdf,
     default_qc_config,
+    ecdf,
     intensity,
     inverse_cdf,
     ks_one_sample,
@@ -37,7 +38,7 @@ from barista import (
     sample_poisson_count,
 )
 from barista.diagnostics import kolmogorov_sf
-from barista.estimate import _CondLoglik
+from barista.estimate import _CondLoglik, _qc_estimate
 from barista.process import normalization_constant
 from barista.simulate import _iid_times
 from conftest import P_STAR
@@ -626,7 +627,10 @@ def _recording_fitter(seen):
     return fit
 
 
-@pytest.mark.parametrize("n", [1, 2, 500])
+# the int32 indices must be the int64 reference stream: 65_537 needs more
+# than 16 bits, and at 100_000 the bounded 32-bit draw rejects and redraws
+# (42 times over these 25 resamples)
+@pytest.mark.parametrize("n", [1, 2, 500, 65_537, 100_000])
 def test_bootstrap_resample_bit_equal(n):
     sample = BidSample(times=frozen(sample_fixed_n(P_STAR, n, seed=3).times), T=P_STAR.T)
     kept = sample.times.copy()
@@ -641,6 +645,21 @@ def test_bootstrap_resample_bit_equal(n):
     fits = [_recording_fitter([])(BidSample(times=t, T=P_STAR.T)).params for t in want]
     ref_se = {k: float(np.std([f[k] for f in fits], ddof=1)) for k in fits[0]}
     assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in ref_se.items()}
+
+
+@pytest.mark.parametrize("n", [2, 7, 5000])
+def test_ecdf_scalar_bit_equal(n):
+    # a Python float takes the scalar lookup; a one-element array is the reference
+    sample = sample_fixed_n(P_STAR, n, seed=4)
+    times = sample.times
+    k = int(np.flatnonzero(np.diff(times) > 0)[0])
+    between = float(times[k] + (times[k + 1] - times[k]) / 2)
+    assert times[k] < between < times[k + 1]
+    for t in (-1.0, 0.0, float(times[k]), float(times[-1]), between, sample.T, float("nan")):
+        got = ecdf(sample, t)
+        assert type(got) is float
+        assert got.hex() == float(ecdf(sample, np.array([t]))[0]).hex()
+        assert got.hex() == ecdf(sample, np.float64(t)).hex()
 
 
 class TestPeakMemory:
@@ -675,3 +694,11 @@ class TestPeakMemory:
         sample = sample_fixed_n(P_STAR, self.n, seed=9)
         cfg = default_qc_config(P_STAR.T)
         assert self.peak(lambda: bootstrap_se(sample, lambda b: qc_fit(b, cfg), 2, seed=1)) <= 2.25
+
+    def test_bootstrap_replicate_without_likelihood(self):
+        # fit --method quick-crude --bootstrap refits through the estimate
+        # alone: no likelihood prefix, and the resample's indices are int32
+        sample = sample_fixed_n(P_STAR, self.n, seed=9)
+        cfg = default_qc_config(P_STAR.T)
+        assert self.peak(
+            lambda: bootstrap_se(sample, lambda b: _qc_estimate(b, cfg), 2, seed=1)) <= 1.75
