@@ -88,14 +88,11 @@ def ecdf(sample: BidSample, t):
     """Fraction of sample times <= t; accepts scalars or arrays."""
     if sample.n == 0:
         raise EstimationError("empirical CDF of an empty sample", stage="ecdf")
-    if type(t) is float:
-        # counts and n are exact doubles, so this is the array path's quotient
-        return int(sample.times.searchsorted(t, "right")) / sample.n
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    counts = np.searchsorted(sample.times, np.atleast_1d(arr), side="right")
-    out = counts / sample.n
-    return float(out[0]) if scalar else out
+    if arr.ndim == 0:
+        # counts and n are exact doubles, so this is the array path's quotient
+        return int(sample.times.searchsorted(arr, "right")) / sample.n
+    return np.searchsorted(sample.times, arr, side="right") / sample.n
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +280,8 @@ def _qc_estimate(sample: BidSample, cfg: QcConfig) -> ThreeStage:
 def qc_fit(sample: BidSample, cfg: QcConfig) -> "FitResult":
     """Quick-and-crude three-stage fit from empirical CDF differences."""
     family = _qc_estimate(sample, cfg)
-    ll = _CondLoglik(sample).value(*family.free_values().values())
-    return FitResult(family=family, loglik=ll, method="quick-crude", c_hat=family.c)
+    return FitResult(family, _CondLoglik(sample).value(*family.free_values().values()),
+                     "quick-crude")
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +475,7 @@ def _one_stage_fit(sample: BidSample) -> FitResult:
     """The exact one-stage fit: the closed-form MLE and its likelihood."""
     alpha, _ = mle_nhpp1(sample)
     ll = _CondLoglik(sample).value(alpha, alpha, alpha, 0.0, 0.0)
-    return _finish_fit("one-stage", (alpha,), ll, "closed-form", sample)
+    return FitResult(_scaled_family("one-stage", (alpha,), sample), ll, "closed-form")
 
 
 def estimate_c(shape: BaristaParams, n: int) -> float:
@@ -502,8 +499,12 @@ class FitResult:
     family: ModelFamily
     loglik: float
     method: str  # "quick-crude" | "grid" | "ga" | "closed-form" | "profile"
-    c_hat: float
     history: tuple[float, ...] | None = None  # GA best-so-far per generation
+
+    @property
+    def c_hat(self) -> float:
+        """The recovered scale, which the family holds."""
+        return self.family.c
 
     @property
     def params(self) -> dict[str, float]:
@@ -512,17 +513,14 @@ class FitResult:
 
 
 def _scaled_family(tag: str, genes: Sequence[float], sample: BidSample) -> Family:
-    """The family with these genes, its scale c matched to the sample's count."""
+    """The family with these genes, its scale c matched to the sample's count.
+
+    Every fit's family is built here, and a FitResult reads its c_hat from
+    the family, so a fit's scale is recovered and stored in one place.
+    """
     spec = get_family(tag)
     c_hat = estimate_c(spec.build(genes, 1.0, sample.T).as_barista(), sample.n)
     return spec.build(genes, c_hat, sample.T)
-
-
-def _finish_fit(tag: str, genes: Sequence[float], ll: float, method: str,
-                sample: BidSample, history: tuple[float, ...] | None = None) -> FitResult:
-    family = _scaled_family(tag, genes, sample)
-    return FitResult(family=family, loglik=ll, method=method, c_hat=family.c,
-                     history=history)
 
 
 def _nested(sample: BidSample, fit: FitResult, smaller: Family) -> FitResult:
@@ -538,7 +536,9 @@ def _nested(sample: BidSample, fit: FitResult, smaller: Family) -> FitResult:
     spec = type(fit.family)
     genes = spec.embed(smaller)
     ll = _CondLoglik(sample).value(*spec.vectors([genes])[0])
-    return fit if fit.loglik > ll else _finish_fit(spec.tag, genes, ll, fit.method, sample)
+    if fit.loglik > ll:
+        return fit
+    return FitResult(_scaled_family(spec.tag, genes, sample), ll, fit.method)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +582,7 @@ def grid_search(sample: BidSample, family: str, grid: Mapping[str, Iterable[floa
             best_ll, best_genes = float(ll[j]), tuple(genes[j])
     if best_genes is None or not np.isfinite(best_ll):
         raise EstimationError("no feasible grid point", stage="grid_search")
-    return _finish_fit(family, best_genes, best_ll, "grid", sample)
+    return FitResult(_scaled_family(family, best_genes, sample), best_ll, "grid")
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +700,8 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
 
     if not np.isfinite(pool_fit[0]):
         raise EstimationError("no feasible genome found", stage="ga_fit")
-    return _finish_fit(family, tuple(genes[0]), float(pool_fit[0]), "ga", sample,
-                       history=tuple(history))
+    return FitResult(_scaled_family(family, tuple(genes[0]), sample), float(pool_fit[0]),
+                     "ga", tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +933,8 @@ def profile_fit(sample: BidSample,
         genes = np.array([spec.embed(one)])
         ll = cache.values(*spec.vectors(genes).T)
     best = int(np.argmax(ll))
-    fit = _finish_fit(spec.tag, tuple(genes[best]), float(ll[best]), "profile", sample)
+    fit = FitResult(_scaled_family(spec.tag, tuple(genes[best]), sample), float(ll[best]),
+                    "profile")
     return _nested(sample, fit, one)
 
 

@@ -636,7 +636,7 @@ class TestBootstrap:
             from barista import FitResult
 
             fam = OneStage(a, c, sample.T)
-            return FitResult(fam, loglik(sample, fam.as_barista()), "closed-form", c)
+            return FitResult(fam, loglik(sample, fam.as_barista()), "closed-form")
 
         se_a, failed = bootstrap_se(s, fitter, 50, seed=7)
         assert bootstrap_se(s, fitter, 50, seed=7) == (se_a, failed)
@@ -653,7 +653,7 @@ class TestBootstrap:
             from barista import FitResult
 
             fam = OneStage(a, c, sample.T)
-            return FitResult(fam, 0.0, "closed-form", c)
+            return FitResult(fam, 0.0, "closed-form")
 
         se, _ = bootstrap_se(s, fitter, 200, seed=1)
         assert se["alpha"] == pytest.approx(1.2 / math.sqrt(2500), rel=0.25)

@@ -623,7 +623,7 @@ def _recording_fitter(seen):
     def fit(boot):
         seen.append(boot.times.copy())
         alpha, c = mle_nhpp1(boot)
-        return FitResult(OneStage(alpha, c, boot.T), 0.0, "closed-form", c)
+        return FitResult(OneStage(alpha, c, boot.T), 0.0, "closed-form")
     return fit
 
 
@@ -649,7 +649,8 @@ def test_bootstrap_resample_bit_equal(n):
 
 @pytest.mark.parametrize("n", [2, 7, 5000])
 def test_ecdf_scalar_bit_equal(n):
-    # a Python float takes the scalar lookup; a one-element array is the reference
+    # every scalar (a float, a numpy float, a 0-d array) takes the scalar
+    # lookup; a one-element array is the reference
     sample = sample_fixed_n(P_STAR, n, seed=4)
     times = sample.times
     k = int(np.flatnonzero(np.diff(times) > 0)[0])
@@ -660,6 +661,7 @@ def test_ecdf_scalar_bit_equal(n):
         assert type(got) is float
         assert got.hex() == float(ecdf(sample, np.array([t]))[0]).hex()
         assert got.hex() == ecdf(sample, np.float64(t)).hex()
+        assert got.hex() == ecdf(sample, np.array(t)).hex()
 
 
 class TestPeakMemory:

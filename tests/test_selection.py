@@ -71,7 +71,7 @@ class TestEmbeddings:
     def test_one_into_two(self):
         one = OneStage(alpha=0.8, c=2.0, T=3.0)
         s = sample_fixed_n(one.as_barista(), 500, seed=0)
-        fit = FitResult(one, loglik(s, one.as_barista()), "ga", 2.0)
+        fit = FitResult(one, loglik(s, one.as_barista()), "ga")
         genes = get_family("two-stage").embed(fit.family)
         two = TwoStage(alpha2=genes[0], alpha3=genes[1], d2=genes[2], c=2.0, T=3.0)
         assert loglik(s, two.as_barista()) == pytest.approx(fit.loglik, rel=1e-14)
@@ -79,7 +79,7 @@ class TestEmbeddings:
     def test_two_into_three(self):
         two = TwoStage(alpha2=0.5, alpha3=4.0, d2=0.02, c=2.0, T=3.0)
         s = sample_fixed_n(two.as_barista(), 500, seed=1)
-        fit = FitResult(two, loglik(s, two.as_barista()), "ga", 2.0)
+        fit = FitResult(two, loglik(s, two.as_barista()), "ga")
         genes = get_family("three-stage").embed(fit.family)
         three = ThreeStage(*genes, c=2.0, T=3.0)
         assert three.alpha1 == three.alpha2  # d1 is then arbitrary
