@@ -129,12 +129,19 @@ def _config(path: str, sub: argparse.ArgumentParser) -> dict:
     unknown = set(cfg) - (set(vars(sub.parse_args([]))) - _NOT_SETTINGS)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
+    # argparse checks a flag's value against its choices, but not a default
+    choices = {action.dest: action.choices for action in sub._actions if action.choices}
     for key, val in cfg.items():
         kinds = _SETTING_TYPES[key]
         if val is not None and (not isinstance(val, kinds)
                                 or isinstance(val, bool) and bool not in kinds):
             names = " or ".join(_JSON_NAMES[k] for k in kinds)
             raise ValueError(f"config key {key!r} must be {names}, got {json.dumps(val)}")
+        if val is not None and key in choices and val not in choices[key]:
+            if key == "family":
+                get_family(val)  # the message every unknown family tag gets
+            raise ValueError(f"config key {key!r} must be one of {list(choices[key])}, "
+                             f"got {json.dumps(val)}")
     return {key: val for key, val in cfg.items() if val is not None}
 
 
@@ -294,8 +301,6 @@ _ONLY_FAMILY = {"closed-form": "one-stage", "quick-crude": "three-stage",
 
 def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
     method = args.method
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     only = _ONLY_FAMILY.get(method)
     family = args.family
     if family is None:

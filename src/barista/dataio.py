@@ -12,17 +12,17 @@ are handled by policy: "reject" raises with the offending line number,
 horizon.  Malformed rows always raise; silently dropping data is worse than
 stopping.
 
-The file is opened and read once, in blocks of whole lines.  A block after
-the header that holds no '"', '\\r', '#' or blank line, and whose every line
-has one comma fewer than the header has fields, is split at commas, which
-then yields the fields csv would; from the first block that fails these
-tests, csv reads the rest of the file.  Either way each numeric column is
-converted block by block, and only auction ids and the raw fields of
-non-finite values are kept as strings.  Auction ids are stripped, and the
-rows of one auction share one label object, so label memory grows with the
-number of auctions, not of bids.  Results, errors and record numbers
-are those of csv alone.  Only when a check of the whole columns fails are
-per-check masks built, to name the first bad row.
+The file is opened and read once: csv reads up to the header, the rest in
+blocks of whole lines.  A block that holds no '"', '\\r', '#' or blank line,
+and whose every line has one comma fewer than the header has fields, is
+split at commas, which then yields the fields csv would; from the first
+block that fails these tests, csv reads the rest of the file.  Either way
+each numeric column is converted block by block, and only auction ids and
+the raw fields of non-finite values are kept as strings.  Auction ids are
+stripped, and the rows of one auction share one label object, so label
+memory grows with the number of auctions, not of bids.  Results, errors and
+record numbers are those of csv alone.  Only when a check of the whole
+columns fails are per-check masks built, to name the first bad row.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -192,14 +192,15 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
     """The data rows, converted block by block, and the record number of a
     data row as a function of its index.
 
-    Blocks of text are split at commas while _split accepts them; from the
+    csv reads the records up to the header (_find_header).  After it,
+    blocks of text are split at commas while _split accepts them; from the
     first block it refuses, csv reads the rest of the file and its rows are
     converted in blocks of _BLOCK_CHARS // 8 fields.  Raises a wrong field
     count with its record, then header and layout errors.
     """
     path = Path(spec.path)
     with path.open(newline="") as fh:
-        header_record, raw, rows = _find_header(fh, path)
+        header_record, raw = _find_header(fh, path)
         header = [h.strip().lower() for h in raw]
         width = len(header)
         try:
@@ -215,15 +216,15 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
             pick = operator.itemgetter(*columns)
         table = _Table(needed[1:])
         n = 0  # data rows read
-        if rows is None:
-            for block in iter(functools.partial(_read_block, fh), ""):
-                split = _split(block, width)
-                if split is None:
-                    rows = csv.reader(itertools.chain(io.StringIO(block, newline=""), fh))
-                    break
-                parts, lines = split
-                table.add(*(parts[j:lines * width:width] for j in columns))
-                n += lines
+        rows = None
+        for block in iter(functools.partial(_read_block, fh), ""):
+            split = _split(block, width)
+            if split is None:
+                rows = csv.reader(itertools.chain(io.StringIO(block, newline=""), fh))
+                break
+            parts, lines = split
+            table.add(*(parts[j:lines * width:width] for j in columns))
+            n += lines
         skipped: list[int] = []  # per comment or blank record, the data rows before it
         if rows is not None:
             k = len(columns)
@@ -251,30 +252,21 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
     return table, lambda row: header_record + 1 + row + bisect.bisect_right(skipped, row)
 
 
-def _find_header(fh: IO[str], path: Path) -> tuple[int, list[str], Iterator[list[str]] | None]:
-    """(record number of the header, its raw fields, and csv's reader of the
-    records after it, or None when no line up to the header needed csv).
+def _find_header(fh: IO[str], path: Path) -> tuple[int, list[str]]:
+    """(record number of the header, its raw fields).
 
-    Lines are split at commas until one holds a '"' or '\\r' or is longer
-    than csv's field size limit, as in _split; from that line on csv reads,
-    so a field csv refuses is refused here too.  Leading '#' lines are
-    metadata from our own emitter.
+    csv reads the records up to and including the first that is neither a
+    comment nor blank, and no further, so the lines of the file after the
+    header are left unread in fh.  Leading '#' lines are metadata from our
+    own emitter.
     """
     record = 0
-    for line in iter(fh.readline, ""):
-        if '"' in line or "\r" in line or len(line) > csv.field_size_limit():
-            rows = csv.reader(itertools.chain([line], fh))
-            try:
-                for record, raw in enumerate(rows, record + 1):
-                    if raw and not raw[0].lstrip().startswith("#"):
-                        return record, raw, rows
-            except csv.Error as exc:
-                raise IngestError(str(exc), record + 1) from None
-            break
-        record += 1
-        raw = line.removesuffix("\n").split(",") if line != "\n" else []
-        if raw and not raw[0].lstrip().startswith("#"):
-            return record, raw, None
+    try:
+        for record, raw in enumerate(csv.reader(iter(fh.readline, "")), 1):
+            if raw and not raw[0].lstrip().startswith("#"):
+                return record, raw
+    except csv.Error as exc:
+        raise IngestError(str(exc), record + 1) from None
     raise IngestError(f"no header row found in {path}")
 
 

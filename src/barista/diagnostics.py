@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimate import _check_horizon
 from .process import BaristaParams, OneStage, cdf, inverse_cdf
 from .sample import BidSample
 
@@ -92,8 +93,7 @@ def ks_one_sample(sample: BidSample, p: BaristaParams) -> KsResult:
     """KS test of the sample's times against the process's arrival-time CDF."""
     if sample.n == 0:
         raise ValueError("KS test needs a nonempty sample")
-    if sample.T != p.T:
-        raise ValueError(f"sample horizon {sample.T} != parameter horizon {p.T}")
+    _check_horizon(sample, p)
     n = sample.n
     f = cdf(p, sample.times)
     # D+ = max(j/n - f[j-1]) and D- = max(f[j] - j/n), taken over blocks of
@@ -112,12 +112,16 @@ def ks_one_sample(sample: BidSample, p: BaristaParams) -> KsResult:
     return KsResult(d, kolmogorov_sf(math.sqrt(n) * d), float(n))
 
 
+def _check_same_horizon(a: BidSample, b: BidSample) -> None:
+    if a.T != b.T:
+        raise ValueError(f"samples live on different horizons: {a.T} and {b.T}")
+
+
 def ks_two_sample(a: BidSample, b: BidSample) -> KsResult:
     """Two-sample KS with effective size na*nb/(na+nb)."""
     if a.n == 0 or b.n == 0:
         raise ValueError("KS test needs two nonempty samples")
-    if a.T != b.T:
-        raise ValueError(f"samples live on different horizons: {a.T} and {b.T}")
+    _check_same_horizon(a, b)
     pooled = np.concatenate([a.times, b.times])
     fa = np.searchsorted(a.times, pooled, side="right") / a.n
     fb = np.searchsorted(b.times, pooled, side="right") / b.n
@@ -137,14 +141,12 @@ def qq_points(sample: BidSample, reference: BaristaParams | BidSample) -> QqData
         raise ValueError("QQ needs a nonempty sample")
     probs = (np.arange(1, sample.n + 1) - 0.5) / sample.n
     if isinstance(reference, BaristaParams):
-        if sample.T != reference.T:
-            raise ValueError(f"sample horizon {sample.T} != parameter horizon {reference.T}")
+        _check_horizon(sample, reference)
         ref_q = inverse_cdf(reference, probs)
     else:
         if reference.n == 0:
             raise ValueError("QQ needs a nonempty reference sample")
-        if sample.T != reference.T:
-            raise ValueError(f"samples live on different horizons: {sample.T} and {reference.T}")
+        _check_same_horizon(sample, reference)
         ref_q = np.quantile(reference.times, probs)
     return QqData(np.column_stack([ref_q, sample.times]))
 

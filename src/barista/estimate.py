@@ -36,7 +36,6 @@ from .process import (
     BaristaParams,
     Family,
     ModelFamily,
-    OneStage,
     ThreeStage,
     TwoStage,
     _denominator,
@@ -523,22 +522,24 @@ def _scaled_family(tag: str, genes: Sequence[float], sample: BidSample) -> Famil
     return spec.build(genes, c_hat, sample.T)
 
 
-def _nested(sample: BidSample, fit: FitResult, smaller: Family) -> FitResult:
-    """fit, or the embedding of smaller in fit's family, whichever is more
-    likely; ties keep the embedding.
+def _nested(fit: FitResult, smaller: FitResult) -> FitResult:
+    """fit, or smaller embedded in fit's family, whichever is more likely;
+    ties keep the embedding.
 
-    smaller is an instance of the next-smaller family, so the families nest
-    and a likelihood-ratio statistic of fit against smaller is never
-    negative, whatever box or search budget produced fit.  The embedding's
-    log-likelihood is _CondLoglik.values at its genes, and it keeps fit's
-    method label.
+    smaller is a fit of the next-smaller family, so the families nest and a
+    likelihood-ratio statistic of fit against smaller is never negative,
+    whatever box or search budget produced fit.
     """
-    spec = type(fit.family)
-    genes = spec.embed(smaller)
-    ll = _CondLoglik(sample).value(*spec.vectors([genes])[0])
-    if fit.loglik > ll:
+    if fit.loglik > smaller.loglik:
         return fit
-    return FitResult(_scaled_family(spec.tag, genes, sample), ll, fit.method)
+    return _embedded(type(fit.family), smaller, fit.method)
+
+
+def _embedded(spec: type[Family], smaller: FitResult, method: str) -> FitResult:
+    """smaller as a fit of spec, the next-larger family: the same process, so
+    with smaller's scale and log-likelihood as they are, not worked out again."""
+    family = spec.build(spec.embed(smaller.family), smaller.c_hat, smaller.family.T)
+    return FitResult(family, smaller.loglik, method)
 
 
 # ---------------------------------------------------------------------------
@@ -861,10 +862,10 @@ def profile_fit(sample: BidSample,
     then ascend inside their gap, with Newton steps on the exponents
     alternating with the closed-form best d2 (see _ascend).  Each stage runs
     over all its points in one array pass.  Where no point beats the exact
-    one-stage fit embedded as (alpha, alpha, 0), that embedding is the fit
-    (_nested), so the fit never falls below it; it may lie outside the box.
-    The reported log-likelihood is that of _CondLoglik.values at the
-    returned genes.
+    one-stage fit, that fit embedded as (alpha, alpha, 0), with its scale and
+    log-likelihood, is the fit (_nested), so the fit never falls below it;
+    it may lie outside the box.  Otherwise the reported log-likelihood is
+    that of _CondLoglik.values at the returned genes.
     """
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="profile_fit")
@@ -879,7 +880,7 @@ def profile_fit(sample: BidSample,
         raise ValueError(f"d2 bounds must lie in [0, T) with T = {T}, got ({d_lo}, {d_hi})")
 
     cache = _CondLoglik(sample)
-    alpha, _ = mle_nhpp1(sample)
+    one = _one_stage_fit(sample)
 
     # the reversed times of the latest events ascend, and ties give one edge
     late = T - sample.times[sample.times.searchsorted(T - d_hi, side="left"):][::-1]
@@ -909,7 +910,7 @@ def profile_fit(sample: BidSample,
     m = cache.n - i2
     with np.errstate(all="ignore"):
         a3 = m / (m * np.log(coarse / T) - (cache.prefix[-1] - cache.prefix[i2]))
-    start = np.column_stack([np.full(coarse.size, np.clip(alpha, a2_lo, a2_hi)),
+    start = np.column_stack([np.full(coarse.size, np.clip(one.family.alpha, a2_lo, a2_hi)),
                              np.clip(np.where(m > 0, a3, a3_hi), a3_lo, a3_hi), coarse])
     fitted, _ = _ascend(cache, spec, start, box, (coarse, coarse))
     genes = np.column_stack([np.interp(np.log(d2), np.log(coarse), fitted[:, j])
@@ -927,15 +928,13 @@ def profile_fit(sample: BidSample,
 
     genes = np.concatenate([genes, inner])
     ll = np.concatenate([ll, inner_ll])
-    one = OneStage(alpha, 1.0, T)
     if not ll.size:
         # a d2 box of {0} holds no candidate: the embedding is the fit
-        genes = np.array([spec.embed(one)])
-        ll = cache.values(*spec.vectors(genes).T)
+        return _embedded(spec, one, "profile")
     best = int(np.argmax(ll))
     fit = FitResult(_scaled_family(spec.tag, tuple(genes[best]), sample), float(ll[best]),
                     "profile")
-    return _nested(sample, fit, one)
+    return _nested(fit, one)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def select_model(
     if test12.p_value > alpha_level:
         return SelectionResult(fit1.family, fits, test12, None, alpha_level)
 
-    fit3 = _nested(sample, ga_fit(sample, "three-stage", cfg), fit2.family)
+    fit3 = _nested(ga_fit(sample, "three-stage", cfg), fit2)
     fits["three-stage"] = fit3
     test23 = lr_test(fit2.loglik, fit3.loglik)
     chosen = fit2.family if test23.p_value > alpha_level else fit3.family

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import barista
-from barista import BaristaParams
+from barista import BaristaParams, dataio
 
 # the simulation-study parameter point used throughout: a sharp early rush,
 # a calm middle, a uniform final 5 minutes of a 7-day auction
@@ -17,6 +17,22 @@ P_STAR = BaristaParams(
 @pytest.fixture
 def p_star() -> BaristaParams:
     return P_STAR
+
+
+@pytest.fixture
+def csv_records(monkeypatch) -> list[list[str]]:
+    """The records dataio's csv readers yield, in order, each read as csv
+    reads it; a test clears the list between reads."""
+    records: list[list[str]] = []
+    real = dataio.csv.reader
+
+    def reader(*args, **kwargs):
+        for record in real(*args, **kwargs):
+            records.append(record)
+            yield record
+
+    monkeypatch.setattr(dataio.csv, "reader", reader)
+    return records
 
 
 def random_params(rng: np.random.Generator, scale_hi: float = 40.0) -> BaristaParams:

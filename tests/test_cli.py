@@ -2,6 +2,7 @@ import json
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestVersionAndHelp:
 class TestSimulate:
     def test_writes_ingestible_csv(self, tmp_path):
         path = simulate(tmp_path, n=250, seed=3)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         meta = [l for l in lines if l.startswith("#")]
         assert any("schema=barista/1" in l for l in meta)
         assert any("seed=3" in l for l in meta)
@@ -77,7 +78,7 @@ class TestSimulate:
     def test_reruns_are_byte_identical(self, tmp_path):
         a = simulate(tmp_path, seed=5, name="a.csv")
         b = simulate(tmp_path, seed=5, name="b.csv")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_timestamp_breaks_nothing_but_adds_line(self, tmp_path):
         cfg = write_config(tmp_path, n=10)
@@ -617,6 +618,29 @@ class TestErrors:
         assert rc == 1
         assert err["error"]["type"] == "ValueError"
         assert "--grid" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("simulate", {"family": "one-stage", "alpha": 0.5, "unit": "fortnights"}, "unit"),
+        ("fit", {"method": "newton"}, "method"),
+        ("select", {"clamp_policy": "drop"}, "clamp_policy"),
+        ("diagnose", {"method": "ga", "unit": "weeks"}, "unit"),
+        ("ingest-check", {"clamp_policy": "Reject"}, "clamp_policy"),
+    ])
+    def test_config_value_outside_its_flags_choices(self, tmp_path, capsys, command, config,
+                                                    key):
+        # argparse holds a flag to its choices, and a config value must keep
+        # them too; nothing is written
+        cfg = tmp_path / "choices.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [command, "--horizon", "7", "--config", str(cfg), "--output", str(out)]
+        argv += ["--n", "3"] if command == "simulate" else ["--input", simulate(tmp_path, n=30)]
+        rc, err = run_json(argv, capsys)
+        assert rc == 1
+        assert err["error"]["type"] == "ValueError"
+        assert err["error"]["message"].startswith(f"config key {key!r} must be one of [")
+        assert json.dumps(config[key]) in err["error"]["message"]
+        assert not out.exists()
 
     def test_unknown_family_is_one_error(self, tmp_path, capsys):
         cfg = tmp_path / "family.json"

@@ -220,14 +220,6 @@ class TestRoundTrip:
         assert back.sources == ("u", "v")
 
 
-def _refuse_csv(monkeypatch):
-    """Make dataio's csv.reader raise, so only the split path can read."""
-    def reader(*args, **kwargs):
-        raise AssertionError("csv.reader called")
-
-    monkeypatch.setattr(dataio.csv, "reader", reader)
-
-
 def _stamped(tmp_path, rows, name="stamped.csv"):
     """A timestamped file with one row per (auction, offset), starts in days
     since the epoch, each float written with repr as bench/datagen.py does."""
@@ -238,10 +230,12 @@ def _stamped(tmp_path, rows, name="stamped.csv"):
 
 
 class TestBlocks:
-    """Clean blocks are split at commas; any other file goes to csv."""
+    """csv reads the lines up to the header; clean blocks after it are split
+    at commas, and from the first other block csv reads the rest."""
 
     @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS])
-    def test_clean_files_take_the_split_path(self, tmp_path, monkeypatch, p_star, block):
+    def test_clean_files_take_the_split_path(self, tmp_path, monkeypatch, csv_records,
+                                             p_star, block):
         s = sample_fixed_n(p_star, 300, seed=5)
         tagged = BidSample(times=s.times, T=s.T,
                            sources=tuple(f"a{i % 7:05d}" for i in range(s.n)))
@@ -250,25 +244,31 @@ class TestBlocks:
         stamped = _stamped(tmp_path,
                            [(f"a{i % 4:05d}", t) for i, t in enumerate(s.times.tolist())])
         monkeypatch.setattr(dataio, "_BLOCK_CHARS", block)
-        _refuse_csv(monkeypatch)
         back = ingest(IngestSpec(path=dest, horizon=7.0))
+        # csv reads the metadata and the header, and no data row
+        assert csv_records == [["# seed=5"], ["# n=300"], ["auction_id", "bid_time"]]
         np.testing.assert_array_equal(back.times, s.times)
         assert back.sources == tagged.sources
+        csv_records.clear()
         summ = ingest_summary(IngestSpec(path=stamped, horizon=7.0))
+        assert csv_records == [["auction_id", "bid_timestamp", "auction_start"]]
         assert (summ["n_bids"], summ["n_auctions"], summ["n_clamped"]) == (300, 4, 0)
 
     @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS])
     @pytest.mark.parametrize("last", ['"b"', "b" * 140_000])
     def test_a_quote_or_long_field_in_the_last_row_reaches_csv(self, tmp_path, monkeypatch,
-                                                                block, last):
+                                                                csv_records, block, last):
         text = "auction_id,bid_time\n" + "a,1.5\n" * 30 + f"{last},2.5\n"
         path = write(tmp_path, text)
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", block)
         if last.startswith('"'):
             assert ingest(IngestSpec(path=path, horizon=7.0)).sources == ("a",) * 30 + ("b",)
-        monkeypatch.setattr(dataio, "_BLOCK_CHARS", block)
-        _refuse_csv(monkeypatch)
-        with pytest.raises(AssertionError, match="csv.reader called"):
-            ingest(IngestSpec(path=path, horizon=7.0))
+            assert csv_records[-1] == ["b", "2.5"]
+        else:
+            # csv's own refusal of the long field
+            with pytest.raises(IngestError, match="^line 32: field larger than field limit"):
+                ingest(IngestSpec(path=path, horizon=7.0))
+        assert csv_records[0] == ["auction_id", "bid_time"]
 
     def test_clean_and_handed_off_files_opened_once(self, tmp_path, monkeypatch):
         clean = write(tmp_path, RELATIVE + "a3,2.5\n" * 20, "clean.csv")
@@ -331,17 +331,18 @@ class TestBlocks:
         ("a,nan", "non-finite value 'nan' in column 'bid_time'"),
         (" ,1.5", "empty auction_id"),
     ])
-    def test_relative_error_past_the_first_block(self, tmp_path, monkeypatch, bad_row, message):
+    def test_relative_error_past_the_first_block(self, tmp_path, monkeypatch, csv_records,
+                                                 bad_row, message):
         lines = ["# seed=1", "auction_id,bid_time"] + ["a,1.5"] * 40 + [bad_row] + ["a,9"]
         path = write(tmp_path, "\n".join(lines) + "\n")
         monkeypatch.setattr(dataio, "_BLOCK_CHARS", 24)
-        _refuse_csv(monkeypatch)
         with pytest.raises(IngestError) as err:
             ingest(IngestSpec(path=path, horizon=7.0))
         assert (str(err.value), err.value.line) == (f"line 43: {message}", 43)
+        assert csv_records == [["# seed=1"], ["auction_id", "bid_time"]]
 
     def test_long_field_in_the_header_names_its_line(self, tmp_path):
-        # the '"' sends the header line to csv, which refuses the long field
+        # csv reads the header, and refuses its long field
         path = write(tmp_path, '# seed=1\n"auction_id",' + "b" * 140_000 + "\na,1.5\n")
         with pytest.raises(IngestError) as err:
             ingest(IngestSpec(path=path, horizon=7.0))
@@ -354,7 +355,8 @@ class TestBlocks:
         ("# seed=1\nauction_id," + "b" * 140_000 + "\na,1.5\n", 2),
     ], ids=["comment", "unquoted-header"])
     def test_long_line_before_the_data_names_its_line(self, tmp_path, text, line):
-        # as csv would: no '"' is needed to send such a line to csv
+        # csv reads every line up to the header, so a long one is refused
+        # with or without a '"'
         path = write(tmp_path, text)
         for fn in (ingest, ingest_summary):
             with pytest.raises(IngestError) as err:
@@ -377,7 +379,7 @@ class TestBlocks:
             assert (str(err.value), err.value.line) == (
                 f"line 33: field larger than field limit ({limit})", 33)
 
-    def test_changed_start_past_the_first_block(self, tmp_path, monkeypatch):
+    def test_changed_start_past_the_first_block(self, tmp_path, monkeypatch, csv_records):
         rows = [(f"a{i % 3}", 0.25 * (i % 20)) for i in range(40)]
         path = _stamped(tmp_path, rows)
         text = path.read_text().splitlines(keepends=True)
@@ -386,24 +388,11 @@ class TestBlocks:
         text[37] = "a0,19001.0,19000.5\n"
         path.write_text("".join(text))
         monkeypatch.setattr(dataio, "_BLOCK_CHARS", 32)
-        _refuse_csv(monkeypatch)
         with pytest.raises(IngestError) as err:
             ingest_summary(IngestSpec(path=path, horizon=7.0))
         assert str(err.value) == "line 38: auction 'a0' start changed from 19000.0 to 19000.5"
         assert err.value.line == 38
-
-
-def _spy_csv(monkeypatch):
-    """Count the csv readers dataio makes; each still reads as csv does."""
-    made = []
-    real = dataio.csv.reader
-
-    def reader(*args, **kwargs):
-        made.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dataio.csv, "reader", reader)
-    return made
+        assert csv_records == [["auction_id", "bid_timestamp", "auction_start"]]
 
 
 class TestSharedLabels:
@@ -411,7 +400,8 @@ class TestSharedLabels:
 
     @pytest.mark.parametrize("layout", ["relative", "timestamped"])
     @pytest.mark.parametrize("path_taken", ["split", "csv"])
-    def test_one_object_per_label(self, tmp_path, monkeypatch, layout, path_taken):
+    def test_one_object_per_label(self, tmp_path, monkeypatch, csv_records, layout,
+                                  path_taken):
         labels = ["a1", " a1", "a1 ", "b2", "\tb2", "c3"]
         rows = [(labels[i % len(labels)], 0.01 * (i % 600)) for i in range(600)]
         if layout == "relative":
@@ -424,9 +414,10 @@ class TestSharedLabels:
             text += '"c3",6.5\n' if layout == "relative" else '"c3",106.5,100.0\n'
         path = write(tmp_path, text)
         monkeypatch.setattr(dataio, "_BLOCK_CHARS", 256)
-        made = _spy_csv(monkeypatch)
         s = ingest(IngestSpec(path=path, horizon=7.0))
-        assert len(made) == (path_taken == "csv")
+        # csv reads the header, and data rows only from the quoted label's block
+        assert csv_records[0] == text.partition("\n")[0].split(",")
+        assert (len(csv_records) > 1) == (path_taken == "csv")
         assert set(s.sources) == {"a1", "b2", "c3"}
         assert len(set(map(id, s.sources))) == len(set(s.sources))
         assert s.per_source_counts() == ingest_summary(

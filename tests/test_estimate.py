@@ -576,9 +576,12 @@ class TestProfileFit:
         fit = profile_fit(s, bounds=((0.1, 0.2), (0.5, 15.0), (0.0, 0.01)))
         assert fit.params["d2"] == 0.0
         assert fit.params["alpha2"] == fit.params["alpha3"] == alpha
-        # a box that holds only d2 = 0 leaves the embedding alone
+        # a box that holds only d2 = 0 leaves the embedding alone, with the
+        # one-stage fit's scale and log-likelihood
         fit = profile_fit(s, bounds=((0.1, 1.0), (0.5, 15.0), (0.0, 0.0)))
         assert (fit.params["alpha2"], fit.params["alpha3"], fit.params["d2"]) == (alpha, alpha, 0.0)
+        one = estimate._one_stage_fit(s)
+        assert (fit.loglik, fit.c_hat, fit.method) == (one.loglik, one.c_hat, "profile")
 
     def test_box_of_one_point(self):
         # a box holding only the truth, which beats the embedding
@@ -609,6 +612,27 @@ class TestProfileFit:
     def test_empty_sample(self):
         with pytest.raises(EstimationError):
             profile_fit(BidSample(times=np.array([]), T=7.0))
+
+
+class TestNested:
+    """A nested fit is fit or the embedding of the smaller fit, which carries
+    that fit's scale and log-likelihood as they are."""
+
+    def test_embedding_carries_the_smaller_fits_loglik_and_scale(self):
+        # hand-set values that no rescoring or rescaling would give back
+        one = estimate.FitResult(OneStage(0.7, 123.25, 7.0), -4321.5, "closed-form")
+        two = estimate.FitResult(TwoStage(0.5, 2.0, 0.01, 1.0, 7.0), -5000.0, "profile")
+        nested = estimate._nested(two, one)
+        assert nested == estimate.FitResult(TwoStage(0.7, 0.7, 0.0, 123.25, 7.0), -4321.5,
+                                            "profile")
+        two = estimate.FitResult(TwoStage(0.4, 1.5, 0.003, 45.5, 7.0), -99.25, "profile")
+        three = estimate.FitResult(BaristaParams(3.0, 0.4, 1.0, 2.5, 0.003, 1.0, 7.0), -99.25,
+                                   "ga")
+        # a tie keeps the embedding, and only a more likely fit is kept
+        assert estimate._nested(three, two) == estimate.FitResult(
+            BaristaParams(0.4, 0.4, 1.5, 0.0, 0.003, 45.5, 7.0), -99.25, "ga")
+        three = estimate.FitResult(three.family, -99.0, "ga")
+        assert estimate._nested(three, two) is three
 
 
 class TestDefaultBounds:

@@ -279,3 +279,38 @@ def test_matches_row_reference(case, block, tmp_path_factory):
         if ref is not None:
             assert got == ref
             assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# a quote before the data
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("head", [
+    '# note="a, b"\n# seed=1\nauction_id,bid_time\n',
+    '"auction_id","bid_time"\n',
+    '# say "hi\n\n"auction_id", bid_time\n',
+    '"# a comment\nover two lines"\nauction_id,bid_time\n',
+], ids=["comment", "header", "comment-and-header", "two-line-comment"])
+@pytest.mark.parametrize("block", [16, dataio._BLOCK_CHARS])
+def test_a_quote_before_the_data_leaves_the_rows_to_split(tmp_path, monkeypatch, csv_records,
+                                                          head, block):
+    # the last row is out of range, so reject names its record
+    text = head + "".join(f"a{i % 3},{0.03 * i!r}\n" for i in range(200)) + "b,9.5\n"
+    path = tmp_path / "bids.csv"
+    path.write_text(text, newline="")
+    header_region = list(csv.reader(io.StringIO(head, newline="")))
+    monkeypatch.setattr(dataio, "_BLOCK_CHARS", block)
+    for policy in ("reject", "clamp-epsilon"):
+        spec = IngestSpec(path=path, horizon=7.0, clamp_policy=policy)
+        for fn, reference in ((ingest, reference_ingest), (ingest_summary, reference_summary)):
+            csv_records.clear()
+            got, err = _run(fn, spec)
+            # csv reads the lines up to the header, and no data row
+            assert csv_records == header_region
+            ref, ref_err = _run(reference, spec)
+            assert err == ref_err
+            if fn is ingest and ref is not None:
+                assert got.times.tobytes() == ref.times.tobytes()
+                assert got.sources == ref.sources
+            else:
+                assert got == ref
