@@ -13,16 +13,18 @@ horizon.  Malformed rows always raise; silently dropping data is worse than
 stopping.
 
 The file is opened and read once: csv reads up to the header, the rest in
-blocks of whole lines.  A block that holds no '"', '\\r', '#' or blank line,
-and whose every line has one comma fewer than the header has fields, is
-split at commas, which then yields the fields csv would; from the first
-block that fails these tests, csv reads the rest of the file.  Either way
-each numeric column is converted block by block, and only auction ids and
-the raw fields of non-finite values are kept as strings.  Auction ids are
-stripped, and the rows of one auction share one label object, so label
-memory grows with the number of auctions, not of bids.  Results, errors and
-record numbers are those of csv alone.  Only when a check of the whole
-columns fails are per-check masks built, to name the first bad row.
+blocks of whole lines of about 64 KiB.  A block that holds no '"', '\\r',
+'#' or blank line, and whose every line has one comma fewer than the header
+has fields, is split at commas, which then yields the fields csv would; from
+the first block that fails these tests, csv reads the rest of the file.
+Either way each numeric column is converted block by block, and only auction
+ids and the raw fields of non-finite values are kept as strings.  Auction
+ids are stripped, and the rows of one auction share one label object, so
+label memory grows with the number of auctions, not of bids.  Results,
+errors and record numbers are those of csv alone.  Only when a check of the
+whole columns fails are per-check masks built, to name the first bad row.
+The writers format blocks of rows of about the same size, so the memory
+that reading or writing needs beyond the sample does not grow with the file.
 """
 from __future__ import annotations
 
@@ -66,11 +68,12 @@ MINUTES_PER_UNIT = {
 _RELATIVE_COLS = ("auction_id", "bid_time")
 _TIMESTAMPED_COLS = ("auction_id", "bid_timestamp", "auction_start")
 _POLICIES = ("reject", "clamp-epsilon")
-# rows formatted per write by _write_rows
-_BLOCK_ROWS = 65536
-# characters read per block by _read_columns; its csv path converts its
-# fields whenever it has gathered an eighth as many
-_BLOCK_CHARS = 1 << 20
+# characters per block read by _read_columns, whose csv path converts its
+# fields whenever it holds an eighth as many; _write_rows formats an eighth
+# as many rows per write.  A block's text and objects stay far below the
+# arrays of a large sample, and larger blocks read and write no faster.
+_BLOCK_CHARS = 1 << 16
+_BLOCK_ROWS = _BLOCK_CHARS // 8
 
 
 class IngestError(ValueError):
@@ -195,8 +198,10 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
     csv reads the records up to the header (_find_header).  After it,
     blocks of text are split at commas while _split accepts them; from the
     first block it refuses, csv reads the rest of the file and its rows are
-    converted in blocks of _BLOCK_CHARS // 8 fields.  Raises a wrong field
-    count with its record, then header and layout errors.
+    converted in blocks of _BLOCK_CHARS // 8 fields.  So besides the table,
+    only one block of text or fields is held at a time, whatever the size of
+    the file.  Raises a wrong field count with its record, then header and
+    layout errors.
     """
     path = Path(spec.path)
     with path.open(newline="") as fh:
@@ -287,7 +292,8 @@ def _undecodable(path: Path, exc: UnicodeDecodeError) -> IngestError:
 
 
 def _read_block(fh: IO[str]) -> str:
-    """Whole lines of fh, about _BLOCK_CHARS characters of them; '' at the end.
+    """Whole lines of fh, _BLOCK_CHARS characters of them and the rest of the
+    line that holds the last; '' at the end.
 
     A read of at most 2048 characters makes the text layer decode one chunk
     of its default 8192 bytes (a character takes at most 4), as a line read
@@ -463,8 +469,9 @@ def _write_rows(dest: IO[str], template: str, *columns) -> None:
 
     Columns are lists or float arrays of equal length; an array block goes
     through .tolist(), so %r formats a Python float as repr() does.  Each
-    block is one % operation on the template repeated once per row; blocks
-    keep the formatted text, not the whole output, in memory.
+    block is one % operation on the template repeated once per row, so only
+    one block's values and formatted text are in memory at a time, not the
+    whole output nor a Python object per value of the columns.
     """
     width = len(columns)
     for start in range(0, len(columns[0]), _BLOCK_ROWS):

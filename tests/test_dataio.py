@@ -1,5 +1,8 @@
 import csv
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from barista import (
 )
 from barista import dataio
 from barista.dataio import MINUTES_PER_UNIT
+from conftest import P_STAR, package_env
 
 
 def write(tmp_path, text, name="bids.csv"):
@@ -439,18 +443,17 @@ class TestSharedLabels:
                 fn(IngestSpec(path=path, horizon=7.0))
             assert (str(err.value), err.value.line) == ("line 4: empty auction_id", 4)
 
-    def test_label_memory_scales_with_auctions(self, tmp_path, monkeypatch):
+    def test_label_memory_scales_with_auctions(self, tmp_path):
         # 100k rows of 100 auctions; a str of its own per row costs over 50
         # bytes, so a peak under 80 bytes a row leaves room for the times, the
-        # sort order and the label pointers, not for a label string per bid
+        # sort order, the label pointers and one read block, not for a label
+        # string per bid
         n = 100_000
         rng = np.random.default_rng(12)
         labels = tuple(f"auction-{i % 100:03d}" for i in rng.permutation(n))
         s = BidSample(times=np.sort(rng.uniform(0.0, 7.0, n)), T=7.0, sources=labels)
         path = tmp_path / "bids.csv"
         write_sample(s, path)
-        # small blocks keep the read buffers small beside the labels
-        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 1 << 16)
         tracemalloc.start()
         try:
             back = ingest(IngestSpec(path=path, horizon=7.0))
@@ -459,3 +462,35 @@ class TestSharedLabels:
             tracemalloc.stop()
         assert back.sources == labels
         assert peak < 80 * n
+
+
+# the growth of a fresh interpreter's peak resident set (kB) over one ingest
+_HWM_CHILD = """
+import sys
+from barista import IngestSpec, ingest
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = hwm()
+ingest(IngestSpec(path=sys.argv[1], horizon=7.0))
+print(hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_ingest_resident_memory_follows_the_sample(tmp_path):
+    # 100k rows of 1,000 auctions.  The sample and ingest's transient arrays
+    # take about 6 MB, so 12 MB leaves no room for read buffers that grow
+    # with the file.  tracemalloc sees neither the heap the allocator keeps
+    # nor the pages it touched, so a child process is measured instead.
+    n = 100_000
+    rng = np.random.default_rng(13)
+    labels = tuple(f"a{i:05d}" for i in rng.permutation(np.arange(n) % 1_000))
+    s = sample_fixed_n(P_STAR, n, seed=13)
+    path = tmp_path / "bids.csv"
+    write_sample(BidSample(times=s.times, T=s.T, sources=labels), path)
+    done = subprocess.run([sys.executable, "-c", _HWM_CHILD, str(path)], env=package_env(),
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) <= 12 * 1024

@@ -10,7 +10,8 @@ gathers its draw at sorted indices.  The references below are frozen copies
 of the earlier code, which built a fresh temporary for every operation,
 selected branches by masks and inverted the uniforms as drawn.  The float
 operations and their order are unchanged, so every result must be
-bit-identical.  TestPeakMemory bounds what the faster kernels allocate.
+bit-identical.  TestPeakMemory bounds what the faster kernels allocate,
+and what reading and writing CSVs allocates beyond the sample.
 """
 import tracemalloc
 from dataclasses import replace
@@ -22,11 +23,14 @@ from barista import (
     BaristaParams,
     BidSample,
     FitResult,
+    IngestSpec,
     OneStage,
     bootstrap_se,
     cdf,
     default_qc_config,
     ecdf,
+    ingest,
+    ingest_summary,
     intensity,
     inverse_cdf,
     ks_one_sample,
@@ -34,8 +38,11 @@ from barista import (
     mle_nhpp1,
     pdf,
     qc_fit,
+    qq_points,
     sample_fixed_n,
     sample_poisson_count,
+    write_qq,
+    write_sample,
 )
 from barista.diagnostics import kolmogorov_sf
 from barista.estimate import _CondLoglik, _qc_estimate
@@ -704,3 +711,47 @@ class TestPeakMemory:
         cfg = default_qc_config(P_STAR.T)
         assert self.peak(
             lambda: bootstrap_se(sample, lambda b: _qc_estimate(b, cfg), 2, seed=1)) <= 1.75
+
+    # CSV reads and writes go in blocks of about 64 KiB, so beyond the
+    # sample and its sort they hold one block of text and its fields, well
+    # under one unit, however long the file
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """The same 100k bids of 1,000 auctions in the relative and the
+        timestamped layout."""
+        rng = np.random.default_rng(10)
+        ids = rng.permutation(np.arange(self.n) % 1_000)
+        s = sample_fixed_n(P_STAR, self.n, seed=10)
+        d = tmp_path_factory.mktemp("peak")
+        write_sample(BidSample(times=s.times, T=s.T, sources=tuple(f"a{i:05d}" for i in ids)),
+                     d / "relative.csv")
+        starts = 19_000.0 + np.arange(1_000.0)
+        with (d / "stamped.csv").open("w") as fh:
+            fh.write("auction_id,bid_timestamp,auction_start\n")
+            fh.writelines(f"a{i:05d},{start + t!r},{start!r}\n"
+                          for i, t, start in zip(ids, s.times.tolist(), starts[ids].tolist()))
+        return d
+
+    def test_ingest_relative(self, files):
+        # the parsed times, the sort order, the sorted times and two lists
+        # of label pointers
+        spec = IngestSpec(path=files / "relative.csv", horizon=P_STAR.T)
+        assert self.peak(lambda: ingest(spec)) <= 8
+
+    def test_ingest_timestamped(self, files):
+        # two parsed columns and their difference besides the above
+        spec = IngestSpec(path=files / "stamped.csv", horizon=P_STAR.T)
+        assert self.peak(lambda: ingest(spec)) <= 12
+
+    def test_ingest_summary(self, files):
+        spec = IngestSpec(path=files / "relative.csv", horizon=P_STAR.T)
+        assert self.peak(lambda: ingest_summary(spec)) <= 5
+
+    def test_write_qq(self, tmp_path):
+        qq = qq_points(sample_fixed_n(P_STAR, self.n, seed=11), P_STAR)
+        assert self.peak(lambda: write_qq(qq, tmp_path / "qq.csv")) <= 2
+
+    def test_write_sample(self, tmp_path):
+        s = sample_fixed_n(P_STAR, self.n, seed=12)
+        assert self.peak(lambda: write_sample(s, tmp_path / "bids.csv")) <= 1.25
