@@ -237,7 +237,7 @@ class TestBlocks:
     """csv reads the lines up to the header; clean blocks after it are split
     at commas, and from the first other block csv reads the rest."""
 
-    @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS])
+    @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS, 1 << 20])
     def test_clean_files_take_the_split_path(self, tmp_path, monkeypatch, csv_records,
                                              p_star, block):
         s = sample_fixed_n(p_star, 300, seed=5)
@@ -258,7 +258,7 @@ class TestBlocks:
         assert csv_records == [["auction_id", "bid_timestamp", "auction_start"]]
         assert (summ["n_bids"], summ["n_auctions"], summ["n_clamped"]) == (300, 4, 0)
 
-    @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS])
+    @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS, 1 << 20])
     @pytest.mark.parametrize("last", ['"b"', "b" * 140_000])
     def test_a_quote_or_long_field_in_the_last_row_reaches_csv(self, tmp_path, monkeypatch,
                                                                 csv_records, block, last):
@@ -369,7 +369,7 @@ class TestBlocks:
             assert (str(err.value), err.value.line) == (
                 f"line {line}: field larger than field limit ({limit})", line)
 
-    @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS])
+    @pytest.mark.parametrize("block", [40, dataio._BLOCK_CHARS, 1 << 20])
     def test_long_field_past_the_first_block_names_its_line(self, tmp_path, monkeypatch,
                                                              block):
         text = ("# seed=1\nauction_id,bid_time\n" + "a,1.5\n" * 30

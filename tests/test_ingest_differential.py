@@ -291,7 +291,7 @@ def test_matches_row_reference(case, block, tmp_path_factory):
     '# say "hi\n\n"auction_id", bid_time\n',
     '"# a comment\nover two lines"\nauction_id,bid_time\n',
 ], ids=["comment", "header", "comment-and-header", "two-line-comment"])
-@pytest.mark.parametrize("block", [16, dataio._BLOCK_CHARS])
+@pytest.mark.parametrize("block", [16, dataio._BLOCK_CHARS, 1 << 20])
 def test_a_quote_before_the_data_leaves_the_rows_to_split(tmp_path, monkeypatch, csv_records,
                                                           head, block):
     # the last row is out of range, so reject names its record

@@ -20,6 +20,8 @@ from barista.dataio import _BLOCK_ROWS
 from conftest import P_STAR
 
 B = _BLOCK_ROWS
+# the edges of the first block and of the eighth
+SIZES = (0, 1, B - 1, B, B + 1, 8 * B - 1, 8 * B, 8 * B + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +82,7 @@ def samples():
                                         sources=LABELS[:ODD_TIMES.size])
     yield "at-T", BidSample(times=[0.5, np.nextafter(7.0, 0.0)], T=7.0,
                             sources=("a", "a\x00"))
-    for n in (0, 1, B - 1, B, B + 1):
+    for n in SIZES:
         yield f"untagged-{n}", untagged(n, seed=n)
         yield f"tagged-{n}", tagged(n, seed=n)
     yield "tagged-empty-tuple", BidSample(times=np.empty(0), T=7.0, sources=())
@@ -92,7 +94,7 @@ SAMPLES = dict(samples())
 def qq_cases():
     yield "odd", QqData(pairs=np.column_stack([-ODD_TIMES[::-1], ODD_TIMES]))
     yield "empty", QqData(pairs=np.empty((0, 2)))
-    for n in (1, B - 1, B, B + 1):
+    for n in SIZES[1:]:
         s = sample_fixed_n(P_STAR, n, seed=n)
         yield f"qq-{n}", qq_points(s, P_STAR)
     yield "two-sample", qq_points(untagged(500, seed=1), untagged(300, seed=2))
