@@ -431,9 +431,12 @@ def write_sample(sample: BidSample, dest: IO[str] | str | Path,
     if not sample.sources:
         _write_rows(dest, "sim,%r\n", sample.times)
         return
+    # quote one block's labels at a time, as it is written
     quoted = _csv_quoted(set(sample.sources))
-    _write_rows(dest, "%s,%r\n", list(map(quoted.__getitem__, sample.sources)),
-                sample.times)
+    labels = map(quoted.__getitem__, sample.sources)
+    for start in range(0, sample.n, _BLOCK_ROWS):
+        _write_rows(dest, "%s,%r\n", list(itertools.islice(labels, _BLOCK_ROWS)),
+                    sample.times[start:start + _BLOCK_ROWS])
 
 
 def write_qq(qq: QqData, dest: IO[str] | str | Path) -> None:

@@ -655,15 +655,11 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
     kept as its elite alone: one pool of elite and offspring rows, allocated
     once, is refilled in place every generation.
     """
-    return _ga_fit(sample, family, cfg, _CondLoglik(sample))
-
-
-def _ga_fit(sample: BidSample, family: str, cfg: GaConfig, cache: _CondLoglik) -> FitResult:
-    """ga_fit, scoring on cache, the sample's likelihood prefix."""
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="ga_fit")
     spec = get_family(family)
     _check_bounds(cfg.bounds, family)
+    cache = _CondLoglik(sample)
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
     scale = (hi - lo) / 20.0
@@ -884,16 +880,7 @@ def profile_fit(sample: BidSample,
     if not 0.0 <= d_lo <= d_hi < T:
         raise ValueError(f"d2 bounds must lie in [0, T) with T = {T}, got ({d_lo}, {d_hi})")
     cache = _CondLoglik(sample)
-    return _profile_fit(sample, box, cache, _one_stage_fit(sample, cache))
-
-
-def _profile_fit(sample: BidSample, box: tuple[tuple[float, float], ...],
-                 cache: _CondLoglik, one: FitResult) -> FitResult:
-    """profile_fit over a checked box, scoring on cache, the sample's
-    likelihood prefix, and nesting over one, its exact one-stage fit."""
-    T = sample.T
-    spec = TwoStage
-    (a2_lo, a2_hi), (a3_lo, a3_hi), (d_lo, d_hi) = box
+    one = _one_stage_fit(sample, cache)
     # the reversed times of the latest events ascend, and ties give one edge
     late = T - sample.times[sample.times.searchsorted(T - d_hi, side="left"):][::-1]
     inside = late[(late > d_lo) & (late < d_hi)]

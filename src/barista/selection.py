@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from .estimate import (
     FitResult,
     GaConfig,
-    _CondLoglik,
-    _ga_fit,
     _nested,
     _one_stage_fit,
-    _profile_fit,
     default_bounds,
+    ga_fit,
+    profile_fit,
 )
 from .process import ModelFamily
 from .sample import BidSample
@@ -98,23 +97,21 @@ def select_model(
     for `generations` generations at `seed`; where it ends no higher than the
     embedded two-stage fit, that embedding, labelled "ga", is the three-stage
     fit, and the LR statistic is 0.  At each step the richer family is
-    adopted only when the LR test rejects at alpha_level.  All three fits
-    score on one likelihood prefix of the sample, and the two-stage fit
-    nests over the one-stage fit reported.
+    adopted only when the LR test rejects at alpha_level.  The two-stage fit
+    nests over the same exact one-stage fit that is reported.
     """
     if not (0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
     cfg = GaConfig(bounds=default_bounds("three-stage", sample.T), generations=generations,
                    seed=seed)
-    cache = _CondLoglik(sample)
-    fit1 = _one_stage_fit(sample, cache)
-    fit2 = _profile_fit(sample, default_bounds("two-stage", sample.T), cache, fit1)
+    fit1 = _one_stage_fit(sample)
+    fit2 = profile_fit(sample)
     test12 = lr_test(fit1.loglik, fit2.loglik)
     fits = {"one-stage": fit1, "two-stage": fit2}
     if test12.p_value > alpha_level:
         return SelectionResult(fit1.family, fits, test12, None, alpha_level)
 
-    fit3 = _nested(_ga_fit(sample, "three-stage", cfg, cache), fit2)
+    fit3 = _nested(ga_fit(sample, "three-stage", cfg), fit2)
     fits["three-stage"] = fit3
     test23 = lr_test(fit2.loglik, fit3.loglik)
     chosen = fit2.family if test23.p_value > alpha_level else fit3.family

@@ -753,5 +753,10 @@ class TestPeakMemory:
         assert self.peak(lambda: write_qq(qq, tmp_path / "qq.csv")) <= 2
 
     def test_write_sample(self, tmp_path):
+        # a tagged sample's labels are quoted block by block, so it stays
+        # within the untagged bound
         s = sample_fixed_n(P_STAR, self.n, seed=12)
         assert self.peak(lambda: write_sample(s, tmp_path / "bids.csv")) <= 1.25
+        ids = np.random.default_rng(12).permutation(np.arange(self.n) % 1_000)
+        tagged = BidSample(times=s.times, T=s.T, sources=tuple(f"a{i:05d}" for i in ids))
+        assert self.peak(lambda: write_sample(tagged, tmp_path / "tagged.csv")) <= 1.25

@@ -24,9 +24,11 @@ from barista import (
     sample_fixed_n,
     sample_poisson_count,
     select_model,
+    selection,
     write_sample,
 )
 from barista.cli import main
+from barista.estimate import _nested, _one_stage_fit
 from barista.process import get_family
 from conftest import P_STAR
 
@@ -116,20 +118,57 @@ class TestOneStageClosedForm:
         assert err["type"] == "EstimationError" and err["stage"] == "mle_nhpp1"
 
 
+def assert_same_fit(fit: FitResult, ref: FitResult) -> None:
+    assert fit.family == ref.family and fit.method == ref.method
+    assert bits(list(fit.params.values())) == bits(list(ref.params.values()))
+    assert bits(fit.loglik) == bits(ref.loglik)
+    assert bits(fit.history) == bits(ref.history)
+
+
 def test_ga_fits_keep_their_default_seeds(p_star):
-    # the three-stage fit is the GA search of the default box at the
-    # selection seed; the two-stage fit is the profile fit
-    s = sample_fixed_n(p_star, 3000, seed=7)
-    res = select_model(s, seed=5)
-    assert res.chosen.tag == "three-stage"
-    cfg = GaConfig(bounds=default_bounds("three-stage", 7.0), seed=5)
-    for tag, ref in (("two-stage", profile_fit(s)),
-                     ("three-stage", ga_fit(s, "three-stage", cfg))):
-        fit = res.fits[tag]
-        assert fit.family == ref.family and fit.method == ref.method
-        assert bits(list(fit.params.values())) == bits(list(ref.params.values()))
-        assert bits(fit.loglik) == bits(ref.loglik)
-    assert res.fits["two-stage"].method == "profile"
+    # every reported fit is the public estimator's fit, bit for bit: the
+    # closed-form one-stage fit, the profile fit, and the GA search of the
+    # default three-stage box at the selection seed, nested over the profile
+    # fit; on P* data and on a criterion-9 sample of each truth
+    cases = [(sample_fixed_n(p_star, 3000, seed=7), 5)]
+    cases += [(sample_poisson_count(truth, seed=1000 + run), run)
+              for run, truth in enumerate(CRITERION_9_TRUTHS)]
+    chosen = []
+    for s, seed in cases:
+        res = select_model(s, seed=seed)
+        chosen.append(res.chosen.tag)
+        assert_same_fit(res.fits["one-stage"], _one_stage_fit(s))
+        two = profile_fit(s)
+        assert_same_fit(res.fits["two-stage"], two)
+        assert two.method == "profile"
+        if "three-stage" in res.fits:
+            cfg = GaConfig(bounds=default_bounds("three-stage", s.T), seed=seed)
+            assert_same_fit(res.fits["three-stage"], _nested(ga_fit(s, "three-stage", cfg), two))
+    assert chosen == ["three-stage", "one-stage", "three-stage", "two-stage"]
+
+
+def test_select_fits_through_the_public_estimators(monkeypatch, p_star):
+    # select_model calls the module-level ga_fit and profile_fit bindings,
+    # which are what a tracer patching barista.selection wraps
+    calls = {"ga_fit": 0, "profile_fit": 0}
+
+    def counting(name):
+        fn = getattr(selection, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(selection, name, counting(name))
+    res = select_model(sample_fixed_n(p_star, 3000, seed=7), seed=1, generations=60)
+    assert "three-stage" in res.fits
+    assert calls == {"ga_fit": 1, "profile_fit": 1}
+    calls.update(ga_fit=0, profile_fit=0)
+    res = select_model(sample_poisson_count(CRITERION_9_TRUTHS[0], seed=1008), seed=8)
+    assert res.chosen.tag == "one-stage" and "three-stage" not in res.fits
+    assert calls == {"ga_fit": 0, "profile_fit": 1}
 
 
 class TestSelectModel:
