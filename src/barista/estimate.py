@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ from .process import (
     BaristaParams,
     Family,
     ModelFamily,
-    ThreeStage,
     TwoStage,
     _denominator,
     get_family,
@@ -253,9 +252,15 @@ def qc_changepoints(
     return d1, d2
 
 
-def _qc_estimate(sample: BidSample, cfg: QcConfig) -> ThreeStage:
-    """qc_fit's family alone, without the log-likelihood that a refit loop
-    never reads; raises where qc_fit raises, with the same stages."""
+def qc_fit(sample: BidSample, cfg: QcConfig) -> FitResult:
+    """Quick-and-crude three-stage fit from empirical CDF differences.
+
+    The estimate is a plug-in, not a maximum.  Its loglik, the conditional
+    log-likelihood at the estimate, is worked out when .loglik is first read,
+    so a refit or simulation loop that reads only the family or the
+    parameters builds no likelihood prefix.  Every check runs here: a fit
+    that fails raises from qc_fit.
+    """
     if sample.n < 2:
         raise EstimationError("quick-and-crude fit needs at least 2 events", stage="qc_fit")
     T = sample.T
@@ -270,17 +275,12 @@ def _qc_estimate(sample: BidSample, cfg: QcConfig) -> ThreeStage:
     a3 = qc_alpha3_survival(F, T, *cfg.stage3_points)
     genes = (a1, a2, a3, *qc_changepoints(F, (a1, a2, a3), cfg.safe_points, T))
     try:
-        return _scaled_family("three-stage", genes, sample)
+        family = _scaled_family("three-stage", genes, sample)
     except ValueError as exc:
         raise EstimationError(f"estimates are not a valid parameter vector: {exc}",
                               stage="qc_fit") from exc
-
-
-def qc_fit(sample: BidSample, cfg: QcConfig) -> "FitResult":
-    """Quick-and-crude three-stage fit from empirical CDF differences."""
-    family = _qc_estimate(sample, cfg)
-    return FitResult(family, _CondLoglik(sample).value(*family.free_values().values()),
-                     "quick-crude")
+    return FitResult._scored_later(family, functools.partial(loglik, sample, family),
+                                   "quick-crude")
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +494,51 @@ def estimate_c(shape: BaristaParams, n: int) -> float:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted family with its maximized conditional log-likelihood."""
+    """A fitted family and its conditional log-likelihood.
+
+    What loglik is depends on the method:
+
+    * closed-form: the one-stage maximum, at the closed-form MLE;
+    * profile: the two-stage maximum over the box, or the one-stage fit's
+      where that is higher;
+    * grid: the best value on the grid;
+    * ga: the best value the search found, not a proven maximum (history
+      holds the best so far per generation);
+    * quick-crude: the value at a plug-in estimate, scored, not maximized.
+      It is worked out when loglik is first read, so until then the fit
+      keeps its sample alive.
+
+    loglik is always a float and is worked out at most once; equality, repr,
+    copies and pickles see the scored value.
+    """
 
     family: ModelFamily
     loglik: float
     method: str  # "quick-crude" | "grid" | "ga" | "closed-form" | "profile"
     history: tuple[float, ...] | None = None  # GA best-so-far per generation
+
+    @classmethod
+    def _scored_later(cls, family: ModelFamily, score: Callable[[], float],
+                      method: str) -> FitResult:
+        """A fit whose loglik is score(), called when loglik is first read."""
+        fit = cls(family, math.nan, method)
+        del fit.__dict__["loglik"]
+        fit.__dict__["_score"] = score
+        return fit
+
+    def __getattr__(self, name: str):
+        # reached only for a name the instance lacks: a deferred loglik is
+        # scored and kept, and the score, with the sample it holds, dropped
+        state = self.__dict__
+        if name == "loglik" and "_score" in state:
+            state["loglik"] = state["_score"]()
+            del state["_score"]
+            return state["loglik"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self) -> dict:
+        # copies and pickles carry the scored value, not the score's sample
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def c_hat(self) -> float:
@@ -960,7 +999,7 @@ def _resample(sample: BidSample, seed: np.random.SeedSequence) -> BidSample:
 
 def bootstrap_se(
     sample: BidSample,
-    fitter: Callable[[BidSample], FitResult | Family],
+    fitter: Callable[[BidSample], FitResult],
     n_replicates: int,
     seed: int,
 ) -> tuple[dict[str, float], dict[str, int]]:
@@ -969,12 +1008,11 @@ def bootstrap_se(
 
     Each replicate resamples n times with replacement, refits, and the SE of
     each reported parameter is the ddof=1 standard deviation across the
-    replicates that succeeded.  Only the refit's .params is read, so the
-    fitter may return the fitted family instead of a FitResult.  Replicates
-    where the fitter raises are tolerated up to 20% of n_replicates and
-    counted per EstimationError stage (or error type name), in name order,
-    {} when none failed; beyond that an error reports the failure fraction
-    and those counts.
+    replicates that succeeded.  Only the refit's .params is read, so a
+    qc_fit refit is never scored.  Replicates where the fitter raises are
+    tolerated up to 20% of n_replicates and counted per EstimationError
+    stage (or error type name), in name order, {} when none failed; beyond
+    that an error reports the failure fraction and those counts.
     Deterministic for a given seed.
     """
     if n_replicates < 2:

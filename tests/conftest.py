@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import barista
-from barista import BaristaParams, dataio
+from barista import BaristaParams, dataio, estimate
 
 # the simulation-study parameter point used throughout: a sharp early rush,
 # a calm middle, a uniform final 5 minutes of a 7-day auction
@@ -33,6 +33,20 @@ def csv_records(monkeypatch) -> list[list[str]]:
 
     monkeypatch.setattr(dataio.csv, "reader", reader)
     return records
+
+
+@pytest.fixture
+def prefixes(monkeypatch) -> list[int]:
+    """The sample size of every likelihood prefix estimate builds, in order."""
+    built: list[int] = []
+
+    class Spy(estimate._CondLoglik):
+        def __init__(self, sample):
+            built.append(sample.n)
+            super().__init__(sample)
+
+    monkeypatch.setattr(estimate, "_CondLoglik", Spy)
+    return built
 
 
 def random_params(rng: np.random.Generator, scale_hi: float = 40.0) -> BaristaParams:

@@ -267,7 +267,7 @@ class TestFit:
         assert rep["bootstrap_failures"] == {}
         assert rep["stderrs"]["alpha"] > 0
 
-    def test_bootstrap_reports_failed_replicates(self, tmp_path, capsys):
+    def test_bootstrap_reports_failed_replicates(self, tmp_path, capsys, prefixes):
         # two of the 20 quick-crude refits of this 5k P* sample fail
         data = simulate(tmp_path, n=5000, seed=5)
         rc, rep = run_json(
@@ -276,7 +276,9 @@ class TestFit:
         assert rc == 0
         assert rep["bootstrap_replicates"] == 20
         assert rep["bootstrap_failures"] == {"qc_alpha": 1, "qc_changepoints": 1}
-        # the refits compute no likelihood, but give qc_fit's parameters
+        # the refits score no likelihood, only the reported fit does, and
+        # they give qc_fit's parameters
+        assert prefixes == [5000]
         sample = ingest(IngestSpec(path=data, horizon=7.0))
         cfg = default_qc_config(7.0)
         ses, failed = bootstrap_se(sample, lambda s: qc_fit(s, cfg), 20, seed=5)

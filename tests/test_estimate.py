@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from barista import (
     BaristaParams,
     BidSample,
     EstimationError,
+    FitResult,
     GaConfig,
     OneStage,
     QcConfig,
@@ -191,6 +194,68 @@ class TestQcFit:
         s = sample_fixed_n(p_star, 1, seed=0)
         with pytest.raises(EstimationError):
             qc_fit(s, default_qc_config(7.0))
+
+
+class TestQcFitScore:
+    """qc_fit scores its fit when .loglik is first read, and only then."""
+
+    cfg = default_qc_config(P_STAR.T)
+
+    def test_loglik_builds_one_prefix_on_first_read(self, prefixes):
+        fit = qc_fit(sample_fixed_n(P_STAR, 300, seed=1), self.cfg)
+        assert (fit.family.tag, fit.method, fit.history) == ("three-stage", "quick-crude", None)
+        assert fit.params and fit.c_hat > 0
+        assert prefixes == []
+        first = fit.loglik
+        assert type(first) is float and prefixes == [300]
+        assert fit.loglik is first and prefixes == [300]
+
+    def test_refits_that_read_the_parameters_build_no_prefix(self, prefixes):
+        s = sample_fixed_n(P_STAR, 5000, seed=1)
+        ses, failed = bootstrap_se(s, lambda b: qc_fit(b, self.cfg), 10, seed=1)
+        assert set(ses) == {"alpha1", "alpha2", "alpha3", "d1", "d2", "c"} and failed == {}
+        assert prefixes == []
+
+    @pytest.mark.parametrize("n", [300, 100_000])
+    def test_score_is_the_likelihood_at_the_estimate(self, n):
+        s = sample_fixed_n(P_STAR, n, seed=1)
+        fit = qc_fit(s, self.cfg)
+        want = _CondLoglik(s).value(*fit.family.free_values().values())
+        assert fit.loglik.hex() == want.hex()
+
+    def test_comparisons_and_copies_see_the_score(self, prefixes):
+        s = sample_fixed_n(P_STAR, 300, seed=1)
+        want = qc_fit(s, self.cfg).loglik
+        family = qc_fit(s, self.cfg).family
+        scored = FitResult(family, want, "quick-crude")
+        assert scored == FitResult(family=family, loglik=want, method="quick-crude",
+                                   history=None)
+        assert qc_fit(s, self.cfg) == scored and scored == qc_fit(s, self.cfg)
+        assert hash(qc_fit(s, self.cfg)) == hash(scored)
+        assert repr(qc_fit(s, self.cfg)) == repr(scored)
+        for copied in (copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))):
+            got = copied(qc_fit(s, self.cfg))
+            # the copy holds the value, not the score and the sample behind it
+            assert "_score" not in vars(got)
+            assert got.loglik.hex() == want.hex() and got == scored
+        # one prefix per fit read or copied, none for a copy's read
+        assert prefixes == [300] * 8
+
+    def test_failures_raise_from_qc_fit(self, prefixes):
+        # the count check, and a 300-bid P* sample whose estimated
+        # changepoints overlap
+        with pytest.raises(EstimationError, match="at least 2 events") as err:
+            qc_fit(sample_fixed_n(P_STAR, 1, seed=0), self.cfg)
+        assert err.value.stage == "qc_fit"
+        with pytest.raises(EstimationError, match="changepoints overlap") as err:
+            qc_fit(sample_fixed_n(P_STAR, 300, seed=28), self.cfg)
+        assert err.value.stage == "qc_changepoints"
+        # three events are the fewest a quick-crude estimate rests on, so a
+        # two-event sample fails in the estimate, not in a deferred score
+        with pytest.raises(EstimationError) as err:
+            qc_fit(sample_fixed_n(P_STAR, 2, seed=0), self.cfg)
+        assert err.value.stage in ("qc_alpha", "qc_alpha3", "qc_changepoints")
+        assert prefixes == []
 
 
 class TestQcConfig:

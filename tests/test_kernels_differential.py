@@ -45,7 +45,7 @@ from barista import (
     write_sample,
 )
 from barista.diagnostics import kolmogorov_sf
-from barista.estimate import _CondLoglik, _qc_estimate
+from barista.estimate import _CondLoglik
 from barista.process import normalization_constant
 from barista.simulate import _iid_times
 from conftest import P_STAR
@@ -697,20 +697,12 @@ class TestPeakMemory:
         assert self.peak(lambda: ks_one_sample(sample, P_STAR)) <= 1.5
 
     def test_bootstrap_replicate(self):
-        # two replicates, the fewest bootstrap_se runs: a resample and its
-        # refit's likelihood prefix are live at once, but not the previous
-        # resample nor the indices it was gathered at
+        # two replicates, the fewest bootstrap_se runs: a quick-crude refit
+        # scores no likelihood unless its loglik is read, so only a resample
+        # and its int32 indices are live at once, not the previous resample
         sample = sample_fixed_n(P_STAR, self.n, seed=9)
         cfg = default_qc_config(P_STAR.T)
-        assert self.peak(lambda: bootstrap_se(sample, lambda b: qc_fit(b, cfg), 2, seed=1)) <= 2.25
-
-    def test_bootstrap_replicate_without_likelihood(self):
-        # fit --method quick-crude --bootstrap refits through the estimate
-        # alone: no likelihood prefix, and the resample's indices are int32
-        sample = sample_fixed_n(P_STAR, self.n, seed=9)
-        cfg = default_qc_config(P_STAR.T)
-        assert self.peak(
-            lambda: bootstrap_se(sample, lambda b: _qc_estimate(b, cfg), 2, seed=1)) <= 1.75
+        assert self.peak(lambda: bootstrap_se(sample, lambda b: qc_fit(b, cfg), 2, seed=1)) <= 1.75
 
     # CSV reads and writes go in blocks of about 64 KiB, so beyond the
     # sample and its sort they hold one block of text and its fields, well
