@@ -44,6 +44,7 @@ from barista import (
     write_qq,
     write_sample,
 )
+from barista.cli import _fit_once, build_parser
 from barista.diagnostics import kolmogorov_sf
 from barista.estimate import _CondLoglik
 from barista.process import normalization_constant
@@ -703,6 +704,15 @@ class TestPeakMemory:
         sample = sample_fixed_n(P_STAR, self.n, seed=9)
         cfg = default_qc_config(P_STAR.T)
         assert self.peak(lambda: bootstrap_se(sample, lambda b: qc_fit(b, cfg), 2, seed=1)) <= 1.75
+
+    def test_bootstrap_replicate_without_likelihood(self):
+        # fit --method quick-crude --bootstrap refits through the CLI's own
+        # fit, which reads only the refit's params: no likelihood prefix, and
+        # the resample's indices are int32
+        sample = sample_fixed_n(P_STAR, self.n, seed=9)
+        args = build_parser().parse_args(["fit", "--method", "quick-crude", "--bootstrap", "2"])
+        assert self.peak(
+            lambda: bootstrap_se(sample, lambda b: _fit_once(b, args), 2, seed=1)) <= 1.75
 
     # CSV reads and writes go in blocks of about 64 KiB, so beyond the
     # sample and its sort they hold one block of text and its fields, well
