@@ -23,8 +23,10 @@ ids are stripped, and the rows of one auction share one label object, so
 label memory grows with the number of auctions, not of bids.  Results,
 errors and record numbers are those of csv alone.  Only when a check of the
 whole columns fails are per-check masks built, to name the first bad row.
-The writers format blocks of rows of about the same size, so the memory
-that reading or writing needs beyond the sample does not grow with the file.
+The writers format blocks of rows of about the same size, so the read and
+write buffers do not grow with the file.  The arrays do: in either layout,
+ingest's peak is the size of its result (the sorted times and the tuple of
+labels) plus two sample-sized arrays.
 """
 from __future__ import annotations
 
@@ -120,15 +122,21 @@ def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
     """(times, auction ids, clamped-row count), times not yet sorted.
 
     Each column is converted as it is read and checked as an array; a file
-    that fails a check raises the error of its first bad row.
+    that fails a check raises the error of its first bad row.  A column's
+    blocks are dropped once it is joined, and one start per auction is
+    checked on the distinct (auction, start) pairs collected as the rows are
+    read, so at most four sample-sized arrays are alive at once: the ids,
+    and the two columns and their difference.
     """
     try:
         table, record_of = _read_columns(spec)
     except UnicodeDecodeError as exc:
         raise _undecodable(Path(spec.path), exc) from None
     ids = table.ids
-    values = [np.concatenate(blocks) if blocks else np.empty(0)
-              for blocks in table.blocks.values()]
+    values = []
+    for blocks in table.blocks.values():
+        values.append(np.concatenate(blocks) if blocks else np.empty(0))
+        blocks.clear()
     if len(values) == 1:
         times = values[0]
     else:
@@ -142,7 +150,7 @@ def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
     clamped = int(np.count_nonzero(low | high))
     if (not all(ids) or any(table.raw.values())
             # one distinct (auction, start) pair per auction, or some start changed
-            or len(values) == 2 and len(set(zip(ids, starts.tolist()))) != len(set(ids))
+            or len(table.opened) != len(dict(table.opened))
             or clamped and spec.clamp_policy == "reject"):
         raise _first_bad_row(spec, ids, table.raw, values, times, record_of)
     if clamped:
@@ -167,14 +175,16 @@ class _Labels(dict):
 
 class _Table:
     """The data rows read so far: auction ids (stripped, each label one
-    shared object), one float array per block for each numeric column, and
-    per column the raw field of each row whose value is not a finite number."""
+    shared object), one float array per block for each numeric column, per
+    column the raw field of each row whose value is not a finite number, and
+    the distinct (auction id, auction_start) pairs of the rows."""
 
     def __init__(self, names: list[str]) -> None:
         self.ids: list[str] = []
         self.labels = _Labels()
         self.blocks: dict[str, list[np.ndarray]] = {name: [] for name in names}
         self.raw: dict[str, dict[int, str]] = {name: {} for name in names}
+        self.opened: set[tuple[str, float]] = set()
 
     def add(self, ids: list[str], *columns: list[str]) -> None:
         """Append a block of rows given as raw fields, auction ids first."""
@@ -189,6 +199,8 @@ class _Table:
             for i in np.flatnonzero(~np.isfinite(v)).tolist():
                 self.raw[name][start + i] = col[i]
             blocks.append(v)
+            if name == "auction_start":
+                self.opened.update(zip(self.ids[start:], v.tolist()))
 
 
 def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
@@ -230,6 +242,8 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
             parts, lines = split
             table.add(*(parts[j:lines * width:width] for j in columns))
             n += lines
+            # drop this block's text and fields before the next is read
+            del block, split, parts
         skipped: list[int] = []  # per comment or blank record, the data rows before it
         if rows is not None:
             k = len(columns)
@@ -390,7 +404,9 @@ def ingest(spec: IngestSpec) -> BidSample:
     if not ids:
         raise IngestError(f"no bid rows in {spec.path}")
     order = np.argsort(times, kind="stable")
-    return BidSample(times=times[order], T=spec.horizon, sources=_reordered(ids, order))
+    # rebound, so the unsorted times are freed before the labels are gathered
+    times = times[order]
+    return BidSample(times=times, T=spec.horizon, sources=_reordered(ids, order))
 
 
 def ingest_summary(spec: IngestSpec) -> dict:

@@ -261,8 +261,10 @@ def qc_fit(sample: BidSample, cfg: QcConfig) -> FitResult:
     parameters builds no likelihood prefix.  Every check runs here: a fit
     that fails raises from qc_fit.
     """
-    if sample.n < 2:
-        raise EstimationError("quick-and-crude fit needs at least 2 events", stage="qc_fit")
+    # the changepoint formulas need an event at or before t1, one in
+    # (t2a, t2b] and one after t3, and t1 <= t2a < t2b <= t3 makes them three
+    if sample.n < 3:
+        raise EstimationError("quick-and-crude fit needs at least 3 events", stage="qc_fit")
     T = sample.T
     for name in ("stage1_window", "stage2_window", "stage3_points", "safe_points"):
         if max(getattr(cfg, name)) >= T:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -63,10 +62,18 @@ class BidSample:
         return dict(Counter(self.sources))
 
 
-def _reordered(labels: Sequence[str], order: np.ndarray) -> tuple[str, ...]:
-    """labels[order] as a tuple, gathered through one object array, so the
-    tuple holds the very objects of labels."""
-    return tuple(np.array(labels, dtype=object)[order])
+def _reordered(labels: list[str], order: np.ndarray) -> tuple[str, ...]:
+    """labels[order] as a tuple of the very objects of labels, gathered
+    through an object array.
+
+    labels is consumed: it is cleared once the array holds its items, and
+    the array is dropped once gathered, so at most two sample-sized arrays
+    of label pointers are alive at a time.
+    """
+    gathered = np.array(labels, dtype=object)
+    labels.clear()
+    gathered = gathered[order]
+    return tuple(gathered)
 
 
 def pool(samples: list[BidSample] | tuple[BidSample, ...]) -> BidSample:
@@ -83,8 +90,10 @@ def pool(samples: list[BidSample] | tuple[BidSample, ...]) -> BidSample:
             raise ValueError(f"sample {i} has horizon {s.T}, expected {T}")
     times = np.concatenate([s.times for s in samples])
     order = np.argsort(times, kind="stable")
+    # rebound, so the unsorted times are freed before the labels are gathered
+    times = times[order]
     sources = None
     if all(s.sources is not None for s in samples):
         labels = [x for s in samples for x in s.sources]  # type: ignore[union-attr]
         sources = _reordered(labels, order)
-    return BidSample(times=times[order], T=T, sources=sources)
+    return BidSample(times=times, T=T, sources=sources)

@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -47,6 +49,17 @@ def prefixes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(estimate, "_CondLoglik", Spy)
     return built
+
+
+def traced_peak(fn: Callable[[], object], n: int) -> float:
+    """tracemalloc's peak while fn() runs, in units of one n-length float
+    array (8 n bytes); memory allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8 * n)
+    finally:
+        tracemalloc.stop()
 
 
 def random_params(rng: np.random.Generator, scale_hi: float = 40.0) -> BaristaParams:

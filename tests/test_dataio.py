@@ -1,7 +1,6 @@
 import csv
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from barista import (
 )
 from barista import dataio
 from barista.dataio import MINUTES_PER_UNIT
-from conftest import P_STAR, package_env
+from conftest import P_STAR, package_env, traced_peak
 
 
 def write(tmp_path, text, name="bids.csv"):
@@ -445,8 +444,8 @@ class TestSharedLabels:
 
     def test_label_memory_scales_with_auctions(self, tmp_path):
         # 100k rows of 100 auctions; a str of its own per row costs over 50
-        # bytes, so a peak under 80 bytes a row leaves room for the times, the
-        # sort order, the label pointers and one read block, not for a label
+        # bytes, so a peak under 80 bytes (10 units) a row leaves room for
+        # ingest's sample-sized arrays and one read block, not for a label
         # string per bid
         n = 100_000
         rng = np.random.default_rng(12)
@@ -454,14 +453,9 @@ class TestSharedLabels:
         s = BidSample(times=np.sort(rng.uniform(0.0, 7.0, n)), T=7.0, sources=labels)
         path = tmp_path / "bids.csv"
         write_sample(s, path)
-        tracemalloc.start()
-        try:
-            back = ingest(IngestSpec(path=path, horizon=7.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert back.sources == labels
-        assert peak < 80 * n
+        back = []
+        assert traced_peak(lambda: back.append(ingest(IngestSpec(path=path, horizon=7.0))), n) < 10
+        assert back[0].sources == labels
 
 
 # the growth of a fresh interpreter's peak resident set (kB) over one ingest
@@ -481,16 +475,26 @@ print(hwm() - before)
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
 def test_ingest_resident_memory_follows_the_sample(tmp_path):
-    # 100k rows of 1,000 auctions.  The sample and ingest's transient arrays
-    # take about 6 MB, so 12 MB leaves no room for read buffers that grow
-    # with the file.  tracemalloc sees neither the heap the allocator keeps
-    # nor the pages it touched, so a child process is measured instead.
+    # 100k rows of 1,000 auctions in each layout.  ingest holds at most
+    # about four sample-sized arrays of 0.8 MB at once, and with one read
+    # block and the allocator's slack either layout takes about 5 MB, so
+    # 7 MB leaves room for another C library's allocator but not for three
+    # more such arrays or for read buffers that grow with the file.
+    # tracemalloc sees neither the heap the allocator keeps nor the pages it
+    # touched, so a child process is measured instead.
     n = 100_000
     rng = np.random.default_rng(13)
-    labels = tuple(f"a{i:05d}" for i in rng.permutation(np.arange(n) % 1_000))
+    ids = rng.permutation(np.arange(n) % 1_000)
     s = sample_fixed_n(P_STAR, n, seed=13)
-    path = tmp_path / "bids.csv"
-    write_sample(BidSample(times=s.times, T=s.T, sources=labels), path)
-    done = subprocess.run([sys.executable, "-c", _HWM_CHILD, str(path)], env=package_env(),
-                          capture_output=True, text=True, check=True)
-    assert int(done.stdout) <= 12 * 1024
+    relative = tmp_path / "relative.csv"
+    write_sample(BidSample(times=s.times, T=s.T, sources=tuple(f"a{i:05d}" for i in ids)), relative)
+    stamped = tmp_path / "stamped.csv"
+    starts = 19_000.0 + np.arange(1_000.0)
+    with stamped.open("w") as fh:
+        fh.write("auction_id,bid_timestamp,auction_start\n")
+        fh.writelines(f"a{i:05d},{start + t!r},{start!r}\n"
+                      for i, t, start in zip(ids, s.times.tolist(), starts[ids].tolist()))
+    for path in (relative, stamped):
+        done = subprocess.run([sys.executable, "-c", _HWM_CHILD, str(path)], env=package_env(),
+                              capture_output=True, text=True, check=True)
+        assert int(done.stdout) <= 7 * 1024, path.name

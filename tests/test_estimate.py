@@ -243,18 +243,15 @@ class TestQcFitScore:
 
     def test_failures_raise_from_qc_fit(self, prefixes):
         # the count check, and a 300-bid P* sample whose estimated
-        # changepoints overlap
-        with pytest.raises(EstimationError, match="at least 2 events") as err:
-            qc_fit(sample_fixed_n(P_STAR, 1, seed=0), self.cfg)
-        assert err.value.stage == "qc_fit"
+        # changepoints overlap; three events are the fewest a quick-crude
+        # estimate rests on, so a two-event sample fails the count check
+        for n in (1, 2):
+            with pytest.raises(EstimationError, match="at least 3 events") as err:
+                qc_fit(sample_fixed_n(P_STAR, n, seed=0), self.cfg)
+            assert err.value.stage == "qc_fit"
         with pytest.raises(EstimationError, match="changepoints overlap") as err:
             qc_fit(sample_fixed_n(P_STAR, 300, seed=28), self.cfg)
         assert err.value.stage == "qc_changepoints"
-        # three events are the fewest a quick-crude estimate rests on, so a
-        # two-event sample fails in the estimate, not in a deferred score
-        with pytest.raises(EstimationError) as err:
-            qc_fit(sample_fixed_n(P_STAR, 2, seed=0), self.cfg)
-        assert err.value.stage in ("qc_alpha", "qc_alpha3", "qc_changepoints")
         assert prefixes == []
 
 

@@ -11,9 +11,8 @@ of the earlier code, which built a fresh temporary for every operation,
 selected branches by masks and inverted the uniforms as drawn.  The float
 operations and their order are unchanged, so every result must be
 bit-identical.  TestPeakMemory bounds what the faster kernels allocate,
-and what reading and writing CSVs allocates beyond the sample.
+and what reading and writing CSVs and pooling samples allocate.
 """
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +36,7 @@ from barista import (
     mean_count,
     mle_nhpp1,
     pdf,
+    pool,
     qc_fit,
     qq_points,
     sample_fixed_n,
@@ -49,7 +49,7 @@ from barista.diagnostics import kolmogorov_sf
 from barista.estimate import _CondLoglik
 from barista.process import normalization_constant
 from barista.simulate import _iid_times
-from conftest import P_STAR
+from conftest import P_STAR, traced_peak
 
 # exponents where numpy's power takes its square, sqrt and reciprocal paths
 SPECIAL_ALPHAS = (0.5, 1.0, 2.0)
@@ -677,25 +677,17 @@ class TestPeakMemory:
 
     n = 100_000
 
-    def peak(self, fn) -> float:
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1] / (8 * self.n)
-        finally:
-            tracemalloc.stop()
-
     def test_sample_fixed_n(self):
         # the sample is the uniforms' own buffer, plus n bools for the order check
-        assert self.peak(lambda: sample_fixed_n(P_STAR, self.n, seed=6)) <= 1.25
+        assert traced_peak(lambda: sample_fixed_n(P_STAR, self.n, seed=6), self.n) <= 1.25
 
     def test_cdf_on_sorted_times(self):
         times = sample_fixed_n(P_STAR, self.n, seed=7).times
-        assert self.peak(lambda: cdf(P_STAR, times)) <= 1.25
+        assert traced_peak(lambda: cdf(P_STAR, times), self.n) <= 1.25
 
     def test_ks_one_sample(self):
         sample = sample_fixed_n(P_STAR, self.n, seed=8)
-        assert self.peak(lambda: ks_one_sample(sample, P_STAR)) <= 1.5
+        assert traced_peak(lambda: ks_one_sample(sample, P_STAR), self.n) <= 1.5
 
     def test_bootstrap_replicate(self):
         # two replicates, the fewest bootstrap_se runs: a quick-crude refit
@@ -703,7 +695,8 @@ class TestPeakMemory:
         # and its int32 indices are live at once, not the previous resample
         sample = sample_fixed_n(P_STAR, self.n, seed=9)
         cfg = default_qc_config(P_STAR.T)
-        assert self.peak(lambda: bootstrap_se(sample, lambda b: qc_fit(b, cfg), 2, seed=1)) <= 1.75
+        assert traced_peak(
+            lambda: bootstrap_se(sample, lambda b: qc_fit(b, cfg), 2, seed=1), self.n) <= 1.75
 
     def test_bootstrap_replicate_without_likelihood(self):
         # fit --method quick-crude --bootstrap refits through the CLI's own
@@ -711,12 +704,12 @@ class TestPeakMemory:
         # the resample's indices are int32
         sample = sample_fixed_n(P_STAR, self.n, seed=9)
         args = build_parser().parse_args(["fit", "--method", "quick-crude", "--bootstrap", "2"])
-        assert self.peak(
-            lambda: bootstrap_se(sample, lambda b: _fit_once(b, args), 2, seed=1)) <= 1.75
+        assert traced_peak(
+            lambda: bootstrap_se(sample, lambda b: _fit_once(b, args), 2, seed=1), self.n) <= 1.75
 
     # CSV reads and writes go in blocks of about 64 KiB, so beyond the
-    # sample and its sort they hold one block of text and its fields, well
-    # under one unit, however long the file
+    # sample-sized arrays below they hold one block of text and its fields,
+    # well under one unit, however long the file
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -736,29 +729,49 @@ class TestPeakMemory:
         return d
 
     def test_ingest_relative(self, files):
-        # the parsed times, the sort order, the sorted times and two lists
-        # of label pointers
+        # four at most: the label list, the parsed times, the sort order and
+        # the sorted times, then the sorted times, the sort order and two of
+        # the label list, its object array, its gathered copy and the tuple
         spec = IngestSpec(path=files / "relative.csv", horizon=P_STAR.T)
-        assert self.peak(lambda: ingest(spec)) <= 8
+        assert traced_peak(lambda: ingest(spec), self.n) <= 4.5
 
     def test_ingest_timestamped(self, files):
-        # two parsed columns and their difference besides the above
+        # four at most: the label list and the two parsed columns with their
+        # difference; a column's blocks go once it is joined, and one start
+        # per auction is checked on distinct pairs, not a list of every start
         spec = IngestSpec(path=files / "stamped.csv", horizon=P_STAR.T)
-        assert self.peak(lambda: ingest(spec)) <= 12
+        assert traced_peak(lambda: ingest(spec), self.n) <= 5
 
     def test_ingest_summary(self, files):
+        # the label list, the blocks of times and their concatenation; a
+        # read block's text and fields go before the next is read
         spec = IngestSpec(path=files / "relative.csv", horizon=P_STAR.T)
-        assert self.peak(lambda: ingest_summary(spec)) <= 5
+        assert traced_peak(lambda: ingest_summary(spec), self.n) <= 3.25
+
+    def test_ingest_summary_timestamped(self, files):
+        spec = IngestSpec(path=files / "stamped.csv", horizon=P_STAR.T)
+        assert traced_peak(lambda: ingest_summary(spec), self.n) <= 5
+
+    def test_pool(self):
+        # the joined times, the sort order, the sorted times, then the label
+        # list, its object array, the gathered copy and the tuple, two at a time
+        rng = np.random.default_rng(13)
+        halves = []
+        for seed in (13, 14):
+            s = sample_fixed_n(P_STAR, self.n // 2, seed=seed)
+            labels = tuple(f"a{i:05d}" for i in rng.integers(0, 1_000, s.n))
+            halves.append(BidSample(times=s.times, T=s.T, sources=labels))
+        assert traced_peak(lambda: pool(halves), self.n) <= 4.5
 
     def test_write_qq(self, tmp_path):
         qq = qq_points(sample_fixed_n(P_STAR, self.n, seed=11), P_STAR)
-        assert self.peak(lambda: write_qq(qq, tmp_path / "qq.csv")) <= 2
+        assert traced_peak(lambda: write_qq(qq, tmp_path / "qq.csv"), self.n) <= 2
 
     def test_write_sample(self, tmp_path):
         # a tagged sample's labels are quoted block by block, so it stays
         # within the untagged bound
         s = sample_fixed_n(P_STAR, self.n, seed=12)
-        assert self.peak(lambda: write_sample(s, tmp_path / "bids.csv")) <= 1.25
+        assert traced_peak(lambda: write_sample(s, tmp_path / "bids.csv"), self.n) <= 1.25
         ids = np.random.default_rng(12).permutation(np.arange(self.n) % 1_000)
         tagged = BidSample(times=s.times, T=s.T, sources=tuple(f"a{i:05d}" for i in ids))
-        assert self.peak(lambda: write_sample(tagged, tmp_path / "tagged.csv")) <= 1.25
+        assert traced_peak(lambda: write_sample(tagged, tmp_path / "tagged.csv"), self.n) <= 1.25
