@@ -18,15 +18,16 @@ blocks of whole lines of about 64 KiB.  A block that holds no '"', '\\r',
 has fields, is split at commas, which then yields the fields csv would; from
 the first block that fails these tests, csv reads the rest of the file.
 Either way each numeric column is converted block by block, and only auction
-ids and the raw fields of non-finite values are kept as strings.  Auction
-ids are stripped, and the rows of one auction share one label object, so
-label memory grows with the number of auctions, not of bids.  Results,
-errors and record numbers are those of csv alone.  Only when a check of the
-whole columns fails are per-check masks built, to name the first bad row.
-The writers format blocks of rows of about the same size, so the read and
-write buffers do not grow with the file.  The arrays do: in either layout,
-ingest's peak is the size of its result (the sorted times and the tuple of
-labels) plus two sample-sized arrays.
+ids and each column's first field that is not a finite number are kept as
+strings.  Auction ids are stripped, and the rows of one auction share one
+label object, so label memory grows with the number of auctions, not of
+bids.  Results, errors and record numbers are those of csv alone.  Each row
+check finds its own first bad row, and the lowest of these is the error, so
+a file that fails peaks no higher than one that loads.  The writers format blocks of
+rows of about the same size, so the read and write buffers do not grow with
+the file.  The arrays do: in either layout, ingest's peak is the size of its
+result (the sorted times and the tuple of labels) plus two sample-sized
+arrays.
 """
 from __future__ import annotations
 
@@ -121,12 +122,18 @@ def _layout(header: list[str]) -> tuple[str, ...]:
 def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
     """(times, auction ids, clamped-row count), times not yet sorted.
 
-    Each column is converted as it is read and checked as an array; a file
-    that fails a check raises the error of its first bad row.  A column's
-    blocks are dropped once it is joined, and one start per auction is
-    checked on the distinct (auction, start) pairs collected as the rows are
-    read, so at most four sample-sized arrays are alive at once: the ids,
-    and the two columns and their difference.
+    Each column is converted as it is read.  A row is checked for an empty
+    auction_id, then for a missing, unparseable or non-finite value in each
+    numeric column, then for a changed auction start, then, under reject,
+    for a time outside [0, horizon).  Each check finds its own first bad
+    row: the first empty id, the first non-finite field _Table kept per
+    column, the first changed start, walked to only when the distinct
+    (auction, start) pairs collected as the rows are read show a change, and
+    the first set entry of the out-of-range mask that counts clamps.  The
+    lowest of these rows raises the message of its first failed check.  A
+    column's blocks are dropped once it is joined, so at most four
+    sample-sized arrays are alive at once, whether the file loads or fails:
+    the ids, and the two columns and their difference.
     """
     try:
         table, record_of = _read_columns(spec)
@@ -145,14 +152,33 @@ def _parse(spec: IngestSpec) -> tuple[np.ndarray, list[str], int]:
         # difference is then inf, as in Python, and out of range
         with np.errstate(over="ignore", invalid="ignore"):
             times = stamps - starts
+    # (first bad row, its message) of each check that fails, in check order
+    bad = []
+    if not all(ids):
+        bad.append((ids.index(""), "empty auction_id"))
+    # a block's columns are converted in order, so two on one row are in check order
+    bad += [(row, _field_problem(name, field)) for name, (row, field) in table.raw.items()]
+    # one distinct (auction, start) pair per auction, or some start changed
+    if len(table.opened) != len(dict(table.opened)):
+        # rows before the first bad row are good, so there each auction's
+        # first start is the one a row-by-row reader would know; a nan start
+        # differs even from itself, so the walk stops at the first one
+        known: dict[str, float] = {}
+        row = next(i for i, (a, s) in enumerate(zip(ids, starts)) if known.setdefault(a, s) != s)
+        bad.append((row, f"auction {ids[row]!r} start changed from "
+                         f"{float(known[ids[row]])} to {float(starts[row])}"))
+    # built last, so the dict of pairs above is never alive beside the masks
     low = times < 0.0
     high = times >= spec.horizon
-    clamped = int(np.count_nonzero(low | high))
-    if (not all(ids) or any(table.raw.values())
-            # one distinct (auction, start) pair per auction, or some start changed
-            or len(table.opened) != len(dict(table.opened))
-            or clamped and spec.clamp_policy == "reject"):
-        raise _first_bad_row(spec, ids, table.raw, values, times, record_of)
+    out = low | high
+    clamped = int(np.count_nonzero(out))
+    if clamped and spec.clamp_policy == "reject":
+        row = int(out.argmax())
+        bad.append((row, f"bid time {float(times[row])} outside [0, {spec.horizon})"))
+    if bad:
+        # min keeps the first of tied rows, so a row's first failed check
+        row, message = min(bad, key=operator.itemgetter(0))
+        raise IngestError(message, record_of(row))
     if clamped:
         times[low] = 0.0
         times[high] = np.nextafter(spec.horizon, 0.0)
@@ -176,14 +202,14 @@ class _Labels(dict):
 class _Table:
     """The data rows read so far: auction ids (stripped, each label one
     shared object), one float array per block for each numeric column, per
-    column the raw field of each row whose value is not a finite number, and
-    the distinct (auction id, auction_start) pairs of the rows."""
+    column the (row, raw field) of its first value that is not a finite
+    number, and the distinct (auction id, auction_start) pairs of the rows."""
 
     def __init__(self, names: list[str]) -> None:
         self.ids: list[str] = []
         self.labels = _Labels()
         self.blocks: dict[str, list[np.ndarray]] = {name: [] for name in names}
-        self.raw: dict[str, dict[int, str]] = {name: {} for name in names}
+        self.raw: dict[str, tuple[int, str]] = {}
         self.opened: set[tuple[str, float]] = set()
 
     def add(self, ids: list[str], *columns: list[str]) -> None:
@@ -196,8 +222,9 @@ class _Table:
             except ValueError:
                 # nan stands in for each field float() refuses
                 v = np.fromiter(map(_number, col), float, len(col))
-            for i in np.flatnonzero(~np.isfinite(v)).tolist():
-                self.raw[name][start + i] = col[i]
+            if name not in self.raw and not (finite := np.isfinite(v)).all():
+                i = int(finite.argmin())
+                self.raw[name] = start + i, col[i]
             blocks.append(v)
             if name == "auction_start":
                 self.opened.update(zip(self.ids[start:], v.tolist()))
@@ -233,6 +260,11 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
             pick = operator.itemgetter(*columns)
         table = _Table(needed[1:])
         n = 0  # data rows read
+        skipped: list[int] = []  # per comment or blank record, the data rows before it
+
+        def record_of(row: int) -> int:
+            return header_record + 1 + row + bisect.bisect_right(skipped, row)
+
         rows = None
         for block in iter(functools.partial(_read_block, fh), ""):
             split = _split(block, width)
@@ -244,7 +276,6 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
             n += lines
             # drop this block's text and fields before the next is read
             del block, split, parts
-        skipped: list[int] = []  # per comment or blank record, the data rows before it
         if rows is not None:
             k = len(columns)
             fields: list[str] = []
@@ -257,18 +288,18 @@ def _read_columns(spec: IngestSpec) -> tuple[_Table, Callable[[int], int]]:
                             continue
                         if len(raw) != width:
                             raise IngestError(f"expected {width} fields, got {len(raw)}",
-                                              header_record + 1 + n + len(skipped))
+                                              record_of(n))
                     n += 1
                     fields += pick(raw)
                     if len(fields) >= _BLOCK_CHARS // 8:
                         table.add(*(fields[j::k] for j in range(k)))
                         fields = []
             except csv.Error as exc:
-                raise IngestError(str(exc), header_record + 1 + n + len(skipped)) from None
+                raise IngestError(str(exc), record_of(n)) from None
             table.add(*(fields[j::k] for j in range(k)))
     if layout_error is not None:
         raise layout_error
-    return table, lambda row: header_record + 1 + row + bisect.bisect_right(skipped, row)
+    return table, record_of
 
 
 def _find_header(fh: IO[str], path: Path) -> tuple[int, list[str]]:
@@ -344,39 +375,6 @@ def _split(block: str, width: int) -> tuple[list[str], int] | None:
     return block.replace("\n", ",").split(","), ends.size
 
 
-def _first_bad_row(spec: IngestSpec, ids: list[str], raw: dict[str, dict[int, str]],
-                   values: list[np.ndarray], times: np.ndarray,
-                   record_of: Callable[[int], int]) -> IngestError:
-    """The error of the first row in file order that fails a check.
-
-    A row is checked for an empty auction_id, then for a missing, unparseable
-    (nan in values) or non-finite value in each numeric column, then for a
-    changed auction start, then, under reject, for a time outside
-    [0, horizon).  Each check marks its bad rows in one mask; the message is
-    that of the row's first failed check, worded from raw, which maps each
-    numeric column to the raw fields of its rows that hold no finite number.
-    """
-    checks: list[tuple[np.ndarray, Callable[[int], str]]] = [
-        (np.fromiter(map(operator.not_, ids), bool, len(ids)), lambda i: "empty auction_id")]
-    for (name, col), v in zip(raw.items(), values):
-        checks.append((~np.isfinite(v), functools.partial(_field_problem, name, col)))
-    if len(values) == 2:
-        starts = values[1]
-        # rows before the first bad row are good, so there each auction's
-        # first start is the one a row-by-row reader would know
-        known: dict[str, float] = {}
-        opened = np.fromiter((known.setdefault(a, s) for a, s in zip(ids, starts.tolist())),
-                             float, len(ids))
-        checks.append((opened != starts, lambda i: (
-            f"auction {ids[i]!r} start changed from {float(opened[i])} to {float(starts[i])}")))
-    if spec.clamp_policy == "reject":
-        checks.append(((times < 0.0) | (times >= spec.horizon), lambda i: (
-            f"bid time {float(times[i])} outside [0, {spec.horizon})")))
-    row = int(np.argmax(np.logical_or.reduce([mask for mask, _ in checks])))
-    message = next(word for mask, word in checks if mask[row])
-    return IngestError(message(row), record_of(row))
-
-
 def _number(raw: str) -> float:
     """float(raw), or nan where float() refuses it."""
     try:
@@ -385,10 +383,9 @@ def _number(raw: str) -> float:
         return math.nan
 
 
-def _field_problem(name: str, col: Mapping[int, str], row: int) -> str:
-    """Why col[row], the raw field of numeric column name in a data row, is
-    not a finite number."""
-    raw = col[row]
+def _field_problem(name: str, raw: str) -> str:
+    """Why raw, the field of numeric column name in a data row, is not a
+    finite number."""
     if not raw.strip():
         return f"missing value in column {name!r}"
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import _check_horizon
+from .estimate import _check_horizon, ecdf
 from .process import BaristaParams, OneStage, cdf, inverse_cdf
 from .sample import BidSample
 
@@ -123,9 +123,7 @@ def ks_two_sample(a: BidSample, b: BidSample) -> KsResult:
         raise ValueError("KS test needs two nonempty samples")
     _check_same_horizon(a, b)
     pooled = np.concatenate([a.times, b.times])
-    fa = np.searchsorted(a.times, pooled, side="right") / a.n
-    fb = np.searchsorted(b.times, pooled, side="right") / b.n
-    d = float(np.max(np.abs(fa - fb)))
+    d = float(np.max(np.abs(ecdf(a, pooled) - ecdf(b, pooled))))
     n_eff = a.n * b.n / (a.n + b.n)
     return KsResult(d, kolmogorov_sf(math.sqrt(n_eff) * d), n_eff)
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barista import IngestError, IngestSpec, dataio, ingest, ingest_summary
@@ -253,10 +253,32 @@ def _run(fn, spec):
         return None, (type(exc), str(exc), exc.line)
 
 
+_STAMPED_HEADER = "auction_id,bid_timestamp,auction_start\n"
+_REJECT = {"horizon": 7.0, "clamp_policy": "reject"}
+
+
 @settings(max_examples=400, deadline=None)
 # blocks of 1 to 64 characters, or one in five at the default size
 @given(case=bid_files(),
        block=st.integers(1, 80).map(lambda n: n if n <= 64 else dataio._BLOCK_CHARS))
+# the lowest bad row is the error, even where a check later in order fails
+# it: an out-of-range time before an empty id, a changed start before a
+# non-finite stamp, in one block or in several
+@example(case=("auction_id,bid_time\na,1.0\nb,9.0\n,2.0\n", _REJECT), block=8)
+@example(case=(_STAMPED_HEADER + "a,11.0,10.0\na,12.0,10.5\nb,inf,3.0\n", _REJECT),
+         block=dataio._BLOCK_CHARS)
+# one row that fails several checks raises its first: an empty id before a
+# non-finite stamp and an unparseable start, a stamp before a start, a
+# changed start before an out-of-range time
+@example(case=(_STAMPED_HEADER + "a,1.0,0.0\n ,nan,x\n", _REJECT), block=8)
+@example(case=(_STAMPED_HEADER + "a,1.0,0.0\na,nan,-inf\n", _REJECT), block=dataio._BLOCK_CHARS)
+@example(case=(_STAMPED_HEADER + "a,1.0,0.0\na,100.0,5.0\n", _REJECT), block=8)
+# a nan start is its auction's first, and a later row changes it; or a nan
+# start changes an auction's start, before another auction's change
+@example(case=(_STAMPED_HEADER + "a,1.0,nan\na,2.0,1.0\n", _REJECT), block=dataio._BLOCK_CHARS)
+@example(case=(_STAMPED_HEADER + "b,1.0,0.0\na,5.0,nan\nb,2.0,1.0\n",
+               {"horizon": 7.0, "clamp_policy": "clamp-epsilon"}), block=8)
+@example(case=(_STAMPED_HEADER + "b,1.0,0.0\nb,5.0,nan\nb,2.0,1.0\n", _REJECT), block=8)
 def test_matches_row_reference(case, block, tmp_path_factory):
     text, kwargs = case
     path = tmp_path_factory.mktemp("diff") / "bids.csv"

@@ -22,6 +22,7 @@ from barista import (
     BaristaParams,
     BidSample,
     FitResult,
+    IngestError,
     IngestSpec,
     OneStage,
     bootstrap_se,
@@ -714,7 +715,10 @@ class TestPeakMemory:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
         """The same 100k bids of 1,000 auctions in the relative and the
-        timestamped layout."""
+        timestamped layout, and four files that fail: the timestamped one
+        with the last row's start changed or every bid_timestamp nan, the
+        relative one with every bid_time text, and that under a header that
+        fits no layout."""
         rng = np.random.default_rng(10)
         ids = rng.permutation(np.arange(self.n) % 1_000)
         s = sample_fixed_n(P_STAR, self.n, seed=10)
@@ -722,10 +726,24 @@ class TestPeakMemory:
         write_sample(BidSample(times=s.times, T=s.T, sources=tuple(f"a{i:05d}" for i in ids)),
                      d / "relative.csv")
         starts = 19_000.0 + np.arange(1_000.0)
-        with (d / "stamped.csv").open("w") as fh:
-            fh.write("auction_id,bid_timestamp,auction_start\n")
-            fh.writelines(f"a{i:05d},{start + t!r},{start!r}\n"
-                          for i, t, start in zip(ids, s.times.tolist(), starts[ids].tolist()))
+
+        def write(name, header, lines):
+            with (d / name).open("w") as fh:
+                fh.write(header + "\n")
+                fh.writelines(lines)
+
+        def stamped(stamp, last_start_shift=0.0):
+            rows = zip(ids, s.times.tolist(), starts[ids].tolist())
+            for k, (i, t, start) in enumerate(rows, 1):
+                shift = last_start_shift if k == self.n else 0.0
+                yield f"a{i:05d},{stamp(start + t)},{start + shift!r}\n"
+
+        header = "auction_id,bid_timestamp,auction_start"
+        write("stamped.csv", header, stamped(repr))
+        write("stamped_start.csv", header, stamped(repr, 1.0))
+        write("stamped_nan.csv", header, stamped(lambda stamp: "nan"))
+        write("relative_text.csv", "auction_id,bid_time", (f"a{i:05d},x\n" for i in ids))
+        write("bid_tyme.csv", "auction_id,bid_tyme", (f"a{i:05d},x\n" for i in ids))
         return d
 
     def test_ingest_relative(self, files):
@@ -751,6 +769,25 @@ class TestPeakMemory:
     def test_ingest_summary_timestamped(self, files):
         spec = IngestSpec(path=files / "stamped.csv", horizon=P_STAR.T)
         assert traced_peak(lambda: ingest_summary(spec), self.n) <= 5
+
+    @pytest.mark.parametrize("name, bound, message", [
+        ("stamped_start.csv", 5,
+         r"line 100001: auction 'a\d{5}' start changed from (\d+\.0) to (?!\1)\d+\.0"),
+        ("stamped_nan.csv", 5, r"line 2: non-finite value 'nan' in column 'bid_timestamp'"),
+        ("relative_text.csv", 4.5, r"line 2: cannot parse 'x' in column 'bid_time' as a number"),
+        ("bid_tyme.csv", 4.5, r"header \['auction_id', 'bid_tyme'\] matches neither"),
+    ], ids=["changed-start", "nan-stamps", "text-times", "no-layout"])
+    def test_ingest_failing_file(self, files, name, bound, message):
+        # each check finds its own first bad row and keeps one bad field per
+        # column, so a file that fails stays within the bound of its layout's
+        # clean file
+        spec = IngestSpec(path=files / name, horizon=P_STAR.T)
+
+        def fail():
+            with pytest.raises(IngestError, match=f"^{message}"):
+                ingest(spec)
+
+        assert traced_peak(fail, self.n) <= bound
 
     def test_pool(self):
         # the joined times, the sort order, the sorted times, then the label
