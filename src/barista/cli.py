@@ -293,9 +293,10 @@ def _grid_from(args: argparse.Namespace, family: str) -> dict[str, list]:
     return grid
 
 
-# the one family a method fits; ga and grid fit any, three-stage by default
-_ONLY_FAMILY = {"closed-form": "one-stage", "quick-crude": "three-stage",
-                "profile": "two-stage"}
+# the families a method fits, its default first; ga and grid fit any,
+# three-stage by default
+_ONLY_FAMILY = {"closed-form": ("one-stage",), "quick-crude": ("three-stage",),
+                "profile": ("two-stage", "three-stage")}
 
 
 def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
@@ -303,9 +304,10 @@ def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
     only = _ONLY_FAMILY.get(method)
     family = args.family
     if family is None:
-        family = only or "three-stage"
-    elif only and family != only:
-        raise ValueError(f"--method {method} fits only --family {only}, got {family!r}")
+        family = only[0] if only else "three-stage"
+    elif only and family not in only:
+        raise ValueError(f"--method {method} fits only --family {' or '.join(only)}, "
+                         f"got {family!r}")
     if method == "closed-form":
         return _one_stage_fit(sample)
     if method == "quick-crude":
@@ -313,7 +315,7 @@ def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
     if method == "grid":
         return grid_search(sample, family, _grid_from(args, family))
     if method == "profile":
-        return profile_fit(sample, _bounds_from(args, family, sample.T))
+        return profile_fit(sample, _bounds_from(args, family, sample.T), family)
     return ga_fit(sample, family, _ga_config_from(args, family, sample.T))
 
 
@@ -337,12 +339,7 @@ def _cmd_select(args: argparse.Namespace) -> dict:
     # select searches the default box of every family
     for tag in FAMILIES:
         _default_box(tag, sample.T)
-    result = select_model(
-        sample,
-        alpha_level=float(args.alpha_level),
-        seed=args.seed,
-        generations=args.generations,
-    )
+    result = select_model(sample, alpha_level=float(args.alpha_level))
 
     def test_block(test):
         if test is None:
@@ -353,11 +350,15 @@ def _cmd_select(args: argparse.Namespace) -> dict:
             "df": test.df,
         }
 
+    fits = {tag: _params_block(fit, args.unit) for tag, fit in result.fits.items()}
+    # each richer fit says whether it is the smaller fit embedded
+    for tag in list(fits)[1:]:
+        fits[tag]["embedded"] = tag in result.embedded
     return {
         "chosen": result.chosen.tag,
         "alpha_level": result.alpha_level,
         **described,
-        "fits": {tag: _params_block(fit, args.unit) for tag, fit in result.fits.items()},
+        "fits": fits,
         "tests": {
             "one_vs_two": test_block(result.lr_one_two),
             "two_vs_three": test_block(result.lr_two_three),
@@ -415,8 +416,13 @@ def _add_ingest(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_method(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--method", choices=_METHODS, default="ga")
-    sub.add_argument("--family", choices=list(FAMILIES))
+    sub.add_argument("--method", choices=_METHODS, default="ga",
+                     help="ga (default) and grid search; closed-form, quick-crude and "
+                          "profile are exact or plug-in")
+    sub.add_argument("--family", choices=list(FAMILIES),
+                     help="ga and grid: any (default three-stage); profile: two-stage "
+                          "(default) or three-stage; closed-form: one-stage; quick-crude: "
+                          "three-stage")
     sub.add_argument("--windows", help="JSON {stage1,stage2,stage3,safe} for quick-crude")
     sub.add_argument("--grid", help="JSON {param: [values]} for the grid method")
     sub.add_argument("--bounds", help="JSON [[lo,hi],...] GA or profile search box")
@@ -456,13 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method(fit)
     fit.add_argument("--bootstrap", type=int, default=0, help="bootstrap replicates for SEs")
 
-    sel = command("select", _cmd_select, "nested LR model selection")
+    # every fit of select is exact, so it draws nothing and its report does
+    # not depend on --seed, which is accepted for scripts that pass it
+    sel = command("select", _cmd_select, "nested LR model selection", seeded=False)
     _add_ingest(sel)
     sel.add_argument("--alpha-level", dest="alpha_level", type=float, default=0.05,
                      help="test level (default 0.05)")
-    sel.add_argument("--generations", type=int, default=GaConfig.generations,
-                     help="GA generations of the three-stage fit (default 500); "
-                          "the one-stage and two-stage fits are exact")
+    sel.add_argument("--seed", type=int, default=0,
+                     help="accepted and unused: select draws nothing")
 
     diag = command("diagnose", _cmd_diagnose, "fit, then KS/QQ against the fit")
     _add_ingest(diag)

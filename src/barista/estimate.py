@@ -5,9 +5,9 @@ Five routes are implemented, in increasing cost:
 * a closed-form maximum-likelihood estimator for the one-stage special case,
 * a "quick and crude" method that reads exponents and changepoints off CDF
   differences at hand-picked safe evaluation points,
-* an exact profile fit of the two-stage family, whose one changepoint is
-  profiled over the gaps between event times, with Newton steps on the
-  exponents,
+* exact profile fits of the two- and three-stage families, whose
+  changepoints are profiled over the gaps between event times, with Newton
+  steps on the exponents,
 * an exhaustive grid search of the conditional log-likelihood, and
 * a real-valued genetic algorithm over the same objective.
 
@@ -17,14 +17,16 @@ count to n (estimate_c).  Each family's free parameters, their place in the
 full parameter vector, its default GA box and how a fitted genome becomes a
 family instance all come from the family's class, process.FAMILIES[tag].
 
-Analytic first and second derivatives in the three exponents serve the
-profile fit's Newton steps, diagnostics and standard-error work; both are
-derived from the normalization constant written as A/B and are checked
-against finite differences in the test suite.
+Analytic first and second derivatives in the three exponents, and the
+second derivatives that couple them to d1, serve the profile fits' Newton
+steps, diagnostics and standard-error work; all are derived from the
+normalization constant written as A/B and are checked against finite
+differences in the test suite.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -36,6 +38,7 @@ from .process import (
     BaristaParams,
     Family,
     ModelFamily,
+    ThreeStage,
     TwoStage,
     _denominator,
     get_family,
@@ -386,6 +389,28 @@ class _CondLoglik:
         hess = n * (-(np.eye(3) / alphas[:, None, :] ** 2) - Bh / B
                     + Bg[:, :, None] * Bg[:, None, :] / B ** 2)
         return grad, hess
+
+    def d1_coupling(self, a1, a2, a3, d1, d2) -> tuple[np.ndarray, np.ndarray]:
+        """With u = log(1 - d1/T) and the stage counts held, the second
+        derivatives in the exponents and u, (k, 3), and in u alone, (k,).
+
+        Only B and the data term i1 (a2 - a1) u depend on u; with E1 =
+        q1^(a2-a1) and E2 = q1^a2, B_u = a2 a3 (a1 - a2) (E2 - E1).
+        """
+        a1, a2, a3, d1, d2 = self._columns((a1, a2, a3, d1, d2))
+        i1 = self.times.searchsorted(d1, side="right")
+        q1 = 1.0 - d1 / self.T
+        B, Bg, _ = _B_derivatives(a1, a2, a3, q1, d2 / self.T)
+        u, E1, E2 = np.log(q1), q1 ** (a2 - a1), q1 ** a2
+        D = E2 - E1
+        Bu = a2 * a3 * (a1 - a2) * D
+        Buu = a2 * a3 * (a1 - a2) * (a2 * E2 + (a1 - a2) * E1)
+        Bau = np.stack([a2 * a3 * (D + (a1 - a2) * u * E1),
+                        a3 * (a1 - 2.0 * a2) * D + a2 * a3 * (a1 - a2) * u * D,
+                        a2 * (a1 - a2) * D], axis=-1)
+        cross = (-self.n * (Bau / B[:, None] - Bg * (Bu / B ** 2)[:, None])
+                 + i1[:, None] * np.array([-1.0, 1.0, 0.0]))
+        return cross, -self.n * (Buu / B - (Bu / B) ** 2)
 
 
 def _check_horizon(sample: BidSample, p: BaristaParams) -> None:
@@ -748,13 +773,19 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
 
 
 # ---------------------------------------------------------------------------
-# exact two-stage fit
+# exact profile fits
 # ---------------------------------------------------------------------------
 
 # a round of the ascent that gains less than this many nats ends its column
 _ASCENT_TOL = 1e-10
 _MAX_ROUNDS = 500
 _MAX_HALVINGS = 40
+# bracketed Newton steps to an in-gap root of d1's stationary condition
+_ROOT_STEPS = 4
+# the three-stage fit holds each changepoint at every 32nd gap end of its
+# box (more sparsely in a box of over 2048 ends), then at 32 ends to either
+# side of the best
+_COARSE = 32
 
 
 def _exponent_jacobian(spec: type[Family]) -> np.ndarray:
@@ -772,66 +803,173 @@ def _exponent_jacobian(spec: type[Family]) -> np.ndarray:
 def _box_newton_step(g: np.ndarray, H: np.ndarray, lo: np.ndarray,
                      hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the step p with lo <= p <= hi that maximizes the concave
-    quadratic model g.p + p.H.p / 2 in two variables, and the model's gain.
+    quadratic model g.p + p.H.p / 2 in k <= 3 variables, and the model's gain.
 
-    The maximizer is the Newton step when that lies in the box.  Otherwise
-    it lies on a face, where the maximizer along the face clipped to its
-    ends is exact, and a corner is such a clipped face maximizer.  So the
-    best of the Newton step and the four face candidates is the answer.
+    At the maximizer each coordinate is free, at its lower bound or at its
+    upper bound, and the free ones solve the Newton equations with the
+    others held.  So each of the 3^k such active sets gives one candidate,
+    and the best candidate inside the box is the answer.  The Newton step,
+    every coordinate free, is tried first, and only rows where it leaves the
+    box try the other sets.
     """
-    g1, g2 = g[:, 0], g[:, 1]
-    h11, h12, h22 = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+    k = g.shape[1]
+    step, gain = _active_set_step(g, H, lo, hi, np.zeros((k, 1), dtype=int))
+    out = np.flatnonzero(gain == -np.inf)
+    if out.size:
+        every = np.array(list(itertools.product((0, 1, 2), repeat=k))).T
+        step[out], gain[out] = _active_set_step(g[out], H[out], lo[out], hi[out], every)
+    step[gain == -np.inf] = 0.0
+    return step, np.maximum(gain, 0.0)
+
+
+def _active_set_step(g: np.ndarray, H: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the best of the active sets that are state's columns, each
+    coordinate free (0), at its lower bound (1) or at its upper bound (2),
+    solved by Cramer's rule, and its model gain: -inf where none lies in the
+    box."""
+    k = g.shape[1]
+    free = state[:, None] == 0
+    bound = np.where(state[:, None] == 2, hi.T[..., None], lo.T[..., None])
+    # (k + 1, k, k, rows, sets): row i of a set's system is H's where
+    # coordinate i is free and else that of p_i = its bound; system j + 1
+    # has column j replaced by the right-hand side
+    mats = np.repeat(np.where(free[:, None], H.transpose(1, 2, 0)[..., None],
+                              np.eye(k)[..., None, None])[None], k + 1, axis=0)
+    for j in range(k):
+        mats[j + 1, :, j] = np.where(free, -g.T[..., None], bound)
     with np.errstate(all="ignore"):
-        det = h11 * h22 - h12 * h12
-        newton = np.stack([(h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det], axis=-1)
-        candidates = [np.where(((newton >= lo) & (newton <= hi)).all(axis=-1)[:, None],
-                               newton, np.nan)]
-        for fixed in (lo, hi):
-            free2 = np.clip(-(g2 + h12 * fixed[:, 0]) / h22, lo[:, 1], hi[:, 1])
-            candidates.append(np.stack([fixed[:, 0], free2], axis=-1))
-            free1 = np.clip(-(g1 + h12 * fixed[:, 1]) / h11, lo[:, 0], hi[:, 0])
-            candidates.append(np.stack([free1, fixed[:, 1]], axis=-1))
-        p = np.stack(candidates, axis=1)  # (k, 5, 2)
-        p1, p2 = p[..., 0], p[..., 1]
-        gain = (p1 * g1[:, None] + p2 * g2[:, None]
-                + 0.5 * (h11[:, None] * p1 * p1 + 2.0 * h12[:, None] * p1 * p2
-                         + h22[:, None] * p2 * p2))
-        gain = np.where(np.isfinite(gain), gain, -np.inf)
-    best = np.argmax(gain, axis=1)
+        det = None
+        for perm in itertools.permutations(range(k)):
+            term = mats[:, 0, perm[0]]
+            for i in range(1, k):
+                term = term * mats[:, i, perm[i]]
+            odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+            det = term if det is None else det - term if odd else det + term
+        p = np.where(free, det[1:] / det[0], bound)
+        quad = sum((1.0 if i == j else 2.0) * H[:, i, j, None] * p[i] * p[j]
+                   for i in range(k) for j in range(i, k))
+        gain = sum(p[i] * g[:, i, None] for i in range(k)) + 0.5 * quad
+        inside = ((p >= lo.T[..., None]) & (p <= hi.T[..., None])).all(axis=0)
+        gain = np.where(inside & np.isfinite(gain), gain, -np.inf)
     rows = np.arange(len(g))
-    step = np.where(np.isfinite(gain[rows, best])[:, None], p[rows, best], 0.0)
-    return step, np.maximum(gain[rows, best], 0.0)
+    best = np.argmax(gain, axis=1)
+    return p[:, rows, best].T, gain[rows, best]
+
+
+def _stage_counts(cache: _CondLoglik, slot: int, d) -> np.ndarray:
+    """The events of the early stage when d1 = d (slot 3), or of the late
+    stage when d2 = d (slot 4), as _CondLoglik.values counts them."""
+    if slot == 3:
+        return cache.times.searchsorted(d, side="right")
+    return cache.n - cache.times.searchsorted(cache.T - d, side="right")
+
+
+def _gap_edges(cache: _CondLoglik, slot: int, lo: float, hi: float) -> np.ndarray:
+    """lo, the event times (slot 3, d1) or reversed event times T - t (slot
+    4, d2) strictly inside (lo, hi), and hi, ascending and each once: the
+    ends of the gaps in which the changepoint's stage count is fixed."""
+    t = cache.times
+    if slot == 4:
+        t = cache.T - t[t.searchsorted(cache.T - hi, side="left"):][::-1]
+    edges = np.concatenate([[lo], t[(t > lo) & (t < hi)], [hi]])
+    return edges[np.concatenate([[True], np.diff(edges) > 0])]
+
+
+def _gaps(edges: np.ndarray, d: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of the gap between edges that holds each d: on side "right"
+    the gap that d opens, as d1's count has it, and on side "left" the one
+    that d closes, as d2's has it."""
+    i = np.clip(edges.searchsorted(d, side) - 1, 0, max(edges.size - 2, 0))
+    return edges[i], edges[np.minimum(i + 1, edges.size - 1)]
+
+
+def _late_alpha(cache: _CondLoglik, d2: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The late stage's exponent MLE given d2 from its events alone, clipped
+    to [lo, hi], and hi where the stage holds none: a start for alpha3."""
+    i2 = cache.times.searchsorted(cache.T - d2, side="right")
+    m = cache.n - i2
+    with np.errstate(all="ignore"):
+        a3 = m / (m * np.log(d2 / cache.T) - (cache.prefix[-1] - cache.prefix[i2]))
+    return np.clip(np.where(m > 0, a3, hi), lo, hi)
+
+
+def _stationary(cache: _CondLoglik, slot: int, full, count, lo, hi) -> np.ndarray:
+    """Per row, where in [lo, hi] the log-likelihood is stationary in the
+    changepoint of slot 3 (d1) or 4 (d2), for full = (alpha1, alpha2,
+    alpha3, d1, d2) columns with the other genes and the stage count held.
+
+    With q1 = 1 - d1/T and q2 = d2/T, d2's condition has the closed form
+
+        q2^a2 = n3 a3 (a2 q1^(a2-a1) + (a1-a2) q1^a2) / (a1 (n a2 - n3 (a2-a3))),
+
+    a maximum when alpha2 > alpha3 and a minimum otherwise.  d1's, with
+    i1 early events and K = a1 (a2 - a3) q2^a2, is
+
+        (n - i1) a2 a3 q1^(a2-a1) - a3 (n a2 + i1 (a1-a2)) q1^a2 - i1 K = 0.
+
+    When alpha1 > alpha2, as in the default box, its left side falls in
+    log q1, so it has at most one root (as Descartes' rule for real
+    exponents also shows, Jameson 2006), and that root is d1's maximum.
+    Where K = 0 the root is q1^a1 = (n - i1) a2 / (n a2 + i1 (a1 - a2));
+    from there bracketed Newton steps in log q1 find it, or the end of
+    [lo, hi] that it lies beyond.
+    """
+    T, n = cache.T, cache.n
+    a1, a2, a3, d1, d2 = full
+    with np.errstate(all="ignore"):
+        if slot == 4:
+            q1 = 1.0 - d1 / T
+            tie = (a2 * q1 ** (a2 - a1) + (a1 - a2) * q1 ** a2) / a1
+            return np.clip(T * (count * a3 * tie / (n * a2 - count * (a2 - a3))) ** (1.0 / a2),
+                           lo, hi)
+        A = (n - count) * a2 * a3
+        B = a3 * (n * a2 + count * (a1 - a2))
+        K = count * a1 * (a2 - a3) * (d2 / T) ** a2
+        u_lo, u_hi = np.log1p(-hi / T), np.log1p(-lo / T)
+        u = np.clip(np.log(A / B) / a1, u_lo, u_hi)
+        for _ in range(_ROOT_STEPS):
+            f1, f2 = A * np.exp((a2 - a1) * u), B * np.exp(a2 * u)
+            up = f1 - f2 > K
+            u_lo, u_hi = np.where(up, u, u_lo), np.where(up, u_hi, u)
+            u = u - (f1 - f2 - K) / ((a2 - a1) * f1 - a2 * f2)
+            u = np.where((u >= u_lo) & (u <= u_hi), u, 0.5 * (u_lo + u_hi))
+        return np.clip(-T * np.expm1(u), lo, hi)
 
 
 def _ascend(cache: _CondLoglik, spec: type[Family], genes: np.ndarray,
             box: tuple[tuple[float, float], ...],
-            span: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Block coordinate ascent of the two-stage log-likelihood, row by row.
+            spans: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Block coordinate ascent of a family's log-likelihood, row by row.
 
-    genes holds (k, 3) rows (alpha2, alpha3, d2) inside box, and each row's
-    d2 stays inside its span[0] <= d2 <= span[1], an interval that holds no
-    reversed event time T - t inside it, so the late-stage count n3 is fixed
-    there.  A round takes one box-constrained Newton step on the exponents,
-    backtracking until it does not lose, then moves d2 to the best of its
-    current value, the span's ends and the stationary point of the d2 closed
-    form,
-
-        (d2/T)^alpha2 = n3 alpha3 / (n alpha2 - n3 (alpha2 - alpha3)),
-
-    a maximum when alpha2 > alpha3 and a minimum otherwise.  For fixed d2
-    the log-likelihood is concave in the exponents (an exponential family),
-    and for fixed exponents one of those d2 values is the best in the span.
+    genes holds (k, m) rows inside box, the family's exponents and then its
+    changepoints.  spans = (lo, hi), two (k, c) arrays, holds each row's c
+    changepoints in intervals with no event time (d1), or reversed event
+    time T - t (d2), inside them, so the stage counts are fixed there.  A
+    round takes one box-constrained Newton step on the exponents,
+    backtracking until it does not lose, then moves each changepoint in
+    turn to the best of its current value, its span's ends and its
+    stationary point (_stationary).  Where d1 lies inside its span, d1
+    follows the step along the tangent of its stationary point, and the
+    step uses the Hessian of the profile over d1, the exponents' Hessian
+    less the coupling through d1: d1 and alpha1 are so tightly coupled that
+    maximized in turn they converge slowly.  For fixed changepoints the log-likelihood is
+    concave in the exponents (an exponential family), and for fixed
+    exponents one of those values is a changepoint's best in its span.
     Every round is an ascent; a row ends when a round gains less than
-    _ASCENT_TOL.  Rows go _GRID_BLOCK at a time, which bounds the memory
-    of a large sample.  Returns the rows and their log-likelihoods.
+    _ASCENT_TOL.  Rows go _GRID_BLOCK at a time, which bounds the memory of
+    a large sample.  Returns the rows and their log-likelihoods.
     """
     genes = genes.copy()
     J = _exponent_jacobian(spec)
-    ex_lo = np.array([b[0] for b in box[:2]])
-    ex_hi = np.array([b[1] for b in box[:2]])
-    T, n = cache.T, cache.n
-    lo, hi = span
-    n3 = n - cache.times.searchsorted(T - 0.5 * (lo + hi), side="right")
+    e = J.shape[1]
+    ex_lo = np.array([b[0] for b in box[:e]])
+    ex_hi = np.array([b[1] for b in box[:e]])
+    slots = [spec.gene_map.tolist().index(j) for j in range(e, genes.shape[1])]
+    d1 = e + slots.index(3) if 3 in slots else None  # d1's column
+    lo, hi = spans
+    counts = np.column_stack([_stage_counts(cache, s, 0.5 * (lo[:, c] + hi[:, c]))
+                              for c, s in enumerate(slots)])
     ll = np.empty(len(genes))
     for start in range(0, len(genes), _GRID_BLOCK):
         ll[start:start + _GRID_BLOCK] = cache.values(
@@ -847,7 +985,16 @@ def _ascend(cache: _CondLoglik, spec: type[Family], genes: np.ndarray,
             full = spec.vectors(g).T
             grad, hess = cache.derivatives(*full)
             grad, hess = grad @ J, J.T @ hess @ J
-            x = g[:, :2]
+            # du/dx along d1's stationary point, u = log(1 - d1/T)
+            tangent = np.zeros_like(grad)
+            inner = np.flatnonzero((lo[rows, d1 - e] < g[:, d1]) & (g[:, d1] < hi[rows, d1 - e])
+                                   if d1 is not None else [])
+            if inner.size:
+                cross, curve = cache.d1_coupling(*full[:, inner])
+                inner, cross, curve = inner[curve < 0], cross[curve < 0] @ J, curve[curve < 0]
+                tangent[inner] = -cross / curve[:, None]
+                hess[inner] += cross[:, :, None] * tangent[inner, None, :]
+            x = g[:, :e]
             step, gain = _box_newton_step(grad, hess, ex_lo - x, ex_hi - x)
             # halve each step until it does not lose, or its model gain is noise
             t = np.where(gain >= _ASCENT_TOL, 1.0, 0.0)
@@ -856,30 +1003,36 @@ def _ascend(cache: _CondLoglik, spec: type[Family], genes: np.ndarray,
             for _ in range(_MAX_HALVINGS):
                 if todo.size == 0:
                     break
-                trial = x[todo] + t[todo, None] * step[todo]
-                got = cache.values(*spec.vectors(np.column_stack([trial, g[todo, 2]])).T)
+                trial = np.column_stack([x[todo] + t[todo, None] * step[todo], g[todo, e:]])
+                du = (t[todo, None] * step[todo] * tangent[todo]).sum(axis=1)
+                if d1 is not None:
+                    moved = -cache.T * np.expm1(np.log1p(-trial[:, d1] / cache.T) + du)
+                    trial[:, d1] = np.where(du != 0, np.clip(moved, lo[rows[todo], d1 - e],
+                                                             hi[rows[todo], d1 - e]), trial[:, d1])
+                got = cache.values(*spec.vectors(trial).T)
                 ok = got >= before[todo]
-                g[todo[ok], :2] = trial[ok]
+                g[todo[ok]] = trial[ok]
                 now[todo[ok]] = got[ok]
                 todo = todo[~ok]
                 t[todo] *= 0.5
                 todo = todo[t[todo] * gain[todo] >= _ASCENT_TOL]
 
-            # d2 moves only in rows whose span is an interval
-            free = np.flatnonzero(hi[rows] > lo[rows])
-            if free.size:
-                gf, lo_f, hi_f = g[free], lo[rows[free]], hi[rows[free]]
-                a2, a3, m = gf[:, 0], gf[:, 1], n3[rows[free]]
-                with np.errstate(all="ignore"):
-                    stationary = T * (m * a3 / (n * a2 - m * (a2 - a3))) ** (1.0 / a2)
-                d2 = np.column_stack([gf[:, 2], lo_f, hi_f, np.clip(stationary, lo_f, hi_f)])
-                k = d2.shape[1]
-                tried = np.column_stack([np.repeat(gf[:, :2], k, axis=0), d2.ravel()])
-                scores = cache.values(*spec.vectors(tried).T).reshape(-1, k)
-                scores[:, 0] = now[free]  # keep the current d2 on ties
+            # a changepoint moves only in rows whose span is an interval
+            for c, slot in enumerate(slots):
+                free = np.flatnonzero(hi[rows, c] > lo[rows, c])
+                if free.size == 0:
+                    continue
+                j = e + c
+                gf, lo_f, hi_f = g[free], lo[rows[free], c], hi[rows[free], c]
+                d = np.column_stack([gf[:, j], lo_f, hi_f, _stationary(
+                    cache, slot, spec.vectors(gf).T, counts[rows[free], c], lo_f, hi_f)])
+                tried = np.repeat(gf, d.shape[1], axis=0)
+                tried[:, j] = d.ravel()
+                scores = cache.values(*spec.vectors(tried).T).reshape(d.shape)
+                scores[:, 0] = now[free]  # keep the current value on ties
                 pick = np.argmax(scores, axis=1)
                 r = np.arange(free.size)
-                g[free, 2] = d2[r, pick]
+                g[free, j] = d[r, pick]
                 now[free] = scores[r, pick]
             genes[rows] = g
             ll[rows] = now
@@ -888,45 +1041,36 @@ def _ascend(cache: _CondLoglik, spec: type[Family], genes: np.ndarray,
     return genes, ll
 
 
-def profile_fit(sample: BidSample,
-                bounds: Sequence[tuple[float, float]] | None = None) -> FitResult:
-    """Exact maximum of the two-stage conditional log-likelihood over a box.
+def _scan(cache: _CondLoglik, spec: type[Family], genes: np.ndarray, ll: np.ndarray,
+          j: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Each row with its changepoint gene j moved across the gaps between
+    edges, to the best, for the row's other genes, of every gap end and
+    every gap's stationary point, all scored in one values call per row.  A
+    row moves only where that gains at least _ASCENT_TOL.  Returns the rows,
+    their log-likelihoods and whether any row moved."""
+    slot = spec.gene_map.tolist().index(j)
+    lo, hi = edges[:-1], edges[1:]
+    count = _stage_counts(cache, slot, 0.5 * (lo + hi))
+    genes, ll, moved = genes.copy(), ll.copy(), False
+    for r in range(len(genes)):
+        # a stationary point at a gap end is that end, already tried
+        at = _stationary(cache, slot, spec.vectors(genes[r:r + 1]).T, count, lo, hi)
+        at = np.concatenate([edges, at[(lo < at) & (at < hi)]])
+        tried = np.repeat(genes[r:r + 1], at.size, axis=0)
+        tried[:, j] = at
+        scores = cache.values(*spec.vectors(tried).T)
+        best = int(np.argmax(scores))
+        if np.isfinite(scores[best]) and scores[best] >= ll[r] + _ASCENT_TOL:
+            genes[r], ll[r], moved = tried[best], scores[best], True
+    return genes, ll, moved
 
-    bounds is one (lo, hi) pair per free parameter (alpha2, alpha3, d2),
-    default_bounds by default, the GA's box.  The two-stage family has one
-    changepoint, so the fit is a profile over it (Hinkley 1970).  The
-    reversed event times T - t inside the d2 box split it into gaps, and in
-    each gap the late-stage count and the branch sums are constant.  First
-    the exponents are maximized with d2 held at each gap's ends and at
-    points inside it, less than a factor 2 apart; every 16th point is fitted
-    first, and those fits start the rest.  For fixed exponents with alpha2 <= alpha3, the best
-    d2 of a gap is one of its ends, so only the points where alpha2 > alpha3
-    then ascend inside their gap, with Newton steps on the exponents
-    alternating with the closed-form best d2 (see _ascend).  Each stage runs
-    over all its points in one array pass.  Where no point beats the exact
-    one-stage fit, that fit embedded as (alpha, alpha, 0), with its scale and
-    log-likelihood, is the fit (_nested), so the fit never falls below it;
-    it may lie outside the box.  Otherwise the reported log-likelihood is
-    that of _CondLoglik.values at the returned genes.
-    """
-    if sample.n == 0:
-        raise EstimationError("cannot fit an empty sample", stage="profile_fit")
-    T = sample.T
+
+def _two_stage_rows(cache: _CondLoglik, box, one: FitResult) -> tuple[np.ndarray, np.ndarray]:
+    """Ascended two-stage rows, whose best is the maximum over box; see
+    profile_fit."""
     spec = TwoStage
-    box = spec.default_bounds(T) if bounds is None else tuple(map(tuple, bounds))
-    _check_bounds(box, spec.tag)
     (a2_lo, a2_hi), (a3_lo, a3_hi), (d_lo, d_hi) = box
-    if a2_lo <= 0 or a3_lo <= 0:
-        raise ValueError(f"exponent bounds must be positive, got {box[:2]}")
-    if not 0.0 <= d_lo <= d_hi < T:
-        raise ValueError(f"d2 bounds must lie in [0, T) with T = {T}, got ({d_lo}, {d_hi})")
-    cache = _CondLoglik(sample)
-    one = _one_stage_fit(sample, cache)
-    # the reversed times of the latest events ascend, and ties give one edge
-    late = T - sample.times[sample.times.searchsorted(T - d_hi, side="left"):][::-1]
-    inside = late[(late > d_lo) & (late < d_hi)]
-    edges = np.concatenate([[d_lo], inside, [d_hi]])
-    edges = edges[np.concatenate([[True], np.diff(edges) > 0])]
+    edges = _gap_edges(cache, 4, d_lo, d_hi)
     lo, hi = edges[:-1], edges[1:]
     # the points the ascent starts from: every gap end but d2 = 0, where
     # alpha3 has no stage, and, inside each gap whose late stage holds
@@ -934,7 +1078,7 @@ def profile_fit(sample: BidSample,
     ends = edges[edges > 0]
     off = edges.size - ends.size  # the row of edges[i] is i - off
     gaps = np.arange(lo.size)
-    n3 = cache.n - cache.times.searchsorted(T - 0.5 * (lo + hi), side="right")
+    n3 = _stage_counts(cache, 4, 0.5 * (lo + hi))
     with np.errstate(divide="ignore"):
         count = np.where((lo > 0) & (n3 > 0), np.maximum(np.ceil(np.log2(hi / lo)), 1), 0)
     count = count.astype(int)
@@ -946,16 +1090,12 @@ def profile_fit(sample: BidSample,
     # from the one-stage exponent and the late-stage MLE given d2; their
     # fits, interpolated in log d2, start the exponents at every point
     coarse = np.sort(d2)[::16]
-    i2 = cache.times.searchsorted(T - coarse, side="right")
-    m = cache.n - i2
-    with np.errstate(all="ignore"):
-        a3 = m / (m * np.log(coarse / T) - (cache.prefix[-1] - cache.prefix[i2]))
     start = np.column_stack([np.full(coarse.size, np.clip(one.family.alpha, a2_lo, a2_hi)),
-                             np.clip(np.where(m > 0, a3, a3_hi), a3_lo, a3_hi), coarse])
-    fitted, _ = _ascend(cache, spec, start, box, (coarse, coarse))
+                             _late_alpha(cache, coarse, a3_lo, a3_hi), coarse])
+    fitted, _ = _ascend(cache, spec, start, box, (coarse[:, None], coarse[:, None]))
     genes = np.column_stack([np.interp(np.log(d2), np.log(coarse), fitted[:, j])
                              for j in (0, 1)] + [d2]) if d2.size else start
-    genes, ll = _ascend(cache, spec, genes, box, (d2, d2))
+    genes, ll = _ascend(cache, spec, genes, box, (genes[:, 2:], genes[:, 2:]))
     # then each gap from each of its points; from a point where alpha2 <=
     # alpha3 the best d2 in the gap is an end, already scored, so only the
     # other points ascend further
@@ -964,17 +1104,153 @@ def profile_fit(sample: BidSample,
     keep = np.concatenate([lo > 0, np.ones(lo.size + inner_gap.size, dtype=bool)])
     rows, gap = rows[keep], gap[keep]
     up = genes[rows, 0] > genes[rows, 1]
-    inner, inner_ll = _ascend(cache, spec, genes[rows[up]], box, (lo[gap[up]], hi[gap[up]]))
+    inner, inner_ll = _ascend(cache, spec, genes[rows[up]], box,
+                              (lo[gap[up], None], hi[gap[up], None]))
+    return np.concatenate([genes, inner]), np.concatenate([ll, inner_ll])
 
-    genes = np.concatenate([genes, inner])
-    ll = np.concatenate([ll, inner_ll])
-    if not ll.size:
+
+def _three_stage_rows(sample: BidSample, cache: _CondLoglik, box,
+                      two: FitResult) -> tuple[np.ndarray, np.ndarray]:
+    """Ascended three-stage rows, whose best is the maximum over box; see
+    profile_fit."""
+    spec, (lo, hi) = ThreeStage, np.array(box).T
+    edges = {j: _gap_edges(cache, j, *box[j]) for j in (3, 4)}
+    # d2 = 0 leaves alpha3 without a stage
+    ends = {3: edges[3], 4: edges[4][edges[4] > 0]}
+    genes = [np.clip(spec.embed(two.family), lo, hi)]
+    try:
+        genes.append(np.array(list(qc_fit(sample, default_qc_config(cache.T)).params.values())[:5]))
+    except (EstimationError, ValueError):
+        pass
+    genes = np.array([g for g in genes if np.all((lo <= g) & (g <= hi))])
+    ll, fitted = np.full(len(genes), -np.inf), {}
+
+    # d1, or d2, is held first at every step-th gap end of its box, then at
+    # 2 _COARSE + 1 ends around the row's own, every stride-th: a stride
+    # doubles while the best end lies at its window's edge and gains, and
+    # halves back to 1 otherwise, so every pass gains or narrows a stride
+    step = {j: max(_COARSE, ends[j].size // (2 * _COARSE)) for j in (3, 4)}
+    stride = {(k, j): step[j] // _COARSE for k in range(len(genes)) for j in (3, 4)}
+
+    def held(first: bool) -> bool:
+        # each row with d1, or d2, held at those ends, the other changepoint
+        # held too, and the exponents fitted from the last such fits
+        # interpolated; a row moves to the best, and whether a changepoint
+        # moved, or a stride is still above 1, is returned
+        keys, blocks = [], []
+        for k, j in itertools.product(range(len(genes)), (3, 4)):
+            i, w = int(ends[j].searchsorted(genes[k, j])), stride[k, j]
+            # only the embedded start, whose d1 is the box's lower end, has
+            # its changepoints held across the whole box first
+            at = ends[j][::step[j]] if first and k == 0 else ends[j][max(i - _COARSE * w, 0):
+                                                                     i + _COARSE * w + 1:w]
+            if at.size:
+                keys.append((k, j))
+                blocks.append(np.tile(genes[k], (at.size, 1)))
+                blocks[-1][:, j] = at
+                if (k, j) in fitted:
+                    blocks[-1][:, :3] = np.array([np.interp(at, fitted[k, j][:, j], fitted[k, j][:, c])
+                                                  for c in range(3)]).T
+                elif j == 4:
+                    blocks[-1][:, 2] = _late_alpha(cache, at, *box[2])
+        rows = np.concatenate(blocks)
+        rows, v = _ascend(cache, spec, rows, box, (rows[:, 3:], rows[:, 3:]))
+        moved, start = False, 0
+        for (k, j), block in zip(keys, blocks):
+            fitted[k, j], w = rows[start:start + len(block)], v[start:start + len(block)]
+            start += len(block)
+            b = int(np.argmax(w))
+            gains = bool(np.isfinite(w[b]) and w[b] >= ll[k] + _ASCENT_TOL)
+            if not first:
+                edge = b in (0, len(w) - 1) and ends[j][0] < block[b, j] < ends[j][-1]
+                stride[k, j] = 2 * stride[k, j] if edge and gains else max(stride[k, j] // 2, 1)
+            if gains:
+                moved |= bool(np.any(genes[k, 3:] != fitted[k, j][b, 3:]))
+                genes[k], ll[k] = fitted[k, j][b], w[b]
+        return moved or max(stride.values()) > 1
+
+    held(True)
+    for _ in range(_MAX_ROUNDS):
+        while held(False):
+            pass
+        spans = [_gaps(edges[3], genes[:, 3], "right"), _gaps(edges[4], genes[:, 4], "left")]
+        genes, ll = _ascend(cache, spec, genes, box, tuple(map(np.column_stack, zip(*spans))))
+        genes, ll, moved1 = _scan(cache, spec, genes, ll, 3, edges[3])
+        genes, ll, moved2 = _scan(cache, spec, genes, ll, 4, edges[4])
+        if not (moved1 or moved2):
+            break
+    return genes, ll
+
+
+def profile_fit(sample: BidSample, bounds: Sequence[tuple[float, float]] | None = None,
+                family: str = "two-stage", smaller: FitResult | None = None) -> FitResult:
+    """Exact maximum of the two- or three-stage conditional log-likelihood
+    over a box.
+
+    bounds is one (lo, hi) pair per free parameter of the family,
+    default_bounds by default, the GA's box.  The fit is a profile over the
+    changepoints (Hinkley 1970).  The event times inside d1's box, and the
+    reversed event times T - t inside d2's, split each box into gaps, and
+    in each gap the stage counts and the branch sums are constant.
+
+    * Two-stage: the exponents are maximized with d2 held at each gap's
+      ends and at points inside it, less than a factor 2 apart; every 16th
+      point is fitted first, and those fits start the rest.  For fixed
+      exponents with alpha2 <= alpha3, the best d2 of a gap is one of its
+      ends, so only the points where alpha2 > alpha3 then ascend inside
+      their gap (_ascend).  Each stage runs over all its points in one
+      array pass.
+    * Three-stage: two starts, the two-stage fit (smaller) embedded and
+      clipped to the box, and the quick-crude fit where it succeeds inside
+      the box.  The exponents are fitted with d1 held at gap ends, and
+      apart with d2 held so, the other changepoint held at the row's, and
+      the row moves to the best: for the embedded start first at every
+      _COARSE-th end of the box, then, for both, at 2 _COARSE + 1 ends
+      around the row's, every stride-th, from the last fits interpolated,
+      until the best ends stop moving and every stride is back to 1.  Then,
+      until no move gains, the row ascends inside its gaps (_ascend), and
+      d1 and then d2 move across gaps to their best over the whole box for
+      the row's other genes (_scan).
+
+    smaller is the exact fit of the next-smaller family to this sample, the
+    closed-form one-stage fit (_one_stage_fit) or the default-box two-stage
+    profile fit; it is worked out when not given, and select_model passes
+    the fits it has.  The three-stage fit
+    starts from it, and each fit nests over it: where no row beats it, that
+    fit embedded, with its scale and log-likelihood, is the fit (_nested),
+    so the fit never falls below it; it may lie outside the box.  Otherwise
+    the reported log-likelihood is that of _CondLoglik.values at the
+    returned genes.
+    """
+    spec = get_family(family)
+    if spec not in (TwoStage, ThreeStage):
+        raise ValueError(f"profile_fit fits the two-stage and three-stage families, "
+                         f"got {family!r}")
+    if sample.n == 0:
+        raise EstimationError("cannot fit an empty sample", stage="profile_fit")
+    T = sample.T
+    box = spec.default_bounds(T) if bounds is None else tuple(map(tuple, bounds))
+    _check_bounds(box, spec.tag)
+    e = _exponent_jacobian(spec).shape[1]
+    if min(lo for lo, _ in box[:e]) <= 0:
+        raise ValueError(f"exponent bounds must be positive, got {box[:e]}")
+    for name, (lo, hi) in zip(spec.free_names[e:], box[e:]):
+        if not 0.0 <= lo <= hi < T:
+            raise ValueError(f"{name} bounds must lie in [0, T) with T = {T}, got ({lo}, {hi})")
+    cache = _CondLoglik(sample)
+    if spec is TwoStage:
+        smaller = smaller or _one_stage_fit(sample, cache)
+        genes, ll = _two_stage_rows(cache, box, smaller)
+    else:
+        smaller = smaller or profile_fit(sample)
+        genes, ll = _three_stage_rows(sample, cache, box, smaller)
+    best = int(np.argmax(ll)) if ll.size else 0
+    if not ll.size or not np.isfinite(ll[best]):
         # a d2 box of {0} holds no candidate: the embedding is the fit
-        return _embedded(spec, one, "profile")
-    best = int(np.argmax(ll))
+        return _embedded(spec, smaller, "profile")
     fit = FitResult(_scaled_family(spec.tag, tuple(genes[best]), sample), float(ll[best]),
                     "profile")
-    return _nested(fit, one)
+    return _nested(fit, smaller)
 
 
 # ---------------------------------------------------------------------------

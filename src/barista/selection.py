@@ -6,10 +6,9 @@ to a chi-squared distribution with 2 degrees of freedom at both steps.
 Selection runs forward: stop at the first test whose p-value exceeds the
 level, otherwise move to the richer family.
 
-The one-stage and two-stage fits are exact.  The one-stage exponent has a
-closed form (mle_nhpp1).  The two-stage family has one changepoint, so its
-fit is an exact profile over it within the default box (profile_fit).
-Only the three-stage fit is a genetic search (ga_fit), and only it takes a GA budget.
+Every fit is exact, so selection draws nothing.  The one-stage exponent has
+a closed form (mle_nhpp1), and the two- and three-stage fits are exact
+profile fits over the default boxes (profile_fit).
 
 The families nest exactly, and the family classes (process.FAMILIES) give
 each richer family's embedding of the next-smaller fit: a one-stage process
@@ -18,24 +17,17 @@ one with d1 = 0 and the empty early stage's exponent tied to alpha2.  One
 rule keeps each statistic nonnegative: a richer family's fit is the better
 of its own fit and the embedding of the smaller fit, ties keeping the
 embedding (estimate._nested), whose likelihood is the smaller fit's.
-profile_fit applies it to the one-stage fit, and select_model to the
-three-stage GA fit, whose default box (alpha1 >= 1) does not hold the
-two-stage embedding (alpha1 = alpha2 <= 1).
+profile_fit applies it to both richer fits.  The default three-stage box
+(alpha1 >= 1) does not hold the two-stage embedding (alpha1 = alpha2 <= 1),
+so the embedding can win there, and SelectionResult.embedded names the
+richer fits that are embeddings.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .estimate import (
-    FitResult,
-    GaConfig,
-    _nested,
-    _one_stage_fit,
-    default_bounds,
-    ga_fit,
-    profile_fit,
-)
+from .estimate import FitResult, _embedded, _one_stage_fit, profile_fit
 from .process import ModelFamily
 from .sample import BidSample
 
@@ -65,6 +57,8 @@ class SelectionResult:
     lr_one_two: LrTest
     lr_two_three: LrTest | None
     alpha_level: float
+    # the richer fits that are the next-smaller fit embedded
+    embedded: tuple[str, ...] = ()
 
 
 def chi2_sf_2df(x: float) -> float:
@@ -84,35 +78,29 @@ def lr_test(loglik_small: float, loglik_big: float) -> LrTest:
     return LrTest(statistic=stat, p_value=chi2_sf_2df(stat))
 
 
-def select_model(
-    sample: BidSample,
-    alpha_level: float = 0.05,
-    seed: int = 0,
-    generations: int = GaConfig.generations,
-) -> SelectionResult:
+def select_model(sample: BidSample, alpha_level: float = 0.05) -> SelectionResult:
     """Forward stepwise selection: one stage, then two, then three.
 
-    The one-stage fit is the exact closed-form MLE and the two-stage fit the
-    exact profile fit.  The three-stage fit is a GA search of its default box
-    for `generations` generations at `seed`; where it ends no higher than the
-    embedded two-stage fit, that embedding, labelled "ga", is the three-stage
-    fit, and the LR statistic is 0.  At each step the richer family is
-    adopted only when the LR test rejects at alpha_level.  The two-stage fit
-    nests over the same exact one-stage fit that is reported.
+    The one-stage fit is the exact closed-form MLE, and the two- and
+    three-stage fits are the exact profile fits over their default boxes,
+    each nested over the fit before it (profile_fit's smaller).  Where the
+    three-stage box holds nothing more likely than the embedded two-stage
+    fit, that embedding, labelled "profile", is the three-stage fit, and the
+    LR statistic is 0.  At each step the richer family is adopted only when
+    the LR test rejects at alpha_level.
     """
     if not (0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
-    cfg = GaConfig(bounds=default_bounds("three-stage", sample.T), generations=generations,
-                   seed=seed)
-    fit1 = _one_stage_fit(sample)
-    fit2 = profile_fit(sample)
-    test12 = lr_test(fit1.loglik, fit2.loglik)
-    fits = {"one-stage": fit1, "two-stage": fit2}
-    if test12.p_value > alpha_level:
-        return SelectionResult(fit1.family, fits, test12, None, alpha_level)
-
-    fit3 = _nested(ga_fit(sample, "three-stage", cfg), fit2)
-    fits["three-stage"] = fit3
-    test23 = lr_test(fit2.loglik, fit3.loglik)
-    chosen = fit2.family if test23.p_value > alpha_level else fit3.family
-    return SelectionResult(chosen, fits, test12, test23, alpha_level)
+    fits = {"one-stage": _one_stage_fit(sample)}
+    fits["two-stage"] = profile_fit(sample, smaller=fits["one-stage"])
+    test12 = lr_test(fits["one-stage"].loglik, fits["two-stage"].loglik)
+    test23 = None
+    chosen = fits["one-stage"]
+    if test12.p_value <= alpha_level:
+        fits["three-stage"] = profile_fit(sample, family="three-stage", smaller=fits["two-stage"])
+        test23 = lr_test(fits["two-stage"].loglik, fits["three-stage"].loglik)
+        chosen = fits["two-stage" if test23.p_value > alpha_level else "three-stage"]
+    fitted = list(fits.items())
+    embedded = tuple(tag for (_, small), (tag, fit) in zip(fitted, fitted[1:])
+                     if fit.family == _embedded(type(fit.family), small, fit.method).family)
+    return SelectionResult(chosen.family, fits, test12, test23, alpha_level, embedded)

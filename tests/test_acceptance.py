@@ -285,7 +285,7 @@ def test_criterion_09_model_selection_consistency():
         wins = 0
         for run in range(20):
             data = sample_poisson_count(truth, seed=1000 + run)
-            res = select_model(data, seed=run)
+            res = select_model(data)
             wins += res.chosen.tag == want
         rates[want] = wins
         ok = ok and wins >= floor * 20

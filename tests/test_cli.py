@@ -9,6 +9,7 @@ import pytest
 
 from barista import (
     BaristaParams,
+    BidSample,
     EstimationError,
     IngestSpec,
     __version__,
@@ -18,7 +19,10 @@ from barista import (
     profile_fit,
     qc_fit,
     qq_points,
+    TwoStage,
+    sample_poisson_count,
     select_model,
+    write_sample,
 )
 from barista.cli import main
 from conftest import package_env
@@ -212,7 +216,7 @@ class TestFit:
     @pytest.mark.parametrize("method, family, only", [
         ("closed-form", "three-stage", "one-stage"),
         ("quick-crude", "one-stage", "three-stage"),
-        ("profile", "three-stage", "two-stage"),
+        pytest.param("profile", "one-stage", "two-stage or three-stage", id="profile-one-stage"),
     ])
     def test_family_the_method_cannot_fit_is_json_error(self, tmp_path, capsys,
                                                         method, family, only):
@@ -239,6 +243,17 @@ class TestFit:
         rc, rep = run_json([*argv, "--bounds", box], capsys)
         assert rc == 0
         assert rep["params"]["d2"] in (0.0, 0.001)
+
+    def test_profile_method_fits_three_stage(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=800, seed=4)
+        argv = ["fit", "--input", data, "--horizon", "7", "--method", "profile",
+                "--family", "three-stage", "--no-timestamp"]
+        rc, rep = run_json(argv, capsys)
+        assert rc == 0
+        assert (rep["family"], rep["method"]) == ("three-stage", "profile")
+        ref = profile_fit(ingest(IngestSpec(path=data, horizon=7.0)), family="three-stage")
+        assert rep["params"] == ref.params and rep["loglik"] == ref.loglik
+        assert "embedded" not in rep
 
     def test_grid_method(self, tmp_path, capsys):
         data = simulate(tmp_path, n=400, seed=6)
@@ -326,7 +341,7 @@ class TestSelect:
     def test_report_shape(self, tmp_path, capsys):
         data = simulate(tmp_path, n=900, seed=11)
         rc, rep = run_json(
-            ["select", "--input", data, "--horizon", "7", "--generations", "60",
+            ["select", "--input", data, "--horizon", "7",
              "--seed", "2", "--no-timestamp"], capsys)
         assert rc == 0
         assert rep["command"] == "select"
@@ -341,19 +356,20 @@ class TestSelect:
     def test_alpha_level_flag(self, tmp_path, capsys):
         data = simulate(tmp_path, n=200, seed=12)
         rc, rep = run_json(
-            ["select", "--input", data, "--horizon", "7", "--generations", "20",
+            ["select", "--input", data, "--horizon", "7",
              "--alpha-level", "0.2", "--no-timestamp"], capsys)
         assert rc == 0
         assert rep["alpha_level"] == 0.2
 
-    def test_generations_flag_matches_library(self, tmp_path, capsys):
+    def test_report_matches_library(self, tmp_path, capsys):
+        # the report is select_model's result, whatever --seed it is given
         data = simulate(tmp_path, n=900, seed=11)
-        rc, rep = run_json(
-            ["select", "--input", data, "--horizon", "7", "--generations", "30",
-             "--seed", "4", "--no-timestamp"], capsys)
+        argv = ["select", "--input", data, "--horizon", "7", "--no-timestamp"]
+        rc, rep = run_json(argv, capsys)
         assert rc == 0
+        assert run_json([*argv, "--seed", "4"], capsys) == (0, rep)
         sample = ingest(IngestSpec(path=data, horizon=7.0))
-        res = select_model(sample, seed=4, generations=30)
+        res = select_model(sample)
         assert "three-stage" in res.fits
         assert rep["chosen"] == res.chosen.tag
         assert set(rep["fits"]) == set(res.fits)
@@ -361,20 +377,56 @@ class TestSelect:
             assert rep["fits"][tag]["loglik"] == fit.loglik
             assert rep["fits"][tag]["c_hat"] == fit.c_hat
             assert rep["fits"][tag]["params"] == fit.params
+            assert rep["fits"][tag].get("embedded", False) == (tag in res.embedded)
+        assert "embedded" not in rep["fits"]["one-stage"]
 
-    def test_three_stage_fit_is_the_ga_fit_at_the_same_seed(self, tmp_path, capsys):
-        # on P* data the GA ends above the embedded two-stage fit, so select's
-        # three-stage fit is fit --method ga's at the same seed and budget
+    def test_three_stage_fit_is_the_profile_fit(self, tmp_path, capsys):
+        # on P* data the three-stage box holds a fit above the embedded
+        # two-stage fit, so select's three-stage fit is fit --method profile's
         data = simulate(tmp_path, n=5000, seed=5)
-        common = ["--input", data, "--horizon", "7", "--seed", "3", "--generations", "100",
-                  "--no-timestamp"]
+        common = ["--input", data, "--horizon", "7", "--no-timestamp"]
         rc, sel = run_json(["select", *common], capsys)
         assert rc == 0
-        rc, ga = run_json(["fit", "--method", "ga", "--family", "three-stage", *common], capsys)
+        rc, fit = run_json(["fit", "--method", "profile", "--family", "three-stage", *common],
+                           capsys)
         assert rc == 0
         three = sel["fits"]["three-stage"]
-        assert three["params"] == ga["params"]
-        assert three["loglik"] == ga["loglik"]
+        assert three["params"] == fit["params"]
+        assert three["loglik"] == fit["loglik"]
+        assert three["embedded"] is False and sel["fits"]["two-stage"]["embedded"] is False
+
+    def test_embedded_three_stage_fit_is_marked(self, tmp_path, capsys):
+        # criterion-9 two-stage data on which the embedded two-stage fit wins
+        # the three-stage box, so that LR23 is exactly 0
+        truth = TwoStage(alpha2=0.3, alpha3=7.7, d2=1.0 / 1440, c=128.7, T=5.0).as_barista()
+        path = tmp_path / "two.csv"
+        write_sample(sample_poisson_count(truth, seed=1000), path)
+        rc, rep = run_json(["select", "--input", str(path), "--horizon", "5",
+                            "--no-timestamp"], capsys)
+        assert rc == 0
+        two, three = rep["fits"]["two-stage"], rep["fits"]["three-stage"]
+        assert (two["embedded"], three["embedded"]) == (False, True)
+        assert rep["tests"]["two_vs_three"]["statistic"] == 0.0
+        assert three["loglik"] == two["loglik"] and three["params"]["d1"] == 0.0
+
+
+    @pytest.mark.parametrize("times", [
+        [3.0], [1.0, 6.9], [0.5, 3.0, 6.99], [2.0] * 50 + [6.995] * 10, [3.0] * 20,
+        # no event inside the default d1 box [1, 5]
+        list(np.linspace(0.01, 0.9, 30)) + list(np.linspace(5.1, 6.999, 30)),
+    ], ids=["n1", "n2", "n3", "tied", "all-tied", "empty-d1-box"])
+    def test_exact_fits_of_small_or_tied_samples(self, tmp_path, capsys, times):
+        # a report, or one JSON error, from select and from the three-stage
+        # profile fit; never a traceback
+        path = tmp_path / "bids.csv"
+        write_sample(BidSample(times=np.array(times), T=7.0), path)
+        common = ["--input", str(path), "--horizon", "7", "--no-timestamp"]
+        for argv in (["select", *common],
+                     ["fit", "--method", "profile", "--family", "three-stage", *common]):
+            rc, rep = run_json(argv, capsys)
+            assert (rc, rep["schema"]) in ((0, "barista/1"), (1, "barista/1"))
+            assert rc == 0 or set(rep["error"]) >= {"type", "message"}
+            assert rc == 1 or rep["command"] == argv[0]
 
 
 class TestDiagnose:

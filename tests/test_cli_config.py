@@ -27,7 +27,7 @@ MODEL = ["horizon", "alpha", "alpha1", "alpha2", "alpha3", "d1", "d2"]
 SETTINGS = {
     "simulate": [*MODEL, "family", "unit", "seed", "n", "c", "output", "no_timestamp"],
     "fit": [*METHOD, "bootstrap"],
-    "select": [*INGEST, "seed", "alpha_level", "generations"],
+    "select": [*INGEST, "seed", "alpha_level"],
     "diagnose": [*METHOD, "qq_out"],
     "ingest-check": INGEST,
 }

@@ -93,8 +93,7 @@ def flags(command: str, files: dict):
         "simulate": {"unit": st.sampled_from(sorted(MINUTES_PER_UNIT)),
                      "family": st.sampled_from(list(FAMILIES)), "n": ints(-3, 60)},
         "fit": {**ingest, **method, "bootstrap": ints(-1, 2)},
-        "select": {**ingest, "alpha-level": st.sampled_from(FLOATS),
-                   "generations": ints(-2, 3)},
+        "select": {**ingest, "alpha-level": st.sampled_from(FLOATS)},
         "diagnose": {**ingest, **method, "qq-out": target("qq")},
         "ingest-check": ingest,
     }[command]

@@ -14,6 +14,7 @@ from barista import (
     GaConfig,
     OneStage,
     QcConfig,
+    ThreeStage,
     TwoStage,
     bootstrap_se,
     cdf,
@@ -674,6 +675,164 @@ class TestProfileFit:
     def test_empty_sample(self):
         with pytest.raises(EstimationError):
             profile_fit(BidSample(times=np.array([]), T=7.0))
+
+
+class TestBoxNewtonStep:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_a_bounded_optimizer(self, k):
+        # random concave quadratics and boxes around 0, some of them nearly
+        # singular, against L-BFGS-B on the same bounded problem
+        rng = np.random.default_rng(k)
+        rows = 80
+        A = rng.normal(size=(rows, k, k))
+        H = -(A @ A.transpose(0, 2, 1)) - 1e-3 * np.eye(k)
+        g = rng.normal(size=(rows, k)) * rng.choice([0.1, 1.0, 10.0], size=(rows, 1))
+        lo = -rng.uniform(0.0, 2.0, size=(rows, k))
+        hi = rng.uniform(0.0, 2.0, size=(rows, k))
+        step, gain = estimate._box_newton_step(g, H, lo, hi)
+        assert np.all((lo <= step) & (step <= hi))
+        for r in range(rows):
+            res = scipy.optimize.minimize(
+                lambda p: -(g[r] @ p + 0.5 * p @ H[r] @ p), np.zeros(k),
+                jac=lambda p: -(g[r] + H[r] @ p), method="L-BFGS-B",
+                bounds=list(zip(lo[r], hi[r])),
+                options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
+            model = g[r] @ step[r] + 0.5 * step[r] @ H[r] @ step[r]
+            assert model == pytest.approx(gain[r], rel=1e-9, abs=1e-12)
+            assert gain[r] >= -res.fun - 1e-9 * max(1.0, abs(res.fun))
+
+
+class TestD1Derivatives:
+    def test_match_finite_differences(self):
+        # second derivatives in the exponents and u = log(1 - d1/T), and in u
+        # alone, with the stage counts held: d1 stays inside one gap
+        s = sample_fixed_n(P_STAR, 3000, seed=1)
+        cache = _CondLoglik(s)
+        i = int(np.searchsorted(s.times, 2.4))
+        d1 = 0.5 * (s.times[i - 1] + s.times[i])
+        h = 1e-3 * min(s.times[i] - d1, d1 - s.times[i - 1]) / d1
+
+        def ll(a, u):
+            return cache.value(*a, -7.0 * math.expm1(u), 0.0035)
+
+        a, u = np.array([3.1, 0.4, 1.2]), math.log1p(-d1 / 7.0)
+        cross, curve = cache.d1_coupling(*a, d1, 0.0035)
+        assert curve[0] == pytest.approx(
+            (ll(a, u + h) - 2 * ll(a, u) + ll(a, u - h)) / h ** 2, rel=1e-4)
+        for j in range(3):
+            e = np.eye(3)[j] * 1e-3
+            mixed = (ll(a + e, u + h) - ll(a + e, u - h) - ll(a - e, u + h)
+                     + ll(a - e, u - h)) / (4e-3 * h)
+            assert cross[0, j] == pytest.approx(mixed, rel=1e-4)
+
+
+def pair_rows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Three rows per pair of a d1 gap and a d2 gap, (lo, hi) giving the
+    pairs' ends, with the spans they ascend in.  Inside a pair the maxima in
+    d2 can lie at both of its ends (where alpha2 < alpha3), so d2 is held at
+    each end, and ascends from the middle; d1 ascends from the middle."""
+    k = len(lo)
+    lo, hi = np.tile(lo, (3, 1)), np.tile(hi, (3, 1))
+    lo[2 * k:, 1] = hi[2 * k:, 1]
+    hi[k:2 * k, 1] = lo[k:2 * k, 1]
+    rows = np.column_stack([np.tile([2.0, 0.5, 1.0], (3 * k, 1)), 0.5 * (lo + hi)])
+    return rows, (lo, hi)
+
+
+def three_stage_oracle(sample: BidSample) -> float:
+    """The best three-stage log-likelihood over the default box, found by
+    ascending inside every pair of a d1 gap and a d2 gap (pair_rows), or
+    the two-stage profile fit's, if higher."""
+    box = default_bounds("three-stage", sample.T)
+    cache = _CondLoglik(sample)
+    e1 = estimate._gap_edges(cache, 3, *box[3])
+    e2 = estimate._gap_edges(cache, 4, *box[4])
+    g1, g2 = np.meshgrid(np.arange(e1.size - 1), np.arange(e2.size - 1), indexing="ij")
+    g1, g2 = g1.ravel(), g2.ravel()
+    rows, spans = pair_rows(np.column_stack([e1[g1], e2[g2]]),
+                            np.column_stack([e1[g1 + 1], e2[g2 + 1]]))
+    _, ll = estimate._ascend(cache, ThreeStage, rows, box, spans)
+    return max(float(ll.max()), profile_fit(sample).loglik)
+
+
+class TestThreeStageProfileFit:
+    @pytest.mark.parametrize("truth, seed", [
+        (P_STAR, 300), (P_STAR, 302), (C9_TWO, 301), (OneStage(0.6, 1.0, 7.0).as_barista(), 303),
+    ])
+    def test_reaches_the_oracle(self, truth, seed):
+        s = sample_fixed_n(truth, 300, seed=seed)
+        fit = profile_fit(s, family="three-stage")
+        assert fit.loglik >= three_stage_oracle(s) - 1e-6
+        assert fit.loglik == pytest.approx(loglik(s, fit.family.as_barista()), rel=1e-12)
+
+    def test_ascent_inside_a_gap_pair_matches_a_bounded_optimizer(self):
+        # the oracle's inner step: the fit's own gap pair and a few others
+        s = sample_fixed_n(P_STAR, 300, seed=300)
+        T, box = s.T, default_bounds("three-stage", s.T)
+        cache = _CondLoglik(s)
+        fit = profile_fit(s, family="three-stage").family
+        e1 = estimate._gap_edges(cache, 3, *box[3])
+        e2 = estimate._gap_edges(cache, 4, *box[4])
+        rng = np.random.default_rng(0)
+        pairs = [(int(e1.searchsorted(fit.d1, "right")) - 1,
+                  max(int(e2.searchsorted(fit.d2, "left")) - 1, 0))]
+        pairs += [(int(rng.integers(e1.size - 1)), int(rng.integers(e2.size - 1)))
+                  for _ in range(4)]
+        for i, j in pairs:
+            lo, hi = np.array([[e1[i], e2[j]]]), np.array([[e1[i + 1], e2[j + 1]]])
+            rows, spans = pair_rows(lo, hi)
+            _, got = estimate._ascend(cache, ThreeStage, rows, box, spans)
+            bounds = list(box[:3]) + list(zip(lo[0], hi[0]))
+            best = max(-scipy.optimize.minimize(
+                lambda v: -cache.value(*v), [rng.uniform(a, b) for a, b in bounds],
+                method="L-BFGS-B", bounds=bounds,
+                options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 2000}).fun
+                for _ in range(3))
+            assert got.max() >= best - 1e-6
+
+    def test_not_below_the_ga_on_criterion_2_data(self):
+        data = sample_fixed_n(P_STAR, 5000, seed=23)
+        cube = ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0), (0.0, 0.01))
+        fit = profile_fit(data, cube, family="three-stage")
+        assert fit.method == "profile" and isinstance(fit.family, BaristaParams)
+        for seed in range(10):
+            assert fit.loglik >= ga_fit(data, "three-stage", GaConfig(cube, seed=seed)).loglik
+
+    def test_exponent_gradient_vanishes_inside_the_box(self):
+        box = default_bounds("three-stage", 7.0)
+        inside = 0
+        for seed in range(3):
+            s = sample_fixed_n(P_STAR, 3000, seed=seed)
+            p = profile_fit(s, family="three-stage").family
+            if not all(lo < v < hi for (lo, hi), v in zip(box, (p.alpha1, p.alpha2, p.alpha3))):
+                continue
+            inside += 1
+            # with the changepoints held, a Newton step from the fit would
+            # gain g.H^-1.g / 2 nats
+            g, H = loglik_gradient(s, p), loglik_hessian(s, p)
+            assert -0.5 * g @ np.linalg.solve(H, g) < 1e-9
+        assert inside > 0
+
+    def test_nests_over_the_two_stage_fit(self):
+        # with smaller given, or worked out, the fit is the same
+        s = sample_fixed_n(C9_TWO, 2000, seed=4)
+        two = profile_fit(s)
+        fit = profile_fit(s, family="three-stage")
+        assert fit == profile_fit(s, family="three-stage", smaller=two)
+        assert fit.loglik >= two.loglik
+
+    @pytest.mark.parametrize("bounds, match", [
+        (((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0)), "needs 5 bounds"),
+        (((0.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0), (0.0, 0.01)), "positive"),
+        (((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 7.0), (0.0, 0.01)), "d1 bounds"),
+        (((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0), (-0.1, 0.01)), "d2 bounds"),
+    ])
+    def test_rejects_bad_settings(self, bounds, match):
+        s = sample_fixed_n(P_STAR, 50, seed=0)
+        with pytest.raises(ValueError, match=match):
+            profile_fit(s, bounds, family="three-stage")
+        with pytest.raises(ValueError, match="two-stage and three-stage"):
+            profile_fit(s, family="one-stage")
 
 
 class TestNested:

@@ -42,7 +42,7 @@ def test_every_subcommand_runs_on_numpy_alone(tmp_path):
     data = ["--input", bids, "--horizon", "7"]
     reports = [
         ["fit", *data, "--method", "profile", "--bootstrap", "5"],
-        ["select", *data, "--generations", "20"],
+        ["select", *data],
         ["diagnose", *data, "--method", "profile", "--qq-out", str(tmp_path / "qq.csv")],
         ["ingest-check", *data],
     ]

@@ -28,6 +28,7 @@ from barista import (
     write_sample,
 )
 from barista.cli import main
+from barista import estimate
 from barista.estimate import _nested, _one_stage_fit
 from barista.process import get_family
 from conftest import P_STAR
@@ -97,7 +98,7 @@ class TestOneStageClosedForm:
         for truth, n, seed in ((OneStage(alpha=1.3, c=1.0, T=7.0).as_barista(), 1000, 3),
                                (p_star, 800, 9)):
             s = sample_fixed_n(truth, n, seed=seed)
-            fit = select_model(s, generations=20).fits["one-stage"]
+            fit = select_model(s).fits["one-stage"]
             alpha, _ = mle_nhpp1(s)
             assert fit.method == "closed-form"
             assert isinstance(fit.family, OneStage)
@@ -108,7 +109,7 @@ class TestOneStageClosedForm:
     def test_all_times_zero_raises(self, tmp_path, capsys):
         s = BidSample(times=np.zeros(40), T=7.0)
         with pytest.raises(EstimationError) as exc:
-            select_model(s, seed=0)
+            select_model(s)
         assert exc.value.stage == "mle_nhpp1"
         path = tmp_path / "zeros.csv"
         write_sample(s, path)
@@ -125,48 +126,49 @@ def assert_same_fit(fit: FitResult, ref: FitResult) -> None:
     assert bits(fit.history) == bits(ref.history)
 
 
-def test_ga_fits_keep_their_default_seeds(p_star):
+def test_fits_are_the_public_estimators_fits(p_star):
     # every reported fit is the public estimator's fit, bit for bit: the
-    # closed-form one-stage fit, the profile fit, and the GA search of the
-    # default three-stage box at the selection seed, nested over the profile
-    # fit; on P* data and on a criterion-9 sample of each truth
-    cases = [(sample_fixed_n(p_star, 3000, seed=7), 5)]
-    cases += [(sample_poisson_count(truth, seed=1000 + run), run)
+    # closed-form one-stage fit, and the two- and three-stage profile fits
+    # over the default boxes, each nested over the fit before it; on P* data
+    # and on a criterion-9 sample of each truth
+    cases = [sample_fixed_n(p_star, 3000, seed=7)]
+    cases += [sample_poisson_count(truth, seed=1000 + run)
               for run, truth in enumerate(CRITERION_9_TRUTHS)]
     chosen = []
-    for s, seed in cases:
-        res = select_model(s, seed=seed)
+    for s in cases:
+        res = select_model(s)
         chosen.append(res.chosen.tag)
         assert_same_fit(res.fits["one-stage"], _one_stage_fit(s))
         two = profile_fit(s)
         assert_same_fit(res.fits["two-stage"], two)
         assert two.method == "profile"
         if "three-stage" in res.fits:
-            cfg = GaConfig(bounds=default_bounds("three-stage", s.T), seed=seed)
-            assert_same_fit(res.fits["three-stage"], _nested(ga_fit(s, "three-stage", cfg), two))
+            three = profile_fit(s, family="three-stage")
+            assert_same_fit(res.fits["three-stage"], three)
+            assert three == _nested(three, two)
     assert chosen == ["three-stage", "one-stage", "three-stage", "two-stage"]
 
 
 def test_select_fits_through_the_public_estimators(monkeypatch, p_star):
-    # select_model calls the module-level ga_fit and profile_fit bindings,
-    # which are what a tracer patching barista.selection wraps
+    # select_model calls the module-level profile_fit binding, which is what
+    # a tracer patching barista.selection wraps, and runs no GA
     calls = {"ga_fit": 0, "profile_fit": 0}
 
-    def counting(name):
-        fn = getattr(selection, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(selection, name, counting(name))
-    res = select_model(sample_fixed_n(p_star, 3000, seed=7), seed=1, generations=60)
+    counting(estimate, "ga_fit")
+    counting(selection, "profile_fit")
+    res = select_model(sample_fixed_n(p_star, 3000, seed=7))
     assert "three-stage" in res.fits
-    assert calls == {"ga_fit": 1, "profile_fit": 1}
+    assert calls == {"ga_fit": 0, "profile_fit": 2}
     calls.update(ga_fit=0, profile_fit=0)
-    res = select_model(sample_poisson_count(CRITERION_9_TRUTHS[0], seed=1008), seed=8)
+    res = select_model(sample_poisson_count(CRITERION_9_TRUTHS[0], seed=1008))
     assert res.chosen.tag == "one-stage" and "three-stage" not in res.fits
     assert calls == {"ga_fit": 0, "profile_fit": 1}
 
@@ -175,7 +177,7 @@ class TestSelectModel:
     def test_one_stage_data_stops_early(self):
         truth = OneStage(alpha=1.0, c=150.0, T=7.0).as_barista()
         s = sample_fixed_n(truth, 1000, seed=42)
-        res = select_model(s, generations=120, seed=0)
+        res = select_model(s)
         assert res.chosen.tag == "one-stage"
         assert res.lr_one_two is not None and res.lr_one_two.p_value > 0.05
         assert res.lr_two_three is None
@@ -183,7 +185,7 @@ class TestSelectModel:
 
     def test_three_stage_data_goes_deep(self, p_star):
         s = sample_fixed_n(p_star, 3000, seed=7)
-        res = select_model(s, generations=300, seed=1)
+        res = select_model(s)
         assert res.chosen.tag == "three-stage"
         assert res.lr_one_two.p_value <= 0.05
         assert res.lr_two_three.p_value <= 0.05
@@ -191,37 +193,37 @@ class TestSelectModel:
 
     def test_nested_fits_never_lose_to_parent(self, p_star):
         # each richer fit is at least the embedding of the smaller one: on
-        # fixed-n P* data under a small GA budget, and on criterion-9 samples
-        # of each truth with their own selection seeds
-        cases = [(sample_fixed_n(p_star, 800, seed=9), 2, 150)]
+        # fixed-n P* data, and on criterion-9 samples of each truth
+        cases = [sample_fixed_n(p_star, 800, seed=9)]
         for truth in CRITERION_9_TRUTHS:
-            cases += [(sample_poisson_count(truth, seed=1000 + run), run, GaConfig.generations)
-                      for run in (0, 1, 2)]
-        for s, seed, generations in cases:
-            res = select_model(s, seed=seed, generations=generations)
+            cases += [sample_poisson_count(truth, seed=1000 + run) for run in (0, 1, 2)]
+        for s in cases:
+            res = select_model(s)
             lls = {tag: fit.loglik for tag, fit in res.fits.items()}
             assert lls["two-stage"] >= lls["one-stage"]
             if "three-stage" in lls:
                 assert lls["three-stage"] >= lls["two-stage"]
 
     def test_floor_lifts_a_three_stage_search_that_ends_below_the_two_stage_fit(self):
-        # criterion-9 two-stage data, on which 60 generations of the
-        # three-stage GA alone end below the profile fit: the three-stage
-        # fit is then the embedded two-stage fit, bit for bit, with an empty
-        # early stage and an LR statistic of exactly 0
+        # criterion-9 two-stage data, on which nothing in the default
+        # three-stage box (alpha1 >= 1) beats the profile fit, and 60
+        # generations of the three-stage GA end below it too: the
+        # three-stage fit is then the embedded two-stage fit, bit for bit,
+        # with an empty early stage and an LR statistic of exactly 0
         s = sample_poisson_count(CRITERION_9_TRUTHS[2], seed=1000)
-        res = select_model(s, seed=0, generations=60)
+        res = select_model(s)
         two, three = res.fits["two-stage"], res.fits["three-stage"]
         cfg = GaConfig(bounds=default_bounds("three-stage", s.T), generations=60, seed=0)
         assert ga_fit(s, "three-stage", cfg).loglik < two.loglik
         genes = ThreeStage.embed(two.family)
         embedded = ThreeStage(*genes, c=1.0, T=s.T)
-        assert isinstance(three.family, ThreeStage) and three.method == "ga"
+        assert isinstance(three.family, ThreeStage) and three.method == "profile"
         assert bits(list(three.family.free_values().values())) == bits(genes)
         assert bits(three.loglik) == bits(loglik(s, embedded))
         assert bits(three.c_hat) == bits(estimate_c(embedded, s.n))
         assert three.family.d1 == 0.0
         assert res.lr_two_three.statistic == 0.0
+        assert res.embedded == ("three-stage",)
 
     def test_alpha_level_recorded_and_validated(self, p_star):
         s = sample_fixed_n(p_star, 100, seed=3)
@@ -229,27 +231,27 @@ class TestSelectModel:
             select_model(s, alpha_level=0.0)
         with pytest.raises(ValueError):
             select_model(s, alpha_level=1.0)
-        res = select_model(s, generations=40,
-                           alpha_level=0.2, seed=4)
+        res = select_model(s, alpha_level=0.2)
         assert res.alpha_level == 0.2
 
     def test_deterministic_given_seed(self, p_star):
         s = sample_fixed_n(p_star, 400, seed=5)
-        a = select_model(s, generations=60, seed=6)
-        b = select_model(s, generations=60, seed=6)
+        a = select_model(s)
+        b = select_model(s)
         assert a.chosen.tag == b.chosen.tag
         assert {t: f.loglik for t, f in a.fits.items()} == \
                {t: f.loglik for t, f in b.fits.items()}
 
 
 @pytest.mark.parametrize("data_seed, seed", [(1008, 8), (1014, 14)])
-def test_profile_fit_leaves_an_empty_stage_exponent_alone(data_seed, seed):
+def test_profile_fit_leaves_an_empty_stage_exponent_alone(data_seed, seed, tmp_path, capsys):
     # criterion-9 one-stage samples whose exponent MLE lies above the
     # two-stage box, so no point of the box beats the exact one-stage fit
     # and the profile fit is its embedding with d2 = 0; alpha3 then has no
-    # stage and must keep the embedded value
+    # stage and must keep the embedded value.  select's report marks the
+    # embedding, whatever --seed (criterion 9's selection seed) it is given
     s = sample_poisson_count(OneStage(1.0, 143.0, 7.0).as_barista(), seed=data_seed)
-    res = select_model(s, seed=seed)
+    res = select_model(s)
     one, two = res.fits["one-stage"], res.fits["two-stage"]
     assert one.params["alpha"] > default_bounds("two-stage", 7.0)[0][1]
     assert two.method == "profile"
@@ -258,3 +260,11 @@ def test_profile_fit_leaves_an_empty_stage_exponent_alone(data_seed, seed):
     assert bits(two.loglik) == bits(one.loglik)
     assert res.lr_one_two.statistic == 0.0
     assert res.chosen.tag == "one-stage"
+    assert res.embedded == ("two-stage",)
+    path = tmp_path / "bids.csv"
+    write_sample(s, path)
+    rc = main(["select", "--input", str(path), "--horizon", "7", "--seed", str(seed),
+               "--no-timestamp"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 0 and rep["fits"]["two-stage"]["embedded"] is True
+    assert rep["fits"]["two-stage"]["loglik"] == two.loglik
