@@ -430,26 +430,7 @@ def _add_method(sub: argparse.ArgumentParser) -> None:
                      help="GA generations (default 500)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="barista",
-        description="Three-stage power-law Poisson model of hard-close auction bids.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, summary: str, seeded: bool = True) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name, help=summary)
-        sub.set_defaults(func=func, parser=sub)
-        sub.add_argument("--config", help="flat JSON object of settings; flags override")
-        sub.add_argument("--output", help="write the report here instead of stdout")
-        if seeded:
-            sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        sub.add_argument("--no-timestamp", dest="no_timestamp", action="store_true",
-                         help="omit generated_at for reproducible bytes")
-        return sub
-
-    sim = command("simulate", _cmd_simulate, "draw a synthetic sample to CSV")
+def _add_simulate(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--horizon", type=float, help="auction length")
     sim.add_argument("--unit", choices=sorted(MINUTES_PER_UNIT), default="days")
     sim.add_argument("--family", choices=list(FAMILIES), default="three-stage")
@@ -457,34 +438,74 @@ def build_parser() -> argparse.ArgumentParser:
     # model parameters a config file sets; they have no flags
     sim.set_defaults(c=1.0, **dict.fromkeys(("alpha", "alpha1", "alpha2", "alpha3", "d1", "d2")))
 
-    fit = command("fit", _cmd_fit, "estimate parameters from bids")
+
+def _add_fit(fit: argparse.ArgumentParser) -> None:
     _add_ingest(fit)
     _add_method(fit)
     fit.add_argument("--bootstrap", type=int, default=0, help="bootstrap replicates for SEs")
 
+
+def _add_select(sel: argparse.ArgumentParser) -> None:
     # every fit of select is exact, so it draws nothing and its report does
     # not depend on --seed, which is accepted for scripts that pass it
-    sel = command("select", _cmd_select, "nested LR model selection", seeded=False)
     _add_ingest(sel)
     sel.add_argument("--alpha-level", dest="alpha_level", type=float, default=0.05,
                      help="test level (default 0.05)")
     sel.add_argument("--seed", type=int, default=0,
                      help="accepted and unused: select draws nothing")
 
-    diag = command("diagnose", _cmd_diagnose, "fit, then KS/QQ against the fit")
+
+def _add_diagnose(diag: argparse.ArgumentParser) -> None:
     _add_ingest(diag)
     _add_method(diag)
     diag.add_argument("--qq-out", dest="qq_out", help="write QQ pairs CSV here")
 
-    # ingest-check draws nothing, so it takes no seed
-    _add_ingest(command("ingest-check", _cmd_ingest_check, "validate a CSV without fitting",
-                        seeded=False))
+
+# name -> (handler, summary, whether --seed is among the shared flags, what
+# adds the rest); select takes --seed after its own flags, and ingest-check,
+# which draws nothing, takes no seed
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "draw a synthetic sample to CSV", True, _add_simulate),
+    "fit": (_cmd_fit, "estimate parameters from bids", True, _add_fit),
+    "select": (_cmd_select, "nested LR model selection", False, _add_select),
+    "diagnose": (_cmd_diagnose, "fit, then KS/QQ against the fit", True, _add_diagnose),
+    "ingest-check": (_cmd_ingest_check, "validate a CSV without fitting", False, _add_ingest),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The barista parser, which lists every subcommand with its summary.
+
+    Given a command's name, only that subcommand gets its arguments: that is
+    all a parse of an argv naming it reads, and the usage and help texts
+    come out the same.  With none, every subcommand gets them.
+    """
+    parser = argparse.ArgumentParser(
+        prog="barista",
+        description="Three-stage power-law Poisson model of hard-close auction bids.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (func, summary, seeded, add) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        if command not in (None, name):
+            continue
+        sub.set_defaults(func=func, parser=sub)
+        sub.add_argument("--config", help="flat JSON object of settings; flags override")
+        sub.add_argument("--output", help="write the report here instead of stdout")
+        if seeded:
+            sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        sub.add_argument("--no-timestamp", dest="no_timestamp", action="store_true",
+                         help="omit generated_at for reproducible bytes")
+        add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # built afresh per call: a config's defaults must not outlive its run
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # built afresh per call: a config's defaults must not outlive its run;
+    # an argv that names a command needs that command's arguments alone
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -300,7 +300,10 @@ class _CondLoglik:
     repeated evaluation at different parameters (grid, GA, Newton) cheap.
     values() and derivatives() take whole parameter columns, so a GA
     generation, a block of grid points or a set of Newton iterates is
-    handled as one array in one call.
+    handled as one array in one call.  values() normalizes its arguments and
+    silences floating-point errors around _kernel, which scores columns as
+    given; ga_fit, whose gene-major pool holds every generation's columns as
+    contiguous rows, calls _kernel directly inside one np.errstate.
     """
 
     def __init__(self, sample: BidSample) -> None:
@@ -325,36 +328,47 @@ class _CondLoglik:
         return np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in cols))
 
     def values(self, a1, a2, a3, d1, d2) -> np.ndarray:
-        """Vectorized conditional log-likelihood; -inf where invalid."""
-        a1, a2, a3, d1, d2 = self._columns((a1, a2, a3, d1, d2))
-        T, n, prefix = self.T, self.n, self.prefix
-        # rows off the valid set compute garbage (nan, inf, clamped indices)
-        # under the silenced errors and are replaced by -inf at the end
+        """Vectorized conditional log-likelihood; -inf where invalid.
+
+        Takes scalars or any columns numpy broadcasts, as float, and scores
+        them with _kernel under silenced floating-point errors.
+        """
         with np.errstate(all="ignore"):
-            late = T - d2
-            valid = d1 < late
-            valid &= np.minimum(np.minimum(a1, a2), a3) > 0
-            valid &= np.minimum(d1, d2) >= 0
-            q1 = 1.0 - d1 / T
-            q2 = d2 / T
-            a21 = a2 - a1
-            a23 = a2 - a3
-            logC = np.log(a1 * a2 * a3 / T) - np.log(_denominator(a1, a2, a3, q1, q2))
-            i1 = self.times.searchsorted(d1, side="right")
-            i2 = self.times.searchsorted(late, side="right")
-            S1 = prefix[i1]
-            P2 = prefix[i2]
-            # log(1) = 0 stands in for log(0), whose term has no events
-            logq2 = np.log(np.where(q2 > 0, q2, 1.0))
-            ll = (
-                n * logC
-                + i1 * a21 * np.log(q1)
-                + (n - i2) * a23 * logq2
-                + (a1 - 1.0) * S1
-                + (a2 - 1.0) * (P2 - S1)
-                + (a3 - 1.0) * (prefix[n] - P2)
-            )
-            valid &= np.isfinite(ll)
+            return self._kernel(*self._columns((a1, a2, a3, d1, d2)))
+
+    def _kernel(self, a1, a2, a3, d1, d2) -> np.ndarray:
+        """values() on equal-length 1-d float64 columns, used as given.
+
+        Rows off the valid set compute garbage (nan, inf, clamped indices)
+        and are replaced by -inf at the end, so the caller silences
+        floating-point errors: values() per call, ga_fit once around its
+        whole generation loop.
+        """
+        T, n, prefix = self.T, self.n, self.prefix
+        late = T - d2
+        valid = d1 < late
+        valid &= np.minimum(np.minimum(a1, a2), a3) > 0
+        valid &= np.minimum(d1, d2) >= 0
+        q1 = 1.0 - d1 / T
+        q2 = d2 / T
+        a21 = a2 - a1
+        a23 = a2 - a3
+        logC = np.log(a1 * a2 * a3 / T) - np.log(_denominator(a1, a2, a3, q1, q2))
+        i1 = self.times.searchsorted(d1, side="right")
+        i2 = self.times.searchsorted(late, side="right")
+        S1 = prefix[i1]
+        P2 = prefix[i2]
+        # log(1) = 0 stands in for log(0), whose term has no events
+        logq2 = np.log(np.where(q2 > 0, q2, 1.0))
+        ll = (
+            n * logC
+            + i1 * a21 * np.log(q1)
+            + (n - i2) * a23 * logq2
+            + (a1 - 1.0) * S1
+            + (a2 - 1.0) * (P2 - S1)
+            + (a3 - 1.0) * (prefix[n] - P2)
+        )
+        valid &= np.isfinite(ll)
         return np.where(valid, ll, -np.inf)
 
     def value(self, a1: float, a2: float, a3: float, d1: float, d2: float) -> float:
@@ -526,8 +540,8 @@ class FitResult:
     What loglik is depends on the method:
 
     * closed-form: the one-stage maximum, at the closed-form MLE;
-    * profile: the two-stage maximum over the box, or the one-stage fit's
-      where that is higher;
+    * profile: the two- or three-stage maximum over the box, or the
+      next-smaller family's fit embedded where no point of the box beats it;
     * grid: the best value on the grid;
     * ga: the best value the search found, not a proven maximum (history
       holds the best so far per generation);
@@ -713,13 +727,16 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
     U(0,1) weight (each pair yields the blend and its mirror), add Gaussian
     mutation clipped to the bounds, then truncate elite + offspring back to
     population_size by fitness.  The elite always survives, so the best-so-far
-    fitness (recorded in FitResult.history) never decreases.  Each generation's
-    offspring are mapped to full parameter rows through the family's gene map
-    and scored as one array by a single likelihood call.
+    fitness (recorded in FitResult.history) never decreases.
 
     Only the elite of each generation breeds, so the truncated population is
-    kept as its elite alone: one pool of elite and offspring rows, allocated
-    once, is refilled in place every generation.
+    kept as its elite alone: one pool of elite and offspring genomes,
+    allocated once, is refilled in place every generation.  The pool is gene
+    major, one row per gene and one column per genome, so the family's gene
+    map picks each generation's five likelihood columns as contiguous rows,
+    which _CondLoglik._kernel scores in one call.  Random draws keep their
+    genome-major order and are read transposed, so a seed gives the same
+    search as a genome-major pool.
     """
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="ga_fit")
@@ -736,39 +753,47 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
 
     n_elite = max(1, int(cfg.population_size * cfg.elite_fraction))
     pairs = cfg.offspring_pairs
-    # rows: elite, then blends, then mirrored blends; the trailing column stays
-    # 0, the padding column of the family's gene map
-    pool = np.zeros((n_elite + 2 * pairs, lo.size + 1))
+    # columns: elite, then blends, then mirrored blends; the trailing row
+    # stays 0, the padding row of the family's gene map
+    pool = np.zeros((lo.size + 1, n_elite + 2 * pairs))
     pool_fit = np.empty(n_elite + 2 * pairs)
-    genes = pool[:, :-1]
-    kids = genes[n_elite:]
-    blend, mirror = kids[:pairs], kids[pairs:]
-    kid_columns = [pool[n_elite:, j] for j in spec.gene_map]
-    genes[:n_elite] = pop[order[:n_elite]]
+    neg_fit = np.empty_like(pool_fit)
+    genes = pool[:-1]
+    kids = genes[:, n_elite:]
+    blend, mirror = kids[:, :pairs], kids[:, pairs:]
+    at_bound = np.empty(kids.shape, dtype=bool)
+    kid_columns = [pool[j, n_elite:] for j in spec.gene_map]
+    lo, hi, scale = lo[:, None], hi[:, None], scale[:, None]
+    genes[:, :n_elite] = pop[order[:n_elite]].T
     pool_fit[:n_elite] = fit[order[:n_elite]]
     history = [float(pool_fit[0])]
 
-    for _ in range(cfg.generations):
-        ia = rng.integers(0, n_elite, size=pairs)
-        ib = rng.integers(0, n_elite, size=pairs)
-        u = rng.random((pairs, lo.size))
-        a, b = genes[ia], genes[ib]
-        w = 1.0 - u
-        np.multiply(u, a, out=blend)
-        blend += w * b
-        np.multiply(w, a, out=mirror)
-        mirror += u * b
-        kids += rng.normal(0.0, 1.0, size=kids.shape) * scale
-        np.clip(kids, lo, hi, out=kids)
-        pool_fit[n_elite:] = cache.values(*kid_columns)
-        order = np.argsort(-pool_fit, kind="stable")[:n_elite]
-        pool[:n_elite] = pool[order]
-        pool_fit[:n_elite] = pool_fit[order]
-        history.append(float(pool_fit[0]))
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.generations):
+            ia = rng.integers(0, n_elite, size=pairs)
+            ib = rng.integers(0, n_elite, size=pairs)
+            u = rng.random((pairs, lo.size)).T
+            a, b = genes[:, ia], genes[:, ib]
+            w = 1.0 - u
+            np.multiply(u, a, out=blend)
+            blend += w * b
+            np.multiply(w, a, out=mirror)
+            mirror += u * b
+            kids += rng.normal(0.0, 1.0, size=kids.shape[::-1]).T * scale
+            # clipped to the box; a gene equal to its bound, 0.0 against -0.0,
+            # takes the bound, as in numpy's generic clip loop, where np.clip
+            # may keep the gene, depending on the numpy build and the layout
+            np.copyto(kids, lo, where=np.less_equal(kids, lo, out=at_bound))
+            np.copyto(kids, hi, where=np.greater_equal(kids, hi, out=at_bound))
+            pool_fit[n_elite:] = cache._kernel(*kid_columns)
+            order = np.argsort(np.negative(pool_fit, out=neg_fit), kind="stable")[:n_elite]
+            genes[:, :n_elite] = genes[:, order]
+            pool_fit[:n_elite] = pool_fit[order]
+            history.append(float(pool_fit[0]))
 
     if not np.isfinite(pool_fit[0]):
         raise EstimationError("no feasible genome found", stage="ga_fit")
-    return FitResult(_scaled_family(family, tuple(genes[0]), sample), float(pool_fit[0]),
+    return FitResult(_scaled_family(family, tuple(genes[:, 0]), sample), float(pool_fit[0]),
                      "ga", tuple(history))
 
 

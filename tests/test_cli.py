@@ -24,9 +24,10 @@ from barista import (
     select_model,
     write_sample,
 )
-from barista.cli import main
+from barista.cli import build_parser, main
 from conftest import package_env
 
+COMMANDS = ["simulate", "fit", "select", "diagnose", "ingest-check"]
 P_STAR_CONFIG = {
     "family": "three-stage", "horizon": 7.0,
     "alpha1": 3.0, "alpha2": 0.4, "alpha3": 1.0,
@@ -66,6 +67,28 @@ class TestVersionAndHelp:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "--help"] for command in COMMANDS),
+        ["--help"],
+        [],  # no command
+        ["brew"],  # an unknown command
+        ["fit", "--generations", "many"],  # bad flag values
+        ["select", "--unit", "weeks"],
+        ["ingest-check", "--seed", "1"],  # a flag of another command
+    ], ids=lambda argv: " ".join(argv) or "no-command")
+    def test_main_parses_as_the_full_parser(self, capsys, argv):
+        # main builds the arguments of the command argv names alone
+        def outcome(parse):
+            try:
+                code = parse(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (*capsys.readouterr(), code)
+
+        want = outcome(build_parser().parse_args)
+        assert want[0] or want[1]
+        assert outcome(main) == want
 
 
 class TestSimulate:
@@ -551,6 +574,19 @@ class TestErrors:
         assert rc == 1
         assert err["error"]["message"] == (
             "missing required settings: alpha1, alpha2, alpha3, d1, d2")
+
+    def test_config_default_does_not_reach_the_next_fit(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=40, seed=2)
+        cfg = tmp_path / "closed.json"
+        cfg.write_text(json.dumps({"method": "closed-form", "horizon": 7}))
+        rc, rep = run_json(["fit", "--config", str(cfg), "--input", data], capsys)
+        assert rc == 0 and rep["method"] == "closed-form"
+        rc, err = run_json(["fit", "--input", data, "--generations", "0"], capsys)
+        assert rc == 1
+        assert err["error"]["message"] == "missing required settings: horizon"
+        rc, rep = run_json(["fit", "--input", data, "--horizon", "7", "--generations", "0"],
+                           capsys)
+        assert rc == 0 and rep["method"] == "ga"
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "select", "diagnose",
                                          "ingest-check"])

@@ -139,6 +139,14 @@ CASES = [
     ("two-stage", default_bounds("two-stage", T)),
     ("three-stage", default_bounds("three-stage", T)),
     ("three-stage", CROWDED_BOX),
+    # a zero-width gene: its mutation step is 0, and -0.0 where the draw is negative
+    ("three-stage", default_bounds("three-stage", T)[:1] + ((0.4, 0.4),)
+     + default_bounds("three-stage", T)[2:]),
+    # d2 held at 0, the family's smallest late stage
+    ("two-stage", default_bounds("two-stage", T)[:2] + ((0.0, 0.0),)),
+    # d2 is 0.0 or -0.0 before the clip and -0.0 after it: a clip that keeps a
+    # gene equal to its bound, as np.clip may, breaks the reference
+    ("two-stage", default_bounds("two-stage", T)[:2] + ((-0.0, -0.0),)),
 ]
 
 
@@ -150,6 +158,18 @@ def test_ga_matches_per_genome_reference(data, family, bounds, seed):
     ref = reference_ga(data, family, cfg)
     assert_same(fit, ref)
     assert bits(fit.history) == bits(ref[3])
+
+
+@pytest.mark.parametrize("family", list(NAMES))
+def test_full_length_run_matches_per_genome_reference(data, family):
+    # the paper's 500 generations at the family's default box, as `fit
+    # --method ga` runs them
+    cfg = GaConfig(bounds=default_bounds(family, T), seed=11)
+    fit = ga_fit(data, family, cfg)
+    ref = reference_ga(data, family, cfg)
+    assert_same(fit, ref)
+    assert bits(fit.history) == bits(ref[3])
+    assert len(fit.history) == 501
 
 
 def test_crowded_box_is_mostly_infeasible(data):

@@ -608,6 +608,44 @@ def test_likelihood_values_bit_equal(which):
 
 
 @pytest.mark.parametrize("which", range(3))
+def test_likelihood_kernel_is_values(which):
+    # the kernel ga_fit calls on its pool's rows, under its errstate
+    sample = _values_samples()[which]
+    cache = _CondLoglik(sample)
+    T = sample.T
+    nan = np.nan
+    invalid = np.array([
+        (3.0, 0.4, 1.0, 0.8 * T, 0.2 * T),  # d1 == T - d2
+        (3.0, 0.4, 1.0, 0.9 * T, 0.2 * T),  # d1 > T - d2
+        (0.0, 0.4, 1.0, 0.3 * T, 0.001 * T),  # nonpositive exponents
+        (3.0, -1.0, 1.0, 0.3 * T, 0.001 * T),
+        (3.0, 0.4, -0.0, 0.3 * T, 0.001 * T),
+        (3.0, 0.4, 1.0, -1e-12, 0.001 * T),  # negative changepoints
+        (3.0, 0.4, 1.0, 0.3 * T, -0.5),
+        (nan, 0.4, 1.0, 0.3 * T, 0.001 * T),  # nan genes
+        (3.0, 0.4, nan, 0.3 * T, 0.001 * T),
+        (3.0, 0.4, 1.0, nan, 0.001 * T),
+        (3.0, 0.4, 1.0, 0.3 * T, nan),
+    ]).T
+    rng = np.random.default_rng(60 + which)
+    for k in (1, 2, 100, 3000):
+        block = np.ascontiguousarray(np.hstack([invalid, gene_block(rng, sample, k)]))
+        want = cache.values(*block)
+        with np.errstate(all="ignore"):
+            got = cache._kernel(*block)
+        assert_bits(got, want)
+        assert_bits(want, ref_values(cache, *block))
+        assert np.isneginf(want[:invalid.shape[1]]).all()
+    # values still takes scalars, lists and integer columns, as float
+    a = np.arange(1, 8)
+    cols = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in
+                                 (a, [0.4] * 7, 1, 0.1 * T, np.array(0.001))))
+    with np.errstate(all="ignore"):
+        want = cache._kernel(*(np.ascontiguousarray(c) for c in cols))
+    assert_bits(cache.values(a, [0.4] * 7, 1, 0.1 * T, np.array(0.001)), want)
+
+
+@pytest.mark.parametrize("which", range(3))
 def test_likelihood_scalars_and_length_one(which):
     sample = _values_samples()[which]
     cache = _CondLoglik(sample)
