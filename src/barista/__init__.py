@@ -3,7 +3,7 @@
 A nonhomogeneous Poisson process whose intensity is a power law in the time
 remaining, glued from up to three stages: a decaying early rush, a calm
 middle, and the final sniping surge.  The package evaluates the process
-exactly, samples it exactly, estimates it five ways, selects among the nested
+exactly, samples it exactly, estimates it four ways, selects among the nested
 one/two/three-stage families, and ships the goodness-of-fit and bidder-level
 simulation tools used to study it.
 

@@ -44,7 +44,6 @@ from .estimate import (
     default_bounds,
     default_qc_config,
     ga_fit,
-    grid_search,
     profile_fit,
     qc_fit,
 )
@@ -54,7 +53,7 @@ from .selection import select_model
 from .simulate import sample_fixed_n, sample_poisson_count
 
 SCHEMA = "barista/1"
-_METHODS = ("ga", "grid", "quick-crude", "closed-form", "profile")
+_METHODS = ("ga", "quick-crude", "closed-form", "profile")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +100,7 @@ def _envelope(args: argparse.Namespace, payload: dict) -> dict:
 
 
 # JSON types a --config value may take: those of the flag that sets it (a
-# float flag takes any number; --windows, --grid and --bounds take JSON text
+# float flag takes any number; --windows and --bounds take JSON text
 # or the object or list it holds).  null keeps the default, as an absent
 # flag does.
 _SETTING_TYPES = {
@@ -110,7 +109,7 @@ _SETTING_TYPES = {
                      "alpha_level"), (int, float)),
     **dict.fromkeys(("input", "unit", "clamp_policy", "method", "family", "output",
                      "qq_out"), (str,)),
-    **dict.fromkeys(("windows", "grid", "bounds"), (str, dict, list)),
+    **dict.fromkeys(("windows", "bounds"), (str, dict, list)),
     "no_timestamp": (bool,),
 }
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
@@ -277,24 +276,8 @@ def _ga_config_from(args: argparse.Namespace, family: str, T: float) -> GaConfig
                     seed=args.seed)
 
 
-def _grid_from(args: argparse.Namespace, family: str) -> dict[str, list]:
-    grid = _json_flag(args.grid, "grid")
-    if not grid:
-        raise ValueError("grid method needs a grid: {param: [values, ...]}")
-    names = get_family(family).free_names
-    if not isinstance(grid, dict):
-        raise ValueError(f"--grid must be a JSON object with keys {list(names)}")
-    for name in names:
-        if name not in grid:
-            raise ValueError(f"--grid object is missing key {name!r}")
-        if not _numbers(grid[name]):
-            raise ValueError(f"--grid {name} must be a non-empty list of numbers, "
-                             f"got {grid[name]!r}")
-    return grid
-
-
-# the families a method fits, its default first; ga and grid fit any,
-# three-stage by default
+# the families a method fits, its default first; ga fits any, three-stage by
+# default
 _ONLY_FAMILY = {"closed-form": ("one-stage",), "quick-crude": ("three-stage",),
                 "profile": ("two-stage", "three-stage")}
 
@@ -312,8 +295,6 @@ def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
         return _one_stage_fit(sample)
     if method == "quick-crude":
         return qc_fit(sample, _qc_config_from(args, sample.T))
-    if method == "grid":
-        return grid_search(sample, family, _grid_from(args, family))
     if method == "profile":
         return profile_fit(sample, _bounds_from(args, family, sample.T), family)
     return ga_fit(sample, family, _ga_config_from(args, family, sample.T))
@@ -417,14 +398,13 @@ def _add_ingest(sub: argparse.ArgumentParser) -> None:
 
 def _add_method(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--method", choices=_METHODS, default="ga",
-                     help="ga (default) and grid search; closed-form, quick-crude and "
-                          "profile are exact or plug-in")
+                     help="ga (default) searches; closed-form, quick-crude and profile "
+                          "are exact or plug-in")
     sub.add_argument("--family", choices=list(FAMILIES),
-                     help="ga and grid: any (default three-stage); profile: two-stage "
+                     help="ga: any (default three-stage); profile: two-stage "
                           "(default) or three-stage; closed-form: one-stage; quick-crude: "
                           "three-stage")
     sub.add_argument("--windows", help="JSON {stage1,stage2,stage3,safe} for quick-crude")
-    sub.add_argument("--grid", help="JSON {param: [values]} for the grid method")
     sub.add_argument("--bounds", help="JSON [[lo,hi],...] GA or profile search box")
     sub.add_argument("--generations", type=int, default=GaConfig.generations,
                      help="GA generations (default 500)")

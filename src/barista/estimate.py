@@ -1,14 +1,13 @@
 """Estimation for the three-stage process.
 
-Five routes are implemented, in increasing cost:
+Four routes are implemented, in increasing cost:
 
 * a closed-form maximum-likelihood estimator for the one-stage special case,
 * a "quick and crude" method that reads exponents and changepoints off CDF
   differences at hand-picked safe evaluation points,
 * exact profile fits of the two- and three-stage families, whose
   changepoints are profiled over the gaps between event times, with Newton
-  steps on the exponents,
-* an exhaustive grid search of the conditional log-likelihood, and
+  steps on the exponents, and
 * a real-valued genetic algorithm over the same objective.
 
 The conditional log-likelihood treats the observed count as given, so the
@@ -30,7 +29,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -62,7 +61,6 @@ __all__ = [
     "loglik_hessian",
     "mle_nhpp1",
     "estimate_c",
-    "grid_search",
     "ga_fit",
     "default_bounds",
     "profile_fit",
@@ -297,13 +295,13 @@ class _CondLoglik:
 
     The per-event terms only enter through the branch counts (n1, n3) and the
     branch sums of log(1 - x/T); caching the sorted cumulative sums makes
-    repeated evaluation at different parameters (grid, GA, Newton) cheap.
+    repeated evaluation at different parameters (GA, Newton) cheap.
     values() and derivatives() take whole parameter columns, so a GA
-    generation, a block of grid points or a set of Newton iterates is
-    handled as one array in one call.  values() normalizes its arguments and
-    silences floating-point errors around _kernel, which scores columns as
-    given; ga_fit, whose gene-major pool holds every generation's columns as
-    contiguous rows, calls _kernel directly inside one np.errstate.
+    generation or a set of Newton iterates is handled as one array in one
+    call.  values() normalizes its arguments and silences floating-point
+    errors around _kernel, which scores columns as given; ga_fit, whose
+    gene-major pool holds every generation's columns as contiguous rows,
+    calls _kernel directly inside one np.errstate.
     """
 
     def __init__(self, sample: BidSample) -> None:
@@ -542,7 +540,6 @@ class FitResult:
     * closed-form: the one-stage maximum, at the closed-form MLE;
     * profile: the two- or three-stage maximum over the box, or the
       next-smaller family's fit embedded where no point of the box beats it;
-    * grid: the best value on the grid;
     * ga: the best value the search found, not a proven maximum (history
       holds the best so far per generation);
     * quick-crude: the value at a plug-in estimate, scored, not maximized.
@@ -555,7 +552,7 @@ class FitResult:
 
     family: ModelFamily
     loglik: float
-    method: str  # "quick-crude" | "grid" | "ga" | "closed-form" | "profile"
+    method: str  # "quick-crude" | "ga" | "closed-form" | "profile"
     history: tuple[float, ...] | None = None  # GA best-so-far per generation
 
     @classmethod
@@ -624,50 +621,6 @@ def _embedded(spec: type[Family], smaller: FitResult, method: str) -> FitResult:
 
 
 # ---------------------------------------------------------------------------
-# grid search
-# ---------------------------------------------------------------------------
-
-# grid points or profile rows handled per likelihood call; bounds the memory
-# of a large grid or sample
-_GRID_BLOCK = 4096
-
-
-def grid_search(sample: BidSample, family: str, grid: Mapping[str, Iterable[float]]) -> FitResult:
-    """Best conditional log-likelihood over a cartesian parameter grid.
-
-    grid maps each free parameter of the family to its candidate values; the
-    scan runs in lexicographic order over the family's parameter order and
-    ties keep the first point found.  Grid points that violate the parameter
-    constraints are skipped.  Points are scored _GRID_BLOCK at a time.
-    """
-    if sample.n == 0:
-        raise EstimationError("cannot fit an empty sample", stage="grid_search")
-    spec = get_family(family)
-    names = spec.free_names
-    missing = set(names) - set(grid)
-    if missing:
-        raise ValueError(f"grid is missing values for {sorted(missing)}")
-    axes = [np.asarray(list(grid[name]), dtype=float) for name in names]
-    if any(ax.size == 0 for ax in axes):
-        raise ValueError("every grid axis needs at least one value")
-    cache = _CondLoglik(sample)
-    shape = tuple(ax.size for ax in axes)
-    total = math.prod(shape)
-    best_ll = -np.inf
-    best_genes: tuple[float, ...] | None = None
-    for start in range(0, total, _GRID_BLOCK):
-        flat = np.arange(start, min(start + _GRID_BLOCK, total))
-        genes = np.column_stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape))])
-        ll = cache.values(*spec.vectors(genes).T)
-        j = int(np.argmax(ll))
-        if ll[j] > best_ll:
-            best_ll, best_genes = float(ll[j]), tuple(genes[j])
-    if best_genes is None or not np.isfinite(best_ll):
-        raise EstimationError("no feasible grid point", stage="grid_search")
-    return FitResult(_scaled_family(family, best_genes, sample), best_ll, "grid")
-
-
-# ---------------------------------------------------------------------------
 # genetic algorithm
 # ---------------------------------------------------------------------------
 
@@ -697,14 +650,16 @@ class GaConfig:
 
 
 def _check_bounds(bounds: Sequence[tuple[float, float]], family: str | None = None) -> None:
-    """Each (lo, hi) must be finite with lo <= hi; given a family, there must
-    be one pair per free parameter, which is checked first."""
+    """Each (lo, hi) must be finite with hi - lo neither negative nor -0.0,
+    as it is for (0.0, -0.0), a range ga_fit's uniform draw refuses; given a
+    family, there must be one pair per free parameter, which is checked
+    first."""
     if family is not None:
         want = len(get_family(family).free_names)
         if len(bounds) != want:
             raise ValueError(f"{family} needs {want} bounds, got {len(bounds)}")
     for lo, hi in bounds:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.copysign(1.0, hi - lo) > 0):
             raise ValueError(f"bad bound ({lo}, {hi})")
 
 
@@ -805,6 +760,9 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
 _ASCENT_TOL = 1e-10
 _MAX_ROUNDS = 500
 _MAX_HALVINGS = 40
+# profile rows handled per likelihood or derivative call; bounds the memory
+# of a large sample
+_ROW_BLOCK = 4096
 # bracketed Newton steps to an in-gap root of d1's stationary condition
 _ROOT_STEPS = 4
 # the three-stage fit holds each changepoint at every 32nd gap end of its
@@ -982,7 +940,7 @@ def _ascend(cache: _CondLoglik, spec: type[Family], genes: np.ndarray,
     concave in the exponents (an exponential family), and for fixed
     exponents one of those values is a changepoint's best in its span.
     Every round is an ascent; a row ends when a round gains less than
-    _ASCENT_TOL.  Rows go _GRID_BLOCK at a time, which bounds the memory of
+    _ASCENT_TOL.  Rows go _ROW_BLOCK at a time, which bounds the memory of
     a large sample.  Returns the rows and their log-likelihoods.
     """
     genes = genes.copy()
@@ -996,15 +954,15 @@ def _ascend(cache: _CondLoglik, spec: type[Family], genes: np.ndarray,
     counts = np.column_stack([_stage_counts(cache, s, 0.5 * (lo[:, c] + hi[:, c]))
                               for c, s in enumerate(slots)])
     ll = np.empty(len(genes))
-    for start in range(0, len(genes), _GRID_BLOCK):
-        ll[start:start + _GRID_BLOCK] = cache.values(
-            *spec.vectors(genes[start:start + _GRID_BLOCK]).T)
+    for start in range(0, len(genes), _ROW_BLOCK):
+        ll[start:start + _ROW_BLOCK] = cache.values(
+            *spec.vectors(genes[start:start + _ROW_BLOCK]).T)
     active = np.flatnonzero(np.isfinite(ll))
     for _ in range(_MAX_ROUNDS):
         if active.size == 0:
             break
         ascending = []
-        for rows in np.array_split(active, -(-active.size // _GRID_BLOCK)):
+        for rows in np.array_split(active, -(-active.size // _ROW_BLOCK)):
             g = genes[rows]
             before = ll[rows]
             full = spec.vectors(g).T

@@ -278,23 +278,6 @@ class TestFit:
         assert rep["params"] == ref.params and rep["loglik"] == ref.loglik
         assert "embedded" not in rep
 
-    def test_grid_method(self, tmp_path, capsys):
-        data = simulate(tmp_path, n=400, seed=6)
-        grid = json.dumps({"alpha": [0.5, 1.0, 1.5, 2.0, 3.0]})
-        rc, rep = run_json(
-            ["fit", "--input", data, "--horizon", "7", "--method", "grid",
-             "--family", "one-stage", "--grid", grid, "--no-timestamp"], capsys)
-        assert rc == 0
-        assert rep["params"]["alpha"] in (0.5, 1.0, 1.5, 2.0, 3.0)
-
-    def test_grid_method_requires_grid(self, tmp_path, capsys):
-        data = simulate(tmp_path, n=50, seed=0)
-        rc, err = run_json(
-            ["fit", "--input", data, "--horizon", "7", "--method", "grid",
-             "--no-timestamp"], capsys)
-        assert rc == 1
-        assert "grid" in err["error"]["message"]
-
     def test_bootstrap_ses(self, tmp_path, capsys):
         data = simulate(tmp_path, n=600, seed=8)
         rc, rep = run_json(
@@ -556,7 +539,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "select", "diagnose",
                                          "ingest-check"])
-    @pytest.mark.parametrize("key", ["command", "func", "parser", "config"])
+    # grid held the points of a cartesian grid search the CLI no longer has
+    @pytest.mark.parametrize("key", ["command", "func", "parser", "config", "grid"])
     def test_names_besides_settings_are_unknown_config_keys(self, tmp_path, capsys,
                                                             command, key):
         cfg = tmp_path / "reserved.json"
@@ -647,8 +631,7 @@ class TestErrors:
     def test_malformed_inline_json(self, tmp_path, capsys):
         data = simulate(tmp_path, n=30, seed=0)
         rc, err = run_json(
-            ["fit", "--input", data, "--horizon", "7", "--method", "grid",
-             "--grid", "{not json"], capsys)
+            ["fit", "--input", data, "--horizon", "7", "--bounds", "{not json"], capsys)
         assert rc == 1
         assert "JSON" in err["error"]["message"]
 
@@ -691,30 +674,13 @@ class TestErrors:
         assert err["error"]["type"] == "ValueError"
         assert repr(key) in err["error"]["message"]
 
-    @pytest.mark.parametrize("grid", [
-        {"alpha": 5},
-        {"alpha": [[1, 2]]},
-        {"alpha": {"a": 1}},
-        {"alpha": []},
-        {"alpha2": [1.0]},
-        [1, 2],
-    ])
-    def test_malformed_grid_is_json_error(self, tmp_path, capsys, grid):
-        cfg = tmp_path / "grid.json"
-        cfg.write_text(json.dumps({"grid": grid}))
-        data = simulate(tmp_path, n=30, seed=0)
-        rc, err = run_json(["fit", "--input", data, "--horizon", "7", "--method", "grid",
-                            "--family", "one-stage", "--config", str(cfg)], capsys)
-        assert rc == 1
-        assert err["error"]["type"] == "ValueError"
-        assert "--grid" in err["error"]["message"]
-
     @pytest.mark.parametrize("command, config, key", [
         ("simulate", {"family": "one-stage", "alpha": 0.5, "unit": "fortnights"}, "unit"),
         ("fit", {"method": "newton"}, "method"),
         ("select", {"clamp_policy": "drop"}, "clamp_policy"),
         ("diagnose", {"method": "ga", "unit": "weeks"}, "unit"),
         ("ingest-check", {"clamp_policy": "Reject"}, "clamp_policy"),
+        ("fit", {"method": "grid"}, "method"),
     ])
     def test_config_value_outside_its_flags_choices(self, tmp_path, capsys, command, config,
                                                     key):

@@ -22,7 +22,7 @@ from barista.process import FAMILIES
 from conftest import P_STAR
 
 INGEST = ["input", "horizon", "unit", "clamp_policy", "output", "no_timestamp"]
-METHOD = [*INGEST, "method", "family", "seed", "windows", "grid", "bounds", "generations"]
+METHOD = [*INGEST, "method", "family", "seed", "windows", "bounds", "generations"]
 MODEL = ["horizon", "alpha", "alpha1", "alpha2", "alpha3", "d1", "d2"]
 SETTINGS = {
     "simulate": [*MODEL, "family", "unit", "seed", "n", "c", "output", "no_timestamp"],
@@ -62,7 +62,7 @@ def typed(key: str, csv: str, tmp: str):
         "horizon": st.sampled_from([7, 7.0, 8.5]),
         "unit": st.sampled_from(sorted(MINUTES_PER_UNIT)),
         "clamp_policy": st.sampled_from(["reject", "clamp-epsilon"]),
-        "method": st.sampled_from(["ga", "grid", "quick-crude", "closed-form", "profile"]),
+        "method": st.sampled_from(["ga", "quick-crude", "closed-form", "profile"]),
         "family": st.sampled_from(list(FAMILIES)),
         "seed": st.integers(0, 5),
         # generations, bootstrap and n set how long a run takes
@@ -75,7 +75,6 @@ def typed(key: str, csv: str, tmp: str):
         "alpha_level": st.sampled_from([0.05, 0.5, 1]),
         "windows": st.just({"stage1": [0.1, 2], "stage2": [3, 6], "stage3": [6.99, 6.999],
                             "safe": [1, 3, 6, 6.99]}),
-        "grid": st.sampled_from([{"alpha": [0.5, 1.0]}, '{"alpha": [2]}']),
         "bounds": st.just([[0.1, 3.0]]),
         "no_timestamp": st.booleans(),
     }[key]

@@ -33,7 +33,7 @@ def ints(lo: int, hi: int, huge: bool = False):
 
 
 def json_text():
-    """Workable JSON for --windows, --grid and --bounds, or any short text."""
+    """Workable JSON for --windows and --bounds, or any short text."""
     return st.one_of(
         st.sampled_from([
             '{"stage1": [0.1, 2], "stage2": [3, 6], "stage3": [6.99, 6.999], '
@@ -81,9 +81,9 @@ def flags(command: str, files: dict):
         "clamp-policy": st.sampled_from(["reject", "clamp-epsilon"]),
     }
     method = {
-        "method": st.sampled_from(["ga", "grid", "quick-crude", "closed-form", "profile"]),
+        "method": st.sampled_from(["ga", "quick-crude", "closed-form", "profile"]),
         "family": st.sampled_from(list(FAMILIES)),
-        "windows": json_text(), "grid": json_text(), "bounds": json_text(),
+        "windows": json_text(), "bounds": json_text(),
         "generations": ints(-2, 3),
     }
     common = {"output": target("out")}

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 
@@ -23,7 +24,6 @@ from barista import (
     ecdf,
     estimate_c,
     ga_fit,
-    grid_search,
     loglik,
     loglik_gradient,
     loglik_hessian,
@@ -464,52 +464,6 @@ class TestClosedForms:
             estimate_c(p_star, 0)
 
 
-class TestGridSearch:
-    def test_finds_best_axis_point(self):
-        one = OneStage(alpha=0.8, c=3.0, T=2.0).as_barista()
-        s = sample_fixed_n(one, 2000, seed=4)
-        alpha_hat, _ = mle_nhpp1(s)
-        grid = {"alpha": np.linspace(0.5, 1.2, 141)}
-        fit = grid_search(s, "one-stage", grid)
-        # the grid winner brackets the closed-form optimum within one step
-        assert abs(fit.params["alpha"] - alpha_hat) <= 0.005 + 1e-12
-        assert fit.method == "grid"
-
-    def test_three_stage_grid(self, p_star):
-        s = sample_fixed_n(p_star, 3000, seed=6)
-        grid = {
-            "alpha1": [2.0, 3.0, 4.0],
-            "alpha2": [0.3, 0.4, 0.5],
-            "alpha3": [0.7, 1.0, 1.3],
-            "d1": [2.0, 2.5, 3.0],
-            "d2": [2.0 / 1440, 5.0 / 1440, 10.0 / 1440],
-        }
-        fit = grid_search(s, "three-stage", grid)
-        assert fit.params["alpha1"] == 3.0
-        assert fit.params["alpha2"] == 0.4
-        assert fit.params["d1"] == 2.5
-        assert fit.loglik == pytest.approx(loglik(s, fit.family.as_barista()), rel=1e-12)
-
-    def test_infeasible_points_skipped(self):
-        s = BidSample(times=np.array([0.5, 1.0]), T=2.0)
-        grid = {"alpha1": [1.0], "alpha2": [1.0], "alpha3": [1.0],
-                "d1": [1.5, 0.5], "d2": [1.0]}
-        fit = grid_search(s, "three-stage", grid)  # d1=1.5 with d2=1.0 invalid
-        assert fit.params["d1"] == 0.5
-
-    def test_all_infeasible_rejected(self):
-        s = BidSample(times=np.array([0.5]), T=2.0)
-        grid = {"alpha1": [1.0], "alpha2": [1.0], "alpha3": [1.0],
-                "d1": [1.5], "d2": [1.0]}
-        with pytest.raises(EstimationError):
-            grid_search(s, "three-stage", grid)
-
-    def test_missing_axis_rejected(self):
-        s = BidSample(times=np.array([0.5]), T=2.0)
-        with pytest.raises(ValueError, match="alpha3"):
-            grid_search(s, "two-stage", {"alpha2": [1.0], "d2": [0.0]})
-
-
 class TestGa:
     def test_history_never_decreases(self, p_star):
         s = sample_fixed_n(p_star, 800, seed=8)
@@ -551,6 +505,8 @@ class TestGa:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GaConfig(bounds=((1.0, 0.5),))
+        with pytest.raises(ValueError, match=r"bad bound \(0.0, -0.0\)"):
+            GaConfig(bounds=((0.1, 1.0), (0.5, 15.0), (0.0, -0.0)))
 
 
 # the two-stage truth of acceptance criterion 9
@@ -610,7 +566,7 @@ class TestProfileFit:
     def test_blocks_of_rows_change_nothing(self, monkeypatch):
         s = sample_fixed_n(C9_TWO, 2000, seed=4)
         whole = profile_fit(s)
-        monkeypatch.setattr(estimate, "_GRID_BLOCK", 7)
+        monkeypatch.setattr(estimate, "_ROW_BLOCK", 7)
         blocked = profile_fit(s)
         assert blocked.params == whole.params and blocked.loglik == whole.loglik
 
@@ -666,6 +622,9 @@ class TestProfileFit:
                      id="two-stage-bounds3-d2 bounds"),
         pytest.param(((0.1, 1.0), (15.0, 0.5), (0.0, 0.01)), "bad bound",
                      id="two-stage-bounds4-bad bound"),
+        # 0.0 <= -0.0, but hi - lo is -0.0, which the GA's draw refuses too
+        pytest.param(((0.1, 1.0), (0.5, 15.0), (0.0, -0.0)), r"bad bound \(0.0, -0.0\)",
+                     id="two-stage-signed-zero-bad bound"),
     ])
     def test_rejects_bad_settings(self, p_star, bounds, match):
         s = sample_fixed_n(p_star, 50, seed=0)
@@ -833,6 +792,63 @@ class TestThreeStageProfileFit:
             profile_fit(s, bounds, family="three-stage")
         with pytest.raises(ValueError, match="two-stage and three-stage"):
             profile_fit(s, family="one-stage")
+
+
+GRID_NAMES = {"one-stage": ("alpha",), "two-stage": ("alpha2", "alpha3", "d2"),
+              "three-stage": ("alpha1", "alpha2", "alpha3", "d1", "d2")}
+
+
+def _grid_vectors(family: str, genes: np.ndarray) -> np.ndarray:
+    """(alpha1, alpha2, alpha3, d1, d2) columns of a family's genome rows."""
+    if family == "one-stage":
+        a = genes[:, 0]
+        return np.stack([a, a, a, 0 * a, 0 * a])
+    if family == "two-stage":
+        a2, a3, d2 = genes.T
+        return np.stack([a2, a2, a3, 0 * a2, d2])
+    return genes.T
+
+
+@pytest.mark.parametrize("make, family, grid", [
+    pytest.param(lambda: sample_fixed_n(OneStage(0.8, 3.0, 2.0).as_barista(), 2000, seed=4),
+                 "one-stage", {"alpha": np.linspace(0.5, 1.2, 141)}, id="one-stage-axis"),
+    pytest.param(lambda: sample_fixed_n(P_STAR, 3000, seed=6), "three-stage",
+                 {"alpha1": [2.0, 3.0, 4.0], "alpha2": [0.3, 0.4, 0.5], "alpha3": [0.7, 1.0, 1.3],
+                  "d1": [2.0, 2.5, 3.0], "d2": [2.0 / 1440, 5.0 / 1440, 10.0 / 1440]},
+                 id="three-stage-p-star"),
+    # d1 = 1.5 with d2 = 1.0 leaves no middle stage: that point scores -inf
+    pytest.param(lambda: BidSample(times=np.array([0.5, 1.0]), T=2.0), "three-stage",
+                 {"alpha1": [1.0], "alpha2": [1.0], "alpha3": [1.0], "d1": [1.5, 0.5],
+                  "d2": [1.0]}, id="three-stage-part-infeasible"),
+    # alpha2 == alpha3 == 1: every d2 ties, at -0.0 or 0.0
+    pytest.param(lambda: sample_fixed_n(P_STAR, 5000, seed=23), "two-stage",
+                 {"alpha2": [1.0, 1.0], "alpha3": [1.0], "d2": [0.0, -0.0]},
+                 id="two-stage-ties-zero-first"),
+    pytest.param(lambda: sample_fixed_n(P_STAR, 5000, seed=23), "two-stage",
+                 {"alpha2": [1.0, 1.0], "alpha3": [1.0], "d2": [-0.0, 0.0]},
+                 id="two-stage-ties-negative-zero-first"),
+    pytest.param(lambda: sample_fixed_n(OneStage(1.0, 1.0, 7.0).as_barista(), 2000, seed=5),
+                 "two-stage", {"alpha2": [0.5, 1.0], "alpha3": [1.0],
+                               "d2": np.linspace(0.0, 0.01, 4096 + 7)},
+                 id="two-stage-uniform-long-d2"),
+    pytest.param(lambda: sample_fixed_n(P_STAR, 5000, seed=23), "three-stage",
+                 {"alpha1": [2.5, 3.0, 3.5], "alpha2": [0.35, 0.4, 0.45],
+                  "alpha3": [0.8, 1.0, 1.2], "d1": np.linspace(2.0, 3.0, 11),
+                  "d2": np.linspace(0.0, 0.01, 21)}, id="three-stage-dense"),
+])
+def test_exact_fit_beats_every_grid_point(make, family, grid):
+    # the exact fit over the grid's hull, or in closed form for one stage,
+    # scores at least the best finite point of a cartesian grid
+    s = make()
+    axes = [np.asarray(grid[name], dtype=float) for name in GRID_NAMES[family]]
+    genes = np.array(list(itertools.product(*axes)))
+    ll = _CondLoglik(s).values(*_grid_vectors(family, genes))
+    best = np.max(ll[np.isfinite(ll)])
+    if family == "one-stage":
+        fit = estimate._one_stage_fit(s)
+    else:
+        fit = profile_fit(s, [(min(ax), max(ax)) for ax in axes], family)
+    assert fit.loglik >= best
 
 
 class TestNested:

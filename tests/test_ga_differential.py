@@ -1,19 +1,16 @@
-"""The array-scored GA and grid search against per-genome references.
+"""The array-scored GA against a per-genome reference.
 
-ga_fit and grid_search map a whole block of genomes to (alpha1, alpha2,
-alpha3, d1, d2) rows in one indexing step and score them with one
-likelihood call.  The references below are frozen copies of the
-earlier code, which embedded one genome at a time in Python.  Only the
-gathering differs, so every result must be bit-identical.
+ga_fit maps a whole block of genomes to (alpha1, alpha2, alpha3, d1, d2)
+rows in one indexing step and scores them with one likelihood call.  The
+reference below is a frozen copy of the earlier code, which embedded one
+genome at a time in Python.  Only the gathering differs, so every result
+must be bit-identical.
 """
-import itertools
-
 import numpy as np
 import pytest
 
 from barista import (
     BaristaParams,
-    EstimationError,
     GaConfig,
     OneStage,
     ThreeStage,
@@ -21,10 +18,9 @@ from barista import (
     default_bounds,
     estimate_c,
     ga_fit,
-    grid_search,
     sample_fixed_n,
 )
-from barista.estimate import _GRID_BLOCK, _CondLoglik
+from barista.estimate import _CondLoglik
 from conftest import P_STAR
 
 T = P_STAR.T
@@ -39,12 +35,6 @@ CROWDED_BOX = ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (T - 0.0012, T - 0.0003), (
 def data():
     """The criterion-2 sample."""
     return sample_fixed_n(P_STAR, 5000, seed=23)
-
-
-@pytest.fixture(scope="module")
-def uniform():
-    """One-stage data with alpha = 1, where alpha2 == alpha3 == 1 ties across d2."""
-    return sample_fixed_n(OneStage(1.0, 1.0, T).as_barista(), 2000, seed=5)
 
 
 def _genes_to_vector(tag, genes):
@@ -107,20 +97,6 @@ def reference_ga(sample, family, cfg):
     return (*_finish(family, tuple(pop[0]), float(fit[0]), sample), tuple(history))
 
 
-def reference_grid(sample, family, grid):
-    """(family, loglik, c_hat) of the point-by-point grid scan, or None."""
-    cache = _CondLoglik(sample)
-    axes = [np.asarray(list(grid[name]), dtype=float) for name in NAMES[family]]
-    best_ll, best_genes = -np.inf, None
-    for genes in itertools.product(*axes):
-        ll = cache.value(*_genes_to_vector(family, genes))
-        if ll > best_ll:
-            best_ll, best_genes = ll, genes
-    if best_genes is None:
-        return None
-    return _finish(family, best_genes, best_ll, sample)
-
-
 def bits(x) -> bytes:
     """Exact float identity, telling -0.0 from 0.0."""
     return np.asarray(x, dtype=float).tobytes()
@@ -177,38 +153,3 @@ def test_crowded_box_is_mostly_infeasible(data):
     genes = np.random.default_rng(0).uniform(lo, hi, size=(2000, 5))
     ll = _CondLoglik(data).values(*genes.T)
     assert 0.8 < np.mean(np.isneginf(ll)) < 0.98
-
-
-class TestGridRules:
-    def test_duplicated_values_keep_the_first_point(self, data):
-        # alpha2 == alpha3 == 1 makes every d2 tie exactly; only the sign of
-        # zero shows which duplicate won
-        for d2, sign in (([0.0, -0.0], 1.0), ([-0.0, 0.0], -1.0)):
-            grid = {"alpha2": [1.0, 1.0], "alpha3": [1.0], "d2": d2}
-            fit = grid_search(data, "two-stage", grid)
-            assert np.copysign(1.0, fit.params["d2"]) == sign
-            assert_same(fit, reference_grid(data, "two-stage", grid))
-
-    def test_first_maximum_across_blocks(self, uniform):
-        # the alpha2 = 0.5 points, which fill the first block, lose; every
-        # alpha2 = 1 point ties, from inside the second block on
-        d2 = np.linspace(0.0, 0.01, _GRID_BLOCK + 7)
-        grid = {"alpha2": [0.5, 1.0], "alpha3": [1.0], "d2": d2}
-        fit = grid_search(uniform, "two-stage", grid)
-        assert fit.params["alpha2"] == 1.0 and fit.params["d2"] == 0.0
-        assert_same(fit, reference_grid(uniform, "two-stage", grid))
-
-    def test_matches_reference_on_a_multi_block_grid(self, data):
-        grid = {"alpha1": [2.5, 3.0, 3.5], "alpha2": [0.35, 0.4, 0.45],
-                "alpha3": [0.8, 1.0, 1.2], "d1": np.linspace(2.0, 3.0, 11),
-                "d2": np.linspace(0.0, 0.01, 21)}
-        fit = grid_search(data, "three-stage", grid)
-        assert_same(fit, reference_grid(data, "three-stage", grid))
-
-    def test_all_infeasible_raises(self, data):
-        grid = {"alpha1": [1.0], "alpha2": [1.0], "alpha3": [1.0],
-                "d1": np.linspace(5.0, 6.9, _GRID_BLOCK + 1), "d2": [2.5]}
-        assert reference_grid(data, "three-stage", grid) is None
-        with pytest.raises(EstimationError, match="no feasible grid point") as exc:
-            grid_search(data, "three-stage", grid)
-        assert exc.value.stage == "grid_search"
