@@ -227,7 +227,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 def _numbers(value) -> bool:
     """value is a non-empty JSON list of numbers."""
     return (isinstance(value, list) and len(value) > 0
-            and all(isinstance(v, (int, float)) for v in value))
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value))
 
 
 _WINDOW_SIZES = {"stage1": 2, "stage2": 2, "stage3": 2, "safe": 4}
@@ -271,11 +271,6 @@ def _bounds_from(args: argparse.Namespace, family: str, T: float) -> tuple:
     return tuple(tuple(b) for b in bounds)
 
 
-def _ga_config_from(args: argparse.Namespace, family: str, T: float) -> GaConfig:
-    return GaConfig(bounds=_bounds_from(args, family, T), generations=args.generations,
-                    seed=args.seed)
-
-
 # the families a method fits, its default first; ga fits any, three-stage by
 # default
 _ONLY_FAMILY = {"closed-form": ("one-stage",), "quick-crude": ("three-stage",),
@@ -297,7 +292,8 @@ def _fit_once(sample: BidSample, args: argparse.Namespace) -> FitResult:
         return qc_fit(sample, _qc_config_from(args, sample.T))
     if method == "profile":
         return profile_fit(sample, _bounds_from(args, family, sample.T), family)
-    return ga_fit(sample, family, _ga_config_from(args, family, sample.T))
+    return ga_fit(sample, family, GaConfig(bounds=_bounds_from(args, family, sample.T),
+                                           generations=args.generations, seed=args.seed))
 
 
 def _cmd_fit(args: argparse.Namespace) -> dict:

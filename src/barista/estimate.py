@@ -629,10 +629,11 @@ class GaConfig:
     """Settings for the real-valued genetic search.
 
     bounds is one (lo, hi) box per free parameter, in the family's parameter
-    order.  Exponent bounds must stay positive, since a nonpositive exponent
-    is outside the model.  The population (100), the elite share (0.10), the
-    offspring pairs per generation (50) and the mutation step ((hi - lo)/20
-    per coordinate) are fixed.
+    order.  Each pair is checked here on its own; ga_fit checks the whole
+    box against the family and the sample's horizon by profile_fit's rule
+    (_check_bounds) before it draws anything.  The population (100), the
+    elite share (0.10), the offspring pairs per generation (50) and the
+    mutation step ((hi - lo)/20 per coordinate) are fixed.
     """
 
     population_size: ClassVar[int] = 100
@@ -649,18 +650,32 @@ class GaConfig:
         _check_bounds(self.bounds)
 
 
-def _check_bounds(bounds: Sequence[tuple[float, float]], family: str | None = None) -> None:
-    """Each (lo, hi) must be finite with hi - lo neither negative nor -0.0,
-    as it is for (0.0, -0.0), a range ga_fit's uniform draw refuses; given a
-    family, there must be one pair per free parameter, which is checked
-    first."""
+def _check_bounds(bounds: Sequence[tuple[float, float]], family: str | None = None,
+                  T: float | None = None) -> None:
+    """The one rule for a search box, which ga_fit and profile_fit share.
+
+    Given a family, there must be one pair per free parameter, which is
+    checked first.  Each (lo, hi) must be finite with hi - lo neither
+    negative nor -0.0, as it is for (0.0, -0.0), a range ga_fit's uniform
+    draw refuses.  Given the family's horizon T too (T comes only with a
+    family), each exponent's lo must be positive, since a nonpositive
+    exponent is outside the model, and each changepoint pair must lie in
+    [0, T); no width of such a box overflows.
+    """
     if family is not None:
-        want = len(get_family(family).free_names)
-        if len(bounds) != want:
-            raise ValueError(f"{family} needs {want} bounds, got {len(bounds)}")
+        spec = get_family(family)
+        if len(bounds) != len(spec.free_names):
+            raise ValueError(f"{family} needs {len(spec.free_names)} bounds, got {len(bounds)}")
     for lo, hi in bounds:
         if not (math.isfinite(lo) and math.isfinite(hi) and math.copysign(1.0, hi - lo) > 0):
             raise ValueError(f"bad bound ({lo}, {hi})")
+    if T is not None:
+        e = _exponent_jacobian(spec).shape[1]
+        if min(lo for lo, _ in bounds[:e]) <= 0:
+            raise ValueError(f"exponent bounds must be positive, got {bounds[:e]}")
+        for name, (lo, hi) in zip(spec.free_names[e:], bounds[e:]):
+            if not 0.0 <= lo <= hi < T:
+                raise ValueError(f"{name} bounds must lie in [0, T) with T = {T}, got ({lo}, {hi})")
 
 
 def default_bounds(family: str, T: float) -> tuple[tuple[float, float], ...]:
@@ -696,7 +711,7 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
     if sample.n == 0:
         raise EstimationError("cannot fit an empty sample", stage="ga_fit")
     spec = get_family(family)
-    _check_bounds(cfg.bounds, family)
+    _check_bounds(cfg.bounds, family, sample.T)
     cache = _CondLoglik(sample)
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
@@ -1213,13 +1228,7 @@ def profile_fit(sample: BidSample, bounds: Sequence[tuple[float, float]] | None 
         raise EstimationError("cannot fit an empty sample", stage="profile_fit")
     T = sample.T
     box = spec.default_bounds(T) if bounds is None else tuple(map(tuple, bounds))
-    _check_bounds(box, spec.tag)
-    e = _exponent_jacobian(spec).shape[1]
-    if min(lo for lo, _ in box[:e]) <= 0:
-        raise ValueError(f"exponent bounds must be positive, got {box[:e]}")
-    for name, (lo, hi) in zip(spec.free_names[e:], box[e:]):
-        if not 0.0 <= lo <= hi < T:
-            raise ValueError(f"{name} bounds must lie in [0, T) with T = {T}, got ({lo}, {hi})")
+    _check_bounds(box, spec.tag, T)
     cache = _CondLoglik(sample)
     if spec is TwoStage:
         smaller = smaller or _one_stage_fit(sample, cache)

@@ -642,6 +642,12 @@ class TestErrors:
         (["--method", "quick-crude", "--windows",
           '{"stage1": 5, "stage2": [1, 2], "stage3": [1, 2], "safe": [1, 2, 3, 4]}'],
          "--windows"),
+        # a JSON boolean is not a number, though Python's bool is an int
+        (["--method", "profile", "--family", "two-stage",
+          "--bounds", "[[0.1, true], [0.5, 15], [0, 0.01]]"], "--bounds"),
+        (["--method", "quick-crude", "--windows",
+          '{"stage1": [false, 1], "stage2": [3, 6.9], "stage3": [6.998, 6.999], '
+          '"safe": [1, 3, 6, 6.998]}'], "--windows"),
     ])
     def test_malformed_json_shape_names_flag(self, tmp_path, capsys, flags, flag):
         data = simulate(tmp_path, n=30, seed=0)
@@ -649,6 +655,25 @@ class TestErrors:
         assert rc == 1
         assert err["error"]["type"] == "ValueError"
         assert flag in err["error"]["message"]
+
+    def test_ga_and_profile_refuse_one_box_alike(self, tmp_path):
+        # a finite box whose width overflows: the GA refuses it by the profile
+        # fit's rule before it draws, so no numpy warning reaches stderr
+        data = simulate(tmp_path, n=300, seed=0)
+        errors = []
+        for method in ("ga", "profile"):
+            done = subprocess.run(
+                [sys.executable, "-m", "barista", "fit", "--method", method,
+                 "--family", "two-stage", "--input", data, "--horizon", "7",
+                 "--bounds", "[[0.1, 1], [-1.7e308, 1.7e308], [0, 0.01]]", "--no-timestamp"],
+                env=package_env(), capture_output=True, text=True, timeout=120)
+            assert done.returncode == 1
+            assert done.stderr == ""
+            errors.append(json.loads(done.stdout)["error"])
+        assert errors[0] == errors[1]
+        assert errors[0]["type"] == "ValueError"
+        assert errors[0]["message"] == (
+            "exponent bounds must be positive, got ((0.1, 1), (-1.7e+308, 1.7e+308))")
 
     @pytest.mark.parametrize("command, config, key", [
         ("fit", {"horizon": 7.0, "seed": [1]}, "seed"),

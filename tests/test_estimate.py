@@ -538,6 +538,16 @@ def profile_oracle(sample: BidSample, starts: int = 3, seed: int = 0) -> float:
     return best
 
 
+def both_fitters(family: str, cases) -> list:
+    """Each (id, bounds, match) bad-box case, run through profile_fit under
+    its id and through a 5-generation ga_fit under ga-<id>: one rule refuses
+    the box in both, with one message."""
+    fitters = {"": lambda s, box: profile_fit(s, box, family),
+               "ga-": lambda s, box: ga_fit(s, family, GaConfig(bounds=box, generations=5))}
+    return [pytest.param(fit, bounds, match, id=prefix + case_id)
+            for prefix, fit in fitters.items() for case_id, bounds, match in cases]
+
+
 class TestProfileFit:
     @pytest.mark.parametrize("truth, seed", [
         (P_STAR, 300), (P_STAR, 301), (C9_TWO, 300), (C9_TWO, 301),
@@ -613,23 +623,27 @@ class TestProfileFit:
             0.3, 7.7, C9_TWO.d2)
         assert fit.loglik == loglik(s, C9_TWO)
 
-    @pytest.mark.parametrize("bounds, match", [
-        pytest.param(((0.1, 1.0), (0.5, 15.0)), "needs 3 bounds",
-                     id="two-stage-bounds1-needs 3 bounds"),
-        pytest.param(((0.0, 1.0), (0.5, 15.0), (0.0, 0.01)), "positive",
-                     id="two-stage-bounds2-positive"),
-        pytest.param(((0.1, 1.0), (0.5, 15.0), (0.0, 7.0)), "d2 bounds",
-                     id="two-stage-bounds3-d2 bounds"),
-        pytest.param(((0.1, 1.0), (15.0, 0.5), (0.0, 0.01)), "bad bound",
-                     id="two-stage-bounds4-bad bound"),
+    @pytest.mark.parametrize("fit, bounds, match", both_fitters("two-stage", [
+        ("two-stage-bounds1-needs 3 bounds", ((0.1, 1.0), (0.5, 15.0)), "needs 3 bounds"),
+        ("two-stage-bounds2-positive", ((0.0, 1.0), (0.5, 15.0), (0.0, 0.01)), "positive"),
+        ("two-stage-bounds3-d2 bounds", ((0.1, 1.0), (0.5, 15.0), (0.0, 7.0)), "d2 bounds"),
+        ("two-stage-bounds4-bad bound", ((0.1, 1.0), (15.0, 0.5), (0.0, 0.01)), "bad bound"),
         # 0.0 <= -0.0, but hi - lo is -0.0, which the GA's draw refuses too
-        pytest.param(((0.1, 1.0), (0.5, 15.0), (0.0, -0.0)), r"bad bound \(0.0, -0.0\)",
-                     id="two-stage-signed-zero-bad bound"),
-    ])
-    def test_rejects_bad_settings(self, p_star, bounds, match):
+        ("two-stage-signed-zero-bad bound", ((0.1, 1.0), (0.5, 15.0), (0.0, -0.0)),
+         r"bad bound \(0.0, -0.0\)"),
+        # finite pairs whose width overflows; the exponent rule refuses it
+        # before the GA's mutation step or draw would overflow
+        ("two-stage-overflowing-width-positive", ((0.1, 1.0), (-1.7e308, 1.7e308), (0.0, 0.01)),
+         r"exponent bounds must be positive, got \(\(0.1, 1.0\), \(-1.7e\+308, 1.7e\+308\)\)"),
+        ("two-stage-negative-alpha3-positive", ((0.1, 1.0), (-1.0, 15.0), (0.0, 0.01)),
+         "exponent bounds must be positive"),
+        ("two-stage-d2-past-horizon-d2 bounds", ((0.1, 1.0), (0.5, 15.0), (0.0, 9.0)),
+         r"d2 bounds must lie in \[0, T\) with T = 7.0, got \(0.0, 9.0\)"),
+    ]))
+    def test_rejects_bad_settings(self, p_star, fit, bounds, match):
         s = sample_fixed_n(p_star, 50, seed=0)
         with pytest.raises(ValueError, match=match):
-            profile_fit(s, bounds)
+            fit(s, bounds)
 
     def test_empty_sample(self):
         with pytest.raises(EstimationError):
@@ -780,16 +794,20 @@ class TestThreeStageProfileFit:
         assert fit == profile_fit(s, family="three-stage", smaller=two)
         assert fit.loglik >= two.loglik
 
-    @pytest.mark.parametrize("bounds, match", [
-        (((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0)), "needs 5 bounds"),
-        (((0.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0), (0.0, 0.01)), "positive"),
-        (((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 7.0), (0.0, 0.01)), "d1 bounds"),
-        (((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0), (-0.1, 0.01)), "d2 bounds"),
-    ])
-    def test_rejects_bad_settings(self, bounds, match):
+    @pytest.mark.parametrize("fit, bounds, match", both_fitters("three-stage", [
+        ("bounds0-needs 5 bounds", ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0)),
+         "needs 5 bounds"),
+        ("bounds1-positive", ((0.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0), (0.0, 0.01)),
+         "positive"),
+        ("bounds2-d1 bounds", ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 7.0), (0.0, 0.01)),
+         "d1 bounds"),
+        ("bounds3-d2 bounds", ((1.0, 15.0), (0.1, 1.0), (0.5, 15.0), (1.0, 5.0), (-0.1, 0.01)),
+         "d2 bounds"),
+    ]))
+    def test_rejects_bad_settings(self, fit, bounds, match):
         s = sample_fixed_n(P_STAR, 50, seed=0)
         with pytest.raises(ValueError, match=match):
-            profile_fit(s, bounds, family="three-stage")
+            fit(s, bounds)
         with pytest.raises(ValueError, match="two-stage and three-stage"):
             profile_fit(s, family="one-stage")
 

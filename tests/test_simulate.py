@@ -8,7 +8,6 @@ from barista import (
     BidderStrategyParams,
     OneStage,
     TwoStage,
-    cdf,
     inverse_cdf,
     ks_one_sample,
     mean_count,
