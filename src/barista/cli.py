@@ -394,8 +394,8 @@ def _add_ingest(sub: argparse.ArgumentParser) -> None:
 
 def _add_method(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--method", choices=_METHODS, default="ga",
-                     help="ga (default) searches; closed-form, quick-crude and profile "
-                          "are exact or plug-in")
+                     help="ga (default) searches at random; closed-form, quick-crude "
+                          "and profile draw nothing")
     sub.add_argument("--family", choices=list(FAMILIES),
                      help="ga: any (default three-stage); profile: two-stage "
                           "(default) or three-stage; closed-form: one-stage; quick-crude: "
@@ -422,8 +422,8 @@ def _add_fit(fit: argparse.ArgumentParser) -> None:
 
 
 def _add_select(sel: argparse.ArgumentParser) -> None:
-    # every fit of select is exact, so it draws nothing and its report does
-    # not depend on --seed, which is accepted for scripts that pass it
+    # no fit of select draws random numbers, so its report does not depend
+    # on --seed, which is accepted for scripts that pass it
     _add_ingest(sel)
     sel.add_argument("--alpha-level", dest="alpha_level", type=float, default=0.05,
                      help="test level (default 0.05)")

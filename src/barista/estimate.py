@@ -5,9 +5,10 @@ Four routes are implemented, in increasing cost:
 * a closed-form maximum-likelihood estimator for the one-stage special case,
 * a "quick and crude" method that reads exponents and changepoints off CDF
   differences at hand-picked safe evaluation points,
-* exact profile fits of the two- and three-stage families, whose
-  changepoints are profiled over the gaps between event times, with Newton
-  steps on the exponents, and
+* profile fits of the two- and three-stage families, whose changepoints
+  are profiled over the gaps between event times, with Newton steps on the
+  exponents; the two-stage fit is exact, the three-stage fit a search that
+  can end below the maximum, and
 * a real-valued genetic algorithm over the same objective.
 
 The conditional log-likelihood treats the observed count as given, so the
@@ -538,8 +539,9 @@ class FitResult:
     What loglik is depends on the method:
 
     * closed-form: the one-stage maximum, at the closed-form MLE;
-    * profile: the two- or three-stage maximum over the box, or the
-      next-smaller family's fit embedded where no point of the box beats it;
+    * profile: the two-stage maximum over the box, or the best value the
+      three-stage search found, which can fall below the maximum; where
+      neither beats the next-smaller family's fit, that fit embedded;
     * ga: the best value the search found, not a proven maximum (history
       holds the best so far per generation);
     * quick-crude: the value at a plug-in estimate, scored, not maximized.
@@ -654,21 +656,22 @@ def _check_bounds(bounds: Sequence[tuple[float, float]], family: str | None = No
                   T: float | None = None) -> None:
     """The one rule for a search box, which ga_fit and profile_fit share.
 
-    Given a family, there must be one pair per free parameter, which is
-    checked first.  Each (lo, hi) must be finite with hi - lo neither
-    negative nor -0.0, as it is for (0.0, -0.0), a range ga_fit's uniform
-    draw refuses.  Given the family's horizon T too (T comes only with a
-    family), each exponent's lo must be positive, since a nonpositive
-    exponent is outside the model, and each changepoint pair must lie in
-    [0, T); no width of such a box overflows.
+    Each (lo, hi) must be finite with hi - lo neither negative nor -0.0, as
+    it is for (0.0, -0.0), a range ga_fit's uniform draw refuses; this is
+    checked first, so GaConfig's family-free call runs the first step of the
+    same rule and both fitters name the same first fault.  Given a family,
+    there must then be one pair per free parameter.  Given the family's
+    horizon T too (T comes only with a family), each exponent's lo must be
+    positive, since a nonpositive exponent is outside the model, and each
+    changepoint pair must lie in [0, T); no width of such a box overflows.
     """
+    for lo, hi in bounds:
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.copysign(1.0, hi - lo) > 0):
+            raise ValueError(f"bad bound ({lo}, {hi})")
     if family is not None:
         spec = get_family(family)
         if len(bounds) != len(spec.free_names):
             raise ValueError(f"{family} needs {len(spec.free_names)} bounds, got {len(bounds)}")
-    for lo, hi in bounds:
-        if not (math.isfinite(lo) and math.isfinite(hi) and math.copysign(1.0, hi - lo) > 0):
-            raise ValueError(f"bad bound ({lo}, {hi})")
     if T is not None:
         e = _exponent_jacobian(spec).shape[1]
         if min(lo for lo, _ in bounds[:e]) <= 0:
@@ -768,7 +771,7 @@ def ga_fit(sample: BidSample, family: str, cfg: GaConfig) -> FitResult:
 
 
 # ---------------------------------------------------------------------------
-# exact profile fits
+# profile fits
 # ---------------------------------------------------------------------------
 
 # a round of the ascent that gains less than this many nats ends its column
@@ -1182,8 +1185,8 @@ def _three_stage_rows(sample: BidSample, cache: _CondLoglik, box,
 
 def profile_fit(sample: BidSample, bounds: Sequence[tuple[float, float]] | None = None,
                 family: str = "two-stage", smaller: FitResult | None = None) -> FitResult:
-    """Exact maximum of the two- or three-stage conditional log-likelihood
-    over a box.
+    """Maximum of the two-stage conditional log-likelihood over a box, or a
+    search for the three-stage one.
 
     bounds is one (lo, hi) pair per free parameter of the family,
     default_bounds by default, the GA's box.  The fit is a profile over the
@@ -1209,6 +1212,14 @@ def profile_fit(sample: BidSample, bounds: Sequence[tuple[float, float]] | None 
       until no move gains, the row ascends inside its gaps (_ascend), and
       d1 and then d2 move across gaps to their best over the whole box for
       the row's other genes (_scan).
+
+    The two-stage fit is exact.  The three-stage fit is a search that can
+    end below the maximum.  Against an ascent inside every pair of a d1 gap
+    and a d2 gap, on 300-bid samples of four truths it ended lower in 19 of
+    160 datasets, by up to 0.41 nats, and at n = 1000 in 8 of 60, by up to
+    0.19 nats.  Most misses stop one to three d1 gaps from the best at the
+    same d2, since a row held at a gap end ascends only into the gap on its
+    right (_gaps(..., "right")); a few stop tens of d1 gaps away.
 
     smaller is the exact fit of the next-smaller family to this sample, the
     closed-form one-stage fit (_one_stage_fit) or the default-box two-stage

@@ -6,9 +6,10 @@ to a chi-squared distribution with 2 degrees of freedom at both steps.
 Selection runs forward: stop at the first test whose p-value exceeds the
 level, otherwise move to the richer family.
 
-Every fit is exact, so selection draws nothing.  The one-stage exponent has
-a closed form (mle_nhpp1), and the two- and three-stage fits are exact
-profile fits over the default boxes (profile_fit).
+No fit draws random numbers, so selection draws nothing.  The one-stage
+exponent has a closed form (mle_nhpp1), the two-stage fit is the exact
+profile fit over the default box, and the three-stage fit is the profile
+search over its box, which can end below the maximum (profile_fit).
 
 The families nest exactly, and the family classes (process.FAMILIES) give
 each richer family's embedding of the next-smaller fit: a one-stage process
@@ -81,9 +82,10 @@ def lr_test(loglik_small: float, loglik_big: float) -> LrTest:
 def select_model(sample: BidSample, alpha_level: float = 0.05) -> SelectionResult:
     """Forward stepwise selection: one stage, then two, then three.
 
-    The one-stage fit is the exact closed-form MLE, and the two- and
-    three-stage fits are the exact profile fits over their default boxes,
-    each nested over the fit before it (profile_fit's smaller).  Where the
+    The one-stage fit is the exact closed-form MLE, the two-stage fit the
+    exact profile fit and the three-stage fit the profile search over their
+    default boxes, each nested over the fit before it (profile_fit's
+    smaller).  Where the
     three-stage box holds nothing more likely than the embedded two-stage
     fit, that embedding, labelled "profile", is the three-stage fit, and the
     LR statistic is 0.  At each step the richer family is adopted only when

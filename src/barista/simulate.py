@@ -5,7 +5,8 @@ the closed-form quantile function.  The second simulates individual bidders
 who place a bid with some probability at each of a shrinking sequence of
 uniform retry times; pooled over a Poisson number of bidders those strategies
 reproduce the one-, two- and three-stage processes, which is the behavioral
-story behind the model.
+story behind the model.  One retry walk (_walk) serves both the one-phase
+sample_geometric_uniform and the two-phase simulate_bidder_strategy.
 
 All randomness flows through numpy's default PCG64 generator; every public
 entry point takes an explicit integer seed so runs are reproducible bit for
@@ -31,7 +32,7 @@ __all__ = [
     "uniform_rebid_intensity",
 ]
 
-# Guard against alpha -> 0 pathologies in the retry walks.
+# Guard against alpha -> 0 pathologies in the retry walk.
 _MAX_ATTEMPTS = 1_000_000
 
 
@@ -75,26 +76,37 @@ def sample_poisson_count(p: BaristaParams, seed: int) -> BidSample:
     return _iid_times(p, rng, n)
 
 
-def _geometric_uniform(rng: np.random.Generator, a: float, b: float, alpha: float, size: int) -> np.ndarray:
-    """Vectorized shrinking-uniform walk with per-attempt success alpha.
+def _walk(rng: np.random.Generator, x: np.ndarray, b: float, cut: float,
+          alpha2: float, alpha3: float) -> np.ndarray:
+    """The shrinking-uniform retry walk, run in place on the first attempts x.
 
-    Each walker draws X1 ~ U(a, b) and, while a coin with success probability
-    alpha keeps failing, redraws X_{k+1} ~ U(X_k, b).  Returns the stopped
-    values; the survival function of each is (1 - (s-a)/(b-a))^alpha.
+    Each walker attempts at its entry of x.  An attempt at or before cut
+    succeeds with probability alpha2, one after cut with alpha3; after a
+    failure the walker tries again at a fresh U(x, b) time.  The first time a
+    walker attempts after cut it departs for good with probability
+    1 - alpha2/alpha3.  x ends up holding each walker's last attempt; the
+    mask of the walkers that bid is returned.  Each round draws, in order,
+    the departures, the coins and the redraws, with walkers in index order.
     """
-    x = rng.uniform(a, b, size=size)
-    active = rng.random(size) >= alpha
-    attempts = 1
-    while np.any(active):
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            raise RuntimeError(
-                f"retry walk exceeded {_MAX_ATTEMPTS} attempts; alpha={alpha} too small"
-            )
-        idx = np.nonzero(active)[0]
+    depart_p = 1.0 - alpha2 / alpha3
+    early = np.ones(x.size, dtype=bool)
+    bid = np.zeros(x.size, dtype=bool)
+    idx = np.arange(x.size)
+    for _ in range(_MAX_ATTEMPTS):
+        t = x[idx]
+        first_late = early[idx] & (t > cut)
+        if np.any(first_late):
+            early[idx[first_late]] = False
+            stay = ~first_late
+            stay[first_late] = rng.random(int(first_late.sum())) >= depart_p
+            idx, t = idx[stay], t[stay]
+        won = rng.random(idx.size) < np.where(t > cut, alpha3, alpha2)
+        bid[idx[won]] = True
+        idx = idx[~won]
+        if idx.size == 0:
+            return bid
         x[idx] = rng.uniform(x[idx], b)
-        active[idx] = rng.random(idx.size) >= alpha
-    return x
+    raise RuntimeError(f"retry walk exceeded {_MAX_ATTEMPTS} attempts; alpha={alpha2} too small")
 
 
 def sample_geometric_uniform(a: float, b: float, alpha: float, seed: int, size: int | None = None):
@@ -110,8 +122,10 @@ def sample_geometric_uniform(a: float, b: float, alpha: float, seed: int, size: 
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     rng = np.random.default_rng(seed)
-    out = _geometric_uniform(rng, a, b, alpha, size if size is not None else 1)
-    return out if size is not None else float(out[0])
+    x = rng.uniform(a, b, size=size if size is not None else 1)
+    # no attempt is after an infinite cut: one phase, no departure draws
+    _walk(rng, x, b, math.inf, alpha, alpha)
+    return x if size is not None else float(x[0])
 
 
 @dataclass(frozen=True)
@@ -154,6 +168,14 @@ class BidderStrategyParams:
         return 1.0 - ratio ** self.alpha2 * (1.0 - self.alpha2 / self.alpha3)
 
 
+def _bids(times: np.ndarray, T: float) -> BidSample:
+    """The sorted bid times; one that rounded up to T (a draw from a
+    vanishing interval) moves to the largest float below T."""
+    times = np.sort(times)
+    times[np.searchsorted(times, T):] = np.nextafter(T, 0.0)
+    return BidSample(times=times, T=T)
+
+
 def simulate_bidder_strategy(sp: BidderStrategyParams, seed: int) -> BidSample:
     """Bid times produced by independent bidders playing the retry strategy.
 
@@ -167,46 +189,9 @@ def simulate_bidder_strategy(sp: BidderStrategyParams, seed: int) -> BidSample:
     (one-stage when d = 0).
     """
     rng = np.random.default_rng(seed)
-    n_bidders = int(rng.poisson(sp.rate * sp.T))
-    cut = sp.T - sp.d
-    depart_p = 1.0 - sp.alpha2 / sp.alpha3
-
-    cur = rng.uniform(0.0, sp.T, size=n_bidders)
-    alive = np.ones(n_bidders, dtype=bool)
-    entered_late = np.zeros(n_bidders, dtype=bool)
-    bids: list[np.ndarray] = []
-
-    attempts = 0
-    while np.any(alive):
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            raise RuntimeError(f"bidder walk exceeded {_MAX_ATTEMPTS} attempts")
-        idx = np.nonzero(alive)[0]
-        t = cur[idx]
-        late = t > cut
-        # one-time departure decision on first entering the late phase
-        first_late = late & ~entered_late[idx]
-        if np.any(first_late):
-            gone = rng.random(int(first_late.sum())) < depart_p
-            died = idx[first_late][gone]
-            alive[died] = False
-            entered_late[idx[first_late]] = True
-        idx = np.nonzero(alive)[0]
-        t = cur[idx]
-        late = t > cut
-        p_bid = np.where(late, sp.alpha3, sp.alpha2)
-        success = rng.random(idx.size) < p_bid
-        if np.any(success):
-            bids.append(t[success])
-            alive[idx[success]] = False
-        retry = idx[~success]
-        if retry.size:
-            cur[retry] = rng.uniform(cur[retry], sp.T)
-
-    times = np.sort(np.concatenate(bids)) if bids else np.empty(0)
-    # a retry drawn from a vanishing interval can round up to exactly T
-    times = np.minimum(times, np.nextafter(sp.T, 0.0))
-    return BidSample(times=times, T=sp.T)
+    x = rng.uniform(0.0, sp.T, size=int(rng.poisson(sp.rate * sp.T)))
+    bid = _walk(rng, x, sp.T, sp.T - sp.d, sp.alpha2, sp.alpha3)
+    return _bids(x[bid], sp.T)
 
 
 def simulate_single_uniform_bids(rate: float, T: float, seed: int) -> BidSample:
@@ -219,12 +204,8 @@ def simulate_single_uniform_bids(rate: float, T: float, seed: int) -> BidSample:
     if not (rate > 0 and T > 0):
         raise ValueError("rate and T must be > 0")
     rng = np.random.default_rng(seed)
-    n = int(rng.poisson(rate * T))
-    arrivals = rng.uniform(0.0, T, size=n)
-    times = rng.uniform(arrivals, T)
-    # a draw can land exactly on T in floating point; fold it just inside
-    times = np.minimum(times, np.nextafter(T, 0.0))
-    return BidSample(times=np.sort(times), T=T)
+    arrivals = rng.uniform(0.0, T, size=int(rng.poisson(rate * T)))
+    return _bids(rng.uniform(arrivals, T), T)
 
 
 def uniform_rebid_intensity(rate: float, T: float, t):

@@ -639,6 +639,9 @@ class TestProfileFit:
          "exponent bounds must be positive"),
         ("two-stage-d2-past-horizon-d2 bounds", ((0.1, 1.0), (0.5, 15.0), (0.0, 9.0)),
          r"d2 bounds must lie in \[0, T\) with T = 7.0, got \(0.0, 9.0\)"),
+        # a bad pair and a wrong count: the pair is named first in both fitters
+        ("two-stage-bad-pair-and-count-bad bound", ((0.1, 1.0), (15.0, 0.5)),
+         r"bad bound \(15.0, 0.5\)"),
     ]))
     def test_rejects_bad_settings(self, p_star, fit, bounds, match):
         s = sample_fixed_n(p_star, 50, seed=0)
