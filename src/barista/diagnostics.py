@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import _check_horizon, ecdf
-from .process import BaristaParams, OneStage, cdf, inverse_cdf
+from .process import BaristaParams, cdf, inverse_cdf
 from .sample import BidSample
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ks_two_sample",
     "qq_points",
     "reverse_time_ecdf",
-    "self_similarity_ratio",
 ]
 
 _SERIES_TERMS = 100
@@ -163,31 +162,3 @@ def reverse_time_ecdf(sample: BidSample, window: float) -> BidSample:
     rescaled = (sample.T - sel) / window
     return BidSample(times=np.sort(rescaled), T=1.0)
 
-
-def self_similarity_ratio(alpha: float, theta: float, t: float, T: float) -> float:
-    """Survival ratio (1 - F(T - theta t)) / (1 - F(T - t)) for a one-stage process.
-
-    Evaluated through the full piecewise CDF with the one-stage parameters
-    embedded, then checked against the closed form theta**alpha, which does
-    not depend on t: shrinking the lookback window by theta scales the tail
-    mass by theta**alpha regardless of where the window starts.
-    """
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if not (0.0 < t <= T):
-        raise ValueError(f"t must lie in (0, T], got {t} with T={T}")
-    p = OneStage(alpha=alpha, c=1.0, T=T).as_barista()
-    s_num = 1.0 - cdf(p, T - theta * t)
-    s_den = 1.0 - cdf(p, T - t)
-    if s_num <= 0.0 or s_den <= 0.0:
-        raise ValueError(f"tail mass vanishes at this precision for t={t}, theta={theta}")
-    ratio = s_num / s_den
-    expected = theta**alpha
-    # 1 - F cancels badly once the tail is tiny; widen the check accordingly
-    eps = np.finfo(float).eps
-    tol = 1e-12 + 4.0 * eps * (1.0 / s_num + 1.0 / s_den)
-    if not math.isclose(ratio, expected, rel_tol=min(tol, 1e-6), abs_tol=1e-15):
-        raise AssertionError(
-            f"self-similarity identity violated: {ratio} vs {expected}"
-        )
-    return ratio

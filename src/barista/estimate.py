@@ -167,7 +167,11 @@ def qc_alpha(F: Callable[[float], float], T: float, t: float, s: float) -> float
             f"CDF differences must be positive and share sign, got {num} and {den}",
             stage="qc_alpha",
         )
-    est = 2.0 * (math.log(num) - math.log(den)) / (math.log(t) - math.log(s))
+    # offsets a few ulps apart can share one log with sqrt(s t) between them
+    span = math.log(t) - math.log(s)
+    if span == 0.0:
+        raise EstimationError(f"window offsets {t} and {s} have the same log", stage="qc_alpha")
+    est = 2.0 * (math.log(num) - math.log(den)) / span
     # equal differences give a zero exponent; no power law fits such a window
     if est <= 0.0:
         raise EstimationError(
@@ -187,6 +191,10 @@ def qc_alpha3_survival(F: Callable[[float], float], T: float, t3: float, t3p: fl
             f"survival must be positive and decreasing, got {r3} and {r3p}",
             stage="qc_alpha3",
         )
+    # the log of the remaining times' ratio is 0 exactly when they are equal
+    if T - t3 == T - t3p:
+        raise EstimationError(f"late points {t3} and {t3p} leave the same remaining time "
+                              f"before {T}", stage="qc_alpha3")
     return math.log(r3 / r3p) / math.log((T - t3) / (T - t3p))
 
 
@@ -540,8 +548,8 @@ class FitResult:
 
     * closed-form: the one-stage maximum, at the closed-form MLE;
     * profile: the two-stage maximum over the box, or the best value the
-      three-stage search found, which can fall below the maximum; where
-      neither beats the next-smaller family's fit, that fit embedded;
+      three-stage search found, which can fall below the maximum; or the
+      next-smaller family's fit embedded, by profile_fit's nesting rule;
     * ga: the best value the search found, not a proven maximum (history
       holds the best so far per generation);
     * quick-crude: the value at a plug-in estimate, scored, not maximized.
@@ -594,32 +602,13 @@ class FitResult:
 def _scaled_family(tag: str, genes: Sequence[float], sample: BidSample) -> Family:
     """The family with these genes, its scale c matched to the sample's count.
 
-    Every fit's family is built here, and a FitResult reads its c_hat from
-    the family, so a fit's scale is recovered and stored in one place.
+    Every fit's family but an embedding (profile_fit) is built here, and a
+    FitResult reads its c_hat from the family, so a fit's scale is recovered
+    and stored in one place.
     """
     spec = get_family(tag)
     c_hat = estimate_c(spec.build(genes, 1.0, sample.T).as_barista(), sample.n)
     return spec.build(genes, c_hat, sample.T)
-
-
-def _nested(fit: FitResult, smaller: FitResult) -> FitResult:
-    """fit, or smaller embedded in fit's family, whichever is more likely;
-    ties keep the embedding.
-
-    smaller is a fit of the next-smaller family, so the families nest and a
-    likelihood-ratio statistic of fit against smaller is never negative,
-    whatever box or search budget produced fit.
-    """
-    if fit.loglik > smaller.loglik:
-        return fit
-    return _embedded(type(fit.family), smaller, fit.method)
-
-
-def _embedded(spec: type[Family], smaller: FitResult, method: str) -> FitResult:
-    """smaller as a fit of spec, the next-larger family: the same process, so
-    with smaller's scale and log-likelihood as they are, not worked out again."""
-    family = spec.build(spec.embed(smaller.family), smaller.c_hat, smaller.family.T)
-    return FitResult(family, smaller.loglik, method)
 
 
 # ---------------------------------------------------------------------------
@@ -1224,12 +1213,16 @@ def profile_fit(sample: BidSample, bounds: Sequence[tuple[float, float]] | None 
     smaller is the exact fit of the next-smaller family to this sample, the
     closed-form one-stage fit (_one_stage_fit) or the default-box two-stage
     profile fit; it is worked out when not given, and select_model passes
-    the fits it has.  The three-stage fit
-    starts from it, and each fit nests over it: where no row beats it, that
-    fit embedded, with its scale and log-likelihood, is the fit (_nested),
-    so the fit never falls below it; it may lie outside the box.  Otherwise
-    the reported log-likelihood is that of _CondLoglik.values at the
-    returned genes.
+    the fits it has.  The three-stage fit starts from it, and each fit nests
+    over it by one rule: the best row is the fit only when its
+    log-likelihood (that of _CondLoglik.values at its genes) is strictly
+    greater than smaller.loglik.  Otherwise, ties, an empty box (a d2 box of
+    {0}) and a best row of nan or -inf included, the fit is smaller
+    embedded in this family (Family.embed), the same process, with
+    smaller's scale and log-likelihood as they are; it may lie outside the
+    box.  So the fit never falls below smaller, a likelihood-ratio statistic
+    against it is never negative, and a fit is the embedding exactly when
+    its loglik equals smaller.loglik.
     """
     spec = get_family(family)
     if spec not in (TwoStage, ThreeStage):
@@ -1248,12 +1241,12 @@ def profile_fit(sample: BidSample, bounds: Sequence[tuple[float, float]] | None 
         smaller = smaller or profile_fit(sample)
         genes, ll = _three_stage_rows(sample, cache, box, smaller)
     best = int(np.argmax(ll)) if ll.size else 0
-    if not ll.size or not np.isfinite(ll[best]):
-        # a d2 box of {0} holds no candidate: the embedding is the fit
-        return _embedded(spec, smaller, "profile")
-    fit = FitResult(_scaled_family(spec.tag, tuple(genes[best]), sample), float(ll[best]),
-                    "profile")
-    return _nested(fit, smaller)
+    if ll.size and ll[best] > smaller.loglik:
+        return FitResult(_scaled_family(spec.tag, tuple(genes[best]), sample), float(ll[best]),
+                         "profile")
+    # the same process as smaller, so its scale and loglik are kept as they are
+    return FitResult(spec.build(spec.embed(smaller.family), smaller.c_hat, T), smaller.loglik,
+                     "profile")
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,9 @@ search over its box, which can end below the maximum (profile_fit).
 The families nest exactly, and the family classes (process.FAMILIES) give
 each richer family's embedding of the next-smaller fit: a one-stage process
 is a two-stage process with d2 = 0, and a two-stage process is a three-stage
-one with d1 = 0 and the empty early stage's exponent tied to alpha2.  One
-rule keeps each statistic nonnegative: a richer family's fit is the better
-of its own fit and the embedding of the smaller fit, ties keeping the
-embedding (estimate._nested), whose likelihood is the smaller fit's.
-profile_fit applies it to both richer fits.  The default three-stage box
+one with d1 = 0 and the empty early stage's exponent tied to alpha2.
+profile_fit nests both richer fits over the smaller fit by one rule, stated
+there, which keeps each statistic nonnegative.  The default three-stage box
 (alpha1 >= 1) does not hold the two-stage embedding (alpha1 = alpha2 <= 1),
 so the embedding can win there, and SelectionResult.embedded names the
 richer fits that are embeddings.
@@ -28,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimate import FitResult, _embedded, _one_stage_fit, profile_fit
+from .estimate import FitResult, _one_stage_fit, profile_fit
 from .process import ModelFamily
 from .sample import BidSample
 
@@ -58,7 +56,7 @@ class SelectionResult:
     lr_one_two: LrTest
     lr_two_three: LrTest | None
     alpha_level: float
-    # the richer fits that are the next-smaller fit embedded
+    # the richer fits that are the next-smaller fit embedded (profile_fit)
     embedded: tuple[str, ...] = ()
 
 
@@ -84,12 +82,10 @@ def select_model(sample: BidSample, alpha_level: float = 0.05) -> SelectionResul
 
     The one-stage fit is the exact closed-form MLE, the two-stage fit the
     exact profile fit and the three-stage fit the profile search over their
-    default boxes, each nested over the fit before it (profile_fit's
-    smaller).  Where the
-    three-stage box holds nothing more likely than the embedded two-stage
-    fit, that embedding, labelled "profile", is the three-stage fit, and the
-    LR statistic is 0.  At each step the richer family is adopted only when
-    the LR test rejects at alpha_level.
+    default boxes, each nested over the fit before it by profile_fit's rule,
+    so a richer fit is the embedding, with an LR statistic of 0, exactly
+    when its loglik equals the smaller fit's.  At each step the richer
+    family is adopted only when the LR test rejects at alpha_level.
     """
     if not (0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
@@ -104,5 +100,5 @@ def select_model(sample: BidSample, alpha_level: float = 0.05) -> SelectionResul
         chosen = fits["two-stage" if test23.p_value > alpha_level else "three-stage"]
     fitted = list(fits.items())
     embedded = tuple(tag for (_, small), (tag, fit) in zip(fitted, fitted[1:])
-                     if fit.family == _embedded(type(fit.family), small, fit.method).family)
+                     if fit.loglik == small.loglik)
     return SelectionResult(chosen.family, fits, test12, test23, alpha_level, embedded)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import barista
-from barista import BaristaParams, dataio, estimate
+from barista import BaristaParams, BidSample, dataio, estimate, sample_fixed_n
 
 # the simulation-study parameter point used throughout: a sharp early rush,
 # a calm middle, a uniform final 5 minutes of a 7-day auction
@@ -16,9 +16,35 @@ P_STAR = BaristaParams(
 )
 
 
+# quick-crude cases, (horizon, --windows, added bids) by stage, whose
+# points leave no log span to divide by.  qc_alpha3: at T = 7 the late
+# points 1e-17 and 2e-17 leave the same remaining time T - t, and a bid
+# between them makes the survival decrease.  qc_alpha: at T = 30 the
+# stage-1 offsets T - lo and T - hi lie four ulps apart and share one log,
+# with sqrt of their product between them, and a bid on each side of it
+# makes both CDF differences positive.
+ZERO_SPAN = {
+    "qc_alpha3": (7.0, {"stage1": [0.001, 1.0], "stage2": [3.0, 6.9],
+                        "stage3": [1e-17, 2e-17], "safe": [1.0, 3.0, 6.0, 6.998]},
+                  (1.5e-17,)),
+    "qc_alpha": (30.0, {"stage1": [7.105427357601002e-15, 1.4210854715202004e-14],
+                        "stage2": [3.0, 29.0], "stage3": [29.99, 29.995],
+                        "safe": [1.0, 3.0, 6.0, 29.99]},
+                 (8.881784197001252e-15, 1.2434497875801753e-14)),
+}
+
+
 @pytest.fixture
 def p_star() -> BaristaParams:
     return P_STAR
+
+
+def zero_span_sample(stage: str) -> BidSample:
+    """2000 P* bids stretched to the ZERO_SPAN case's horizon, and its
+    added bids."""
+    T, _, added = ZERO_SPAN[stage]
+    times = sample_fixed_n(P_STAR, 2000, seed=1).times * (T / P_STAR.T)
+    return BidSample(times=np.sort(np.append(times, added)), T=T)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from barista import (
     BidSample,
     EstimationError,
     IngestSpec,
+    QcConfig,
     __version__,
     bootstrap_se,
     default_qc_config,
@@ -25,7 +26,7 @@ from barista import (
     write_sample,
 )
 from barista.cli import build_parser, main
-from conftest import package_env
+from conftest import ZERO_SPAN, package_env, zero_span_sample
 
 COMMANDS = ["simulate", "fit", "select", "diagnose", "ingest-check"]
 P_STAR_CONFIG = {
@@ -277,6 +278,23 @@ class TestFit:
         ref = profile_fit(ingest(IngestSpec(path=data, horizon=7.0)), family="three-stage")
         assert rep["params"] == ref.params and rep["loglik"] == ref.loglik
         assert "embedded" not in rep
+
+    def test_quick_crude_windows_object_sets_the_config(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=4000, seed=23)
+        windows = {"stage1": [0.002, 1.2], "stage2": [3.5, 6.8], "stage3": [6.996, 6.9985],
+                   "safe": [1.1, 3.2, 6.1, 6.995]}
+        rc, rep = run_json(
+            ["fit", "--input", data, "--horizon", "7", "--method", "quick-crude",
+             "--windows", json.dumps(windows), "--no-timestamp"], capsys)
+        assert rc == 0
+        cfg = QcConfig(stage1_window=(0.002, 1.2), stage2_window=(3.5, 6.8),
+                       stage3_points=(6.996, 6.9985), safe_points=(1.1, 3.2, 6.1, 6.995))
+        sample = ingest(IngestSpec(path=data, horizon=7.0))
+        ref = qc_fit(sample, cfg)
+        assert ref.params != qc_fit(sample, default_qc_config(7.0)).params
+        assert {k: v.hex() for k, v in rep["params"].items()} == {
+            k: v.hex() for k, v in ref.params.items()}
+        assert rep["loglik"].hex() == ref.loglik.hex()
 
     def test_bootstrap_ses(self, tmp_path, capsys):
         data = simulate(tmp_path, n=600, seed=8)
@@ -627,6 +645,44 @@ class TestErrors:
         assert rc == 1
         assert err["error"]["stage"] == "qc_alpha"
         assert err["error"]["message"].endswith("overflow: horizon 1e+308 is too large")
+
+    @pytest.mark.parametrize("stage, message", [
+        ("qc_alpha", "window offsets 29.999999999999993 and 29.999999999999986 have the same log"),
+        ("qc_alpha3", "late points 1e-17 and 2e-17 leave the same remaining time before 7.0"),
+    ])
+    def test_quick_crude_points_with_no_log_span(self, tmp_path, stage, message):
+        # two window points whose log span is 0: a JSON error from the
+        # stage, and nothing on stderr
+        T, windows, _ = ZERO_SPAN[stage]
+        data = tmp_path / "bids.csv"
+        write_sample(zero_span_sample(stage), data)
+        done = subprocess.run(
+            [sys.executable, "-m", "barista", "fit", "--input", str(data), "--horizon", str(T),
+             "--method", "quick-crude", "--windows", json.dumps(windows), "--no-timestamp"],
+            env=package_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == ""
+        err = json.loads(done.stdout)["error"]
+        assert (err["type"], err["stage"], err["message"]) == ("EstimationError", stage, message)
+
+    def test_windows_object_missing_a_key(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=30, seed=0)
+        windows = {k: v for k, v in ZERO_SPAN["qc_alpha3"][1].items() if k != "safe"}
+        rc, err = run_json(["fit", "--input", data, "--horizon", "7", "--method", "quick-crude",
+                            "--windows", json.dumps(windows)], capsys)
+        assert rc == 1
+        assert err["error"]["type"] == "ValueError"
+        assert "--windows" in err["error"]["message"] and "'safe'" in err["error"]["message"]
+
+    def test_ga_box_without_a_feasible_genome(self, tmp_path, capsys):
+        # every d1 of the box lies past T - d2, so no genome is a process
+        data = simulate(tmp_path, n=300, seed=0)
+        rc, err = run_json(["fit", "--input", data, "--horizon", "7", "--method", "ga",
+                            "--generations", "5", "--bounds",
+                            "[[1,15],[0.1,1],[0.5,15],[6.5,6.9],[0.6,0.9]]"], capsys)
+        assert rc == 1
+        assert (err["error"]["type"], err["error"]["stage"]) == ("EstimationError", "ga_fit")
+        assert err["error"]["message"] == "no feasible genome found"
 
     def test_malformed_inline_json(self, tmp_path, capsys):
         data = simulate(tmp_path, n=30, seed=0)

@@ -15,7 +15,6 @@ from barista import (
     qq_points,
     reverse_time_ecdf,
     sample_fixed_n,
-    self_similarity_ratio,
 )
 from conftest import random_params
 
@@ -168,33 +167,6 @@ class TestReverseTimeEcdf:
         out = reverse_time_ecdf(s, p_star.d2)
         flat = OneStage(alpha=1.0, c=1.0, T=1.0).as_barista()
         assert ks_one_sample(out, flat).p_value > 0.01
-
-
-class TestSelfSimilarity:
-    def test_power_law_ratio(self):
-        for alpha, theta in [(0.7, 0.5), (2.0, 0.25), (1.0, 0.9)]:
-            r = self_similarity_ratio(alpha, theta, t=0.3, T=1.0)
-            assert r == pytest.approx(theta ** alpha, rel=1e-9)
-
-    def test_ratio_independent_of_probe_time(self):
-        r1 = self_similarity_ratio(1.4, 0.6, t=0.1, T=2.0)
-        r2 = self_similarity_ratio(1.4, 0.6, t=1.7, T=2.0)
-        assert r1 == pytest.approx(r2, rel=1e-9)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            self_similarity_ratio(1.0, 0.0, t=0.5, T=1.0)
-        with pytest.raises(ValueError):
-            self_similarity_ratio(1.0, 1.0, t=0.5, T=1.0)
-        with pytest.raises(ValueError):
-            self_similarity_ratio(1.0, 0.5, t=0.0, T=1.0)
-        with pytest.raises(ValueError):
-            self_similarity_ratio(1.0, 0.5, t=1.5, T=1.0)
-
-    def test_vanishing_tail_reported(self):
-        # huge exponent: survival underflows to zero near the deadline
-        with pytest.raises(ValueError):
-            self_similarity_ratio(400.0, 0.5, t=0.999, T=1.0)
 
 
 class TestDiagnosticsOnRandomVectors:

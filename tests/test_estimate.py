@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -40,7 +41,7 @@ from barista import (
 )
 from barista import estimate
 from barista.estimate import _CondLoglik
-from conftest import P_STAR, random_params
+from conftest import P_STAR, ZERO_SPAN, random_params, zero_span_sample
 
 
 def perturbed(p: BaristaParams, a1=None, a2=None, a3=None) -> BaristaParams:
@@ -146,6 +147,19 @@ class TestQuickCrudeOnExactCdf:
             qc_alpha(lambda t: 0.5, 7.0, 6.0, 1.0)
         with pytest.raises(EstimationError):
             qc_alpha3_survival(lambda t: 1.0, 7.0, 6.9, 6.99)
+
+    def test_points_with_no_log_span_rejected(self):
+        # T - 1e-17 and T - 2e-17 round to the same 7.0, and offsets four
+        # ulps below 30 share one log: no exponent is implied, and the error
+        # names both points
+        with pytest.raises(EstimationError, match="late points 1e-17 and 2e-17 ") as err:
+            qc_alpha3_survival(lambda t: 1e16 * t, 7.0, 1e-17, 2e-17)
+        assert err.value.stage == "qc_alpha3"
+        t, s = 30.0 - 7.105427357601002e-15, 30.0 - 1.4210854715202004e-14
+        assert math.log(t) == math.log(s) and s < math.sqrt(s * t) < t
+        with pytest.raises(EstimationError, match=f"window offsets {t} and {s} ") as err:
+            qc_alpha(lambda x: 1e13 * x, 30.0, t, s)
+        assert err.value.stage == "qc_alpha"
 
     def test_equal_exponents_rejected(self, p_star):
         F = lambda t: cdf(p_star, t)
@@ -873,24 +887,30 @@ def test_exact_fit_beats_every_grid_point(make, family, grid):
 
 
 class TestNested:
-    """A nested fit is fit or the embedding of the smaller fit, which carries
-    that fit's scale and log-likelihood as they are."""
+    """profile_fit keeps its best row only when it is strictly more likely
+    than smaller; otherwise smaller embedded, which carries that fit's scale
+    and log-likelihood as they are, is the fit."""
 
-    def test_embedding_carries_the_smaller_fits_loglik_and_scale(self):
-        # hand-set values that no rescoring or rescaling would give back
-        one = estimate.FitResult(OneStage(0.7, 123.25, 7.0), -4321.5, "closed-form")
-        two = estimate.FitResult(TwoStage(0.5, 2.0, 0.01, 1.0, 7.0), -5000.0, "profile")
-        nested = estimate._nested(two, one)
-        assert nested == estimate.FitResult(TwoStage(0.7, 0.7, 0.0, 123.25, 7.0), -4321.5,
-                                            "profile")
-        two = estimate.FitResult(TwoStage(0.4, 1.5, 0.003, 45.5, 7.0), -99.25, "profile")
-        three = estimate.FitResult(BaristaParams(3.0, 0.4, 1.0, 2.5, 0.003, 1.0, 7.0), -99.25,
-                                   "ga")
-        # a tie keeps the embedding, and only a more likely fit is kept
-        assert estimate._nested(three, two) == estimate.FitResult(
-            BaristaParams(0.4, 0.4, 1.5, 0.0, 0.003, 45.5, 7.0), -99.25, "ga")
-        three = estimate.FitResult(three.family, -99.0, "ga")
-        assert estimate._nested(three, two) is three
+    @pytest.mark.parametrize("family", ["two-stage", "three-stage"])
+    def test_a_tie_keeps_the_embedding_and_a_more_likely_fit_is_kept(self, family):
+        s = sample_fixed_n(P_STAR, 1000, seed=3)
+        real = estimate._one_stage_fit(s) if family == "two-stage" else profile_fit(s)
+        fit = profile_fit(s, family=family, smaller=real)
+        assert fit.loglik > real.loglik
+        # the real smaller fit's family with a hand-set scale, which no
+        # rescaling would give back, and in turn the fit's own loglik (a
+        # tie) and one ulp below it
+        shape = dataclasses.replace(real.family, c=123.25)
+        if family == "two-stage":
+            embedding = TwoStage(shape.alpha, shape.alpha, 0.0, 123.25, s.T)
+        else:
+            embedding = BaristaParams(shape.alpha2, shape.alpha2, shape.alpha3, 0.0, shape.d2,
+                                      123.25, s.T)
+        tie = FitResult(shape, fit.loglik, real.method)
+        assert profile_fit(s, family=family, smaller=tie) == FitResult(
+            embedding, fit.loglik, "profile")
+        below = FitResult(shape, math.nextafter(fit.loglik, -math.inf), real.method)
+        assert profile_fit(s, family=family, smaller=below) == fit
 
 
 class TestDefaultBounds:
@@ -989,6 +1009,18 @@ class TestBootstrap:
                    for stage, message in failures)
         assert set(se) == {"alpha1", "alpha2", "alpha3", "d1", "d2", "c"}
         assert all(math.isfinite(v) and v > 0 for v in se.values())
+
+    @pytest.mark.parametrize("stage", ["qc_alpha", "qc_alpha3"])
+    def test_quick_crude_zero_span_is_a_counted_failure(self, stage):
+        # points with no log span fail every refit in their stage, and the
+        # loop reports them instead of stopping
+        _, w, _ = ZERO_SPAN[stage]
+        cfg = QcConfig(stage1_window=tuple(w["stage1"]), stage2_window=tuple(w["stage2"]),
+                       stage3_points=tuple(w["stage3"]), safe_points=tuple(w["safe"]))
+        with pytest.raises(EstimationError) as err:
+            bootstrap_se(zero_span_sample(stage), lambda r: qc_fit(r, cfg), 5, seed=0)
+        assert err.value.stage == "bootstrap"
+        assert str(err.value).endswith(f"failures by stage: {stage} 5")
 
     def test_needs_two_replicates(self, p_star):
         s = sample_fixed_n(p_star, 10, seed=0)

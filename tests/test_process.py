@@ -118,6 +118,17 @@ class TestIdentities:
         assert np.all((s >= 0) & (s <= p.T))
         np.testing.assert_allclose(cdf(p, s), u, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("alpha, theta, T", [
+        (0.7, 0.5, 1.0), (2.0, 0.25, 1.0), (1.0, 0.9, 1.0), (1.4, 0.6, 2.0), (3.0, 0.5, 7.0),
+    ])
+    def test_one_stage_tail_is_self_similar(self, alpha, theta, T):
+        # shrinking the lookback window t by theta scales the tail mass by
+        # theta**alpha, whatever t is: (1 - F(T - theta t)) / (1 - F(T - t))
+        p = OneStage(alpha=alpha, c=1.0, T=T).as_barista()
+        for t in T * np.array([0.05, 0.15, 0.3, 0.85, 1.0]):
+            ratio = (1.0 - cdf(p, T - theta * t)) / (1.0 - cdf(p, T - t))
+            assert ratio == pytest.approx(theta ** alpha, rel=1e-9)
+
     def test_inverse_hits_changepoints(self, p_star):
         for point in (p_star.d1, p_star.T - p_star.d2):
             u = cdf(p_star, point)

@@ -29,7 +29,7 @@ from barista import (
 )
 from barista.cli import main
 from barista import estimate
-from barista.estimate import _nested, _one_stage_fit
+from barista.estimate import _one_stage_fit
 from barista.process import get_family
 from conftest import P_STAR
 
@@ -145,8 +145,37 @@ def test_fits_are_the_public_estimators_fits(p_star):
         if "three-stage" in res.fits:
             three = profile_fit(s, family="three-stage")
             assert_same_fit(res.fits["three-stage"], three)
-            assert three == _nested(three, two)
+            # nested over the two-stage fit: more likely, or its embedding
+            assert three.loglik > two.loglik or (
+                three == embedding(two, "three-stage") and "three-stage" in res.embedded)
     assert chosen == ["three-stage", "one-stage", "three-stage", "two-stage"]
+
+
+def embedding(small: FitResult, tag: str) -> FitResult:
+    """small as a profile fit of the next-larger family tag: the same
+    process, with small's scale and log-likelihood."""
+    spec = get_family(tag)
+    family = spec.build(spec.embed(small.family), small.c_hat, small.family.T)
+    return FitResult(family, small.loglik, "profile")
+
+
+@pytest.mark.parametrize("alpha_level", [0.05, 0.5])
+def test_embedded_names_the_fits_whose_family_is_the_embedding(p_star, alpha_level):
+    # SelectionResult.embedded against a rule that compares families: a
+    # richer fit is marked exactly when its process is the smaller fit's;
+    # on the criterion-9 datasets and on P* data
+    cases = [sample_fixed_n(p_star, 3000, seed=7)]
+    cases += [sample_poisson_count(truth, seed=1000 + run)
+              for truth in CRITERION_9_TRUTHS for run in range(20)]
+    marked = 0
+    for s in cases:
+        res = select_model(s, alpha_level)
+        fitted = list(res.fits.items())
+        by_family = tuple(tag for (_, small), (tag, fit) in zip(fitted, fitted[1:])
+                          if fit.family == embedding(small, tag).family)
+        assert res.embedded == by_family
+        marked += len(by_family)
+    assert marked > 0
 
 
 def test_select_fits_through_the_public_estimators(monkeypatch, p_star):
